@@ -1,23 +1,26 @@
 """Shards — the sharded data plane's scaling contrast and HTA fidelity.
 
-Beyond the paper: measures the dispatch plane itself. A single
-:class:`~repro.wq.master.Master` walks its whole ready queue on every
-completion, so with a million queued tasks each dispatch pass costs a
-million iterations and the dispatch rate collapses to roughly
-1/pass-cost regardless of how fast workers finish. The ``sharded``
+Beyond the paper: measures the dispatch plane itself. The ``sharded``
 policy splits the workflow across N masters behind a
-:class:`~repro.wq.sharding.Foreman` so each pass walks 1/N of the
-backlog.
+:class:`~repro.wq.sharding.Foreman`. A master's dispatch pass merges
+the heads of its per-signature queue buckets, so one pass costs
+O(placed + signatures), not O(queue): a million queued tasks of one
+signature cost a pass no more than ten do. Splitting the backlog N ways
+therefore buys no dispatch throughput in this single-process
+simulator; sharding's value here is availability (see the
+``failover`` experiment), not speed.
 
-The throughput leg quantifies exactly that: a ~1M-task synthetic bag
+The throughput leg measures exactly that: a ~1M-task synthetic bag
 submitted through a foreman at 1 shard and at 4 shards (both behind a
 foreman, isolating the partitioning effect from the aggregation tier's
 own overhead), a fixed directly-attached worker fleet, a warmup past
 worker connect and the initial capacity fill, then a wall-boxed
 steady-state window counting **dispatch events per wall-second** —
 journal ``dispatch``/``migrate_in`` records, the state machine's unit
-of work — in total and per shard. Headline contract (enforced in the
-full run): >=3x dispatch events/s at 4 shards vs 1.
+of work — in total and per shard. The 4-vs-1 ratio is reported, not
+enforced: one master keeps up (two full runs on a 2-core x86-64 VM
+measured 0.92x and 1.05x, at 2,900-4,900 dispatch events/s for one
+shard).
 
 The fidelity leg checks *upward* instead: the same small workload run
 through the full cluster stack under plain ``hta`` and under
@@ -35,9 +38,8 @@ Usage::
     python -m repro.experiments shards --bench-out DIR
 
 Writes ``BENCH_PERF.json`` (same spirit as the perf sweep's report,
-with per-shard throughput folded in) to the output directory. ``--smoke``
-skips the hard speedup assertion — at 2 shards the ceiling is 2x — but
-still reports the contrast and runs the HTA-tolerance check.
+with per-shard throughput folded in) to the output directory. Both
+modes fail only on the HTA-tolerance check.
 """
 
 from __future__ import annotations
@@ -69,10 +71,6 @@ DEFAULT_OUT_DIR = _ROOT / "benchmarks" / "results" / "shards"
 #: handed to a worker, whether fresh (``dispatch``) or resuming banked
 #: checkpoint progress after a cross-shard transfer (``migrate_in``).
 DISPATCH_OPS = ("dispatch", "migrate_in")
-
-#: The headline contract: steady-state dispatch events/s at the high
-#: shard count must be at least this multiple of the single-shard rate.
-SPEEDUP_TARGET = 3.0
 
 #: HTA sizing decisions under the foreman's aggregated view must stay
 #: within this relative tolerance of the single-master oracle.
@@ -172,14 +170,9 @@ def run_dispatch_plane(
     would otherwise mask the per-completion pass cost), then drives a
     wall-boxed window and reports the dispatch-record delta.
 
-    Partitioning is ``range`` with one contiguous id block per shard.
-    Hash partitioning would interleave every shard's queue across the
-    whole task arena, and the resulting cache-hostile queue walks
-    charge the sharded configurations a memory-locality penalty (about
-    1.5x per scanned task at a million tasks) that a real deployment —
-    one master process per shard, each owning its own heap — never
-    pays. Contiguous blocks keep each shard's scan in allocation order,
-    the same locality the single-master baseline enjoys."""
+    Partitioning is ``range`` with one contiguous id block per shard,
+    so each shard's tasks sit together in allocation order, as the
+    single master's do."""
     engine = Engine()
     link = Link(engine, 10_000.0)
     config = DispatchConfig()
@@ -211,7 +204,7 @@ def run_dispatch_plane(
     for i in range(n_workers):
         # Same connect latency for the whole fleet: every registration
         # lands on one tick, so the capacity fill is one coalesced
-        # dispatch pass instead of n_workers full queue walks.
+        # dispatch pass.
         Worker(
             engine,
             shards[i % n_shards],
@@ -225,9 +218,7 @@ def run_dispatch_plane(
     done_floor = foreman.stats().done
     events_floor = engine.events_fired
     started = time.perf_counter()
-    # Small event chunks keep the wall box tight: at a million queued
-    # tasks a single dispatch pass costs ~0.3s of wall, so a coarse
-    # chunk would overshoot the window by minutes. Rate accuracy is
+    # Small event chunks keep the wall box tight. Rate accuracy is
     # unharmed either way (the wall is measured, the counts are deltas).
     while engine.peek() is not None:
         if time.perf_counter() - started > max_wall_s:
@@ -321,7 +312,6 @@ class ShardsReport:
     runs: List[ShardMeasurement]
     fidelity: HtaFidelity
     speedup: float = 0.0
-    target: float = SPEEDUP_TARGET
     smoke: bool = False
     notes: List[str] = field(default_factory=list)
 
@@ -332,7 +322,6 @@ class ShardsReport:
             "smoke": self.smoke,
             "runs": {m.name: m.row() for m in self.runs},
             "dispatch_speedup": round(self.speedup, 2),
-            "speedup_target": self.target,
             "hta_fidelity": self.fidelity.row(),
             "notes": list(self.notes),
         }
@@ -355,9 +344,7 @@ class ShardsReport:
         lines.append("")
         lines.append(
             f"dispatch speedup {self.runs[-1].n_shards} shard(s) vs "
-            f"{self.runs[0].n_shards}: {self.speedup:.2f}x "
-            f"(target >={self.target:.1f}x"
-            + (", advisory in --smoke)" if self.smoke else ")")
+            f"{self.runs[0].n_shards}: {self.speedup:.2f}x (advisory)"
         )
         f = self.fidelity
         lines.append(
@@ -380,8 +367,8 @@ def main(
 ) -> str:
     """Run the shard-scaling contrast; returns the rendered table.
 
-    Full mode: the ~1M-task bag at 1 and 4 shards, >=3x enforced.
-    Smoke mode: a 100k bag at 1 and 2 shards, speedup advisory only.
+    Full mode: the ~1M-task bag at 1 and 4 shards.
+    Smoke mode: a 100k bag at 1 and 2 shards.
     """
     if smoke:
         shard_counts = (1, 2)
@@ -429,11 +416,6 @@ def main(
         raise SystemExit(
             "shards: HTA sizing under the foreman diverged from the "
             "single-master oracle beyond tolerance; see report above"
-        )
-    if not smoke and speedup < SPEEDUP_TARGET:
-        raise SystemExit(
-            f"shards: dispatch speedup {speedup:.2f}x below the "
-            f">={SPEEDUP_TARGET:.1f}x target; see report above"
         )
     return out
 

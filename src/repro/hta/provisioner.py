@@ -308,11 +308,20 @@ class WorkerProvisioner:
         return drained
 
     def drain_all(self) -> List[Worker]:
-        """Clean-up stage: drain every live worker."""
+        """Clean-up stage: drain every live worker, and delete every
+        Running pod that has no worker yet.
+
+        A pod that turns Running while the API server's watch plane is
+        down (an outage) gets no worker until the runtime's resync
+        adopts it. Left alone, that adoption would start a worker after
+        this drain, and nothing would ever drain it."""
         workers = list(self.runtime.live_workers())
         for worker in workers:
             worker.drain()
             self.drains_requested += 1
+        for pod in self.running_pods():
+            if self.runtime.worker_for(pod) is None:
+                self.api.try_delete("Pod", pod.name)
         return workers
 
     # ------------------------------------------------------------- tracking

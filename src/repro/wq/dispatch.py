@@ -36,8 +36,11 @@ Dispatch protocol (the explicit surface a driver exercises):
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from heapq import heapify, heappop, heapreplace
+from itertools import chain
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.cluster.resources import ResourceVector
 from repro.sim.engine import Engine, PeriodicTask
@@ -110,6 +113,144 @@ class DispatchConfig:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
+
+
+def placement_signature(task: Task) -> Tuple:
+    """Everything a dispatch pass reads to size and seat ``task``:
+    category drives the estimate, footprint/min_allocation/declared
+    drive the sizing. Queued tasks sharing a signature (and a priority)
+    are interchangeable for placement."""
+    return (task.category, task.footprint, task.min_allocation, task.declared)
+
+
+#: A bucket entry: ``(position, task)``.
+_Entry = Tuple[int, Task]
+
+
+class TaskQueue:
+    """The master's wait queue: FIFO with retry-to-front, bucketed by
+    placement signature.
+
+    Callers read it like a list — ``len``, truthiness, ``in`` and
+    iteration in exact queue order — and only :class:`DispatchCore`
+    mutates it. Each task sits in one FIFO bucket per ``(priority,
+    signature)``, tagged with a position: back appends count up from 0
+    and front inserts count down from -1, so position order *is* queue
+    order, retry-to-front included. A dispatch pass merges bucket heads
+    instead of walking the queue (:meth:`dispatch`).
+    """
+
+    __slots__ = ("_front", "_back", "_buckets", "_next_back", "_next_front", "rev")
+
+    def __init__(self) -> None:
+        #: Front inserts by task id; insertion order is reverse queue order.
+        self._front: Dict[int, Task] = {}
+        #: Back appends by task id; insertion order is queue order.
+        self._back: Dict[int, Task] = {}
+        self._buckets: Dict[Tuple, Deque[_Entry]] = {}
+        self._next_back = 0
+        self._next_front = -1
+        #: Bumped on every mutation; lets O(queue) folds such as
+        #: :meth:`DispatchCore.cores_waiting` memoize between mutations.
+        self.rev = 0
+
+    # ----------------------------------------------------------- reading
+    def __len__(self) -> int:
+        return len(self._front) + len(self._back)
+
+    def __bool__(self) -> bool:
+        return bool(self._front) or bool(self._back)
+
+    def __iter__(self) -> Iterator[Task]:
+        # Every front insert precedes every back append.
+        return chain(reversed(self._front.values()), self._back.values())
+
+    def __contains__(self, task: Task) -> bool:
+        return self._front.get(task.id) is task or self._back.get(task.id) is task
+
+    def has_id(self, task_id: int) -> bool:
+        return task_id in self._front or task_id in self._back
+
+    # ---------------------------------------------------------- mutation
+    def push_back(self, task: Task) -> None:
+        self._back[task.id] = task
+        self._bucket(task).append((self._next_back, task))
+        self._next_back += 1
+        self.rev += 1
+
+    def push_front(self, task: Task) -> None:
+        self._front[task.id] = task
+        self._bucket(task).appendleft((self._next_front, task))
+        self._next_front -= 1
+        self.rev += 1
+
+    def remove(self, task: Task) -> None:
+        """Remove ``task`` if queued: O(1) when absent or at its
+        bucket's head, O(bucket) otherwise."""
+        if (
+            self._front.pop(task.id, None) is None
+            and self._back.pop(task.id, None) is None
+        ):
+            return
+        key = (task.priority, placement_signature(task))
+        bucket = self._buckets[key]
+        for i, (_, queued) in enumerate(bucket):
+            if queued is task:
+                del bucket[i]
+                break
+        if not bucket:
+            del self._buckets[key]
+        self.rev += 1
+
+    def clear(self) -> None:
+        self._front.clear()
+        self._back.clear()
+        self._buckets.clear()
+        self.rev += 1
+
+    def _bucket(self, task: Task) -> Deque[_Entry]:
+        key = (task.priority, placement_signature(task))
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = deque()
+        return bucket
+
+    # ---------------------------------------------------------- dispatch
+    def dispatch(self, place: Callable[[Task], bool]) -> None:
+        """One dispatch pass: offer tasks to ``place`` in dispatch order
+        — higher priority first, queue order within a priority — and
+        drop the ones it seats.
+
+        Within one synchronous pass worker capacity only shrinks, so a
+        task that found no seat proves the same for every later task
+        with its signature, at any priority; that signature is skipped
+        for the rest of the pass. Seated tasks are therefore always a
+        prefix of their bucket, and only bucket heads are ever read: a
+        pass costs O(placed + signatures), not O(queue).
+        """
+        buckets = self._buckets
+        heap = [(-key[0], bucket[0][0], key) for key, bucket in buckets.items()]
+        heapify(heap)
+        unplaceable: Set[Tuple] = set()
+        while heap:
+            key = heap[0][2]
+            if key[1] in unplaceable:
+                heappop(heap)
+                continue
+            bucket = buckets[key]
+            pos, task = bucket[0]
+            if not place(task):
+                unplaceable.add(key[1])
+                heappop(heap)
+                continue
+            bucket.popleft()
+            del (self._front if pos < 0 else self._back)[task.id]
+            self.rev += 1
+            if bucket:
+                heapreplace(heap, (-key[0], bucket[0][0], key))
+            else:
+                del buckets[key]
+                heappop(heap)
 
 
 class DispatchCore:
@@ -193,35 +334,29 @@ class DispatchCore:
         self.estimator: AllocationEstimator = (
             estimator if estimator is not None else MonitorEstimator(self.monitor)
         )
-        self.queue: List[Task] = []
+        #: The wait queue (read-only outside this class; see
+        #: :class:`TaskQueue`).
+        self.queue = TaskQueue()
         self.workers: Dict[str, Worker] = {}
         self.running: Dict[int, Task] = {}
         self.done: List[Task] = []
         # ------------------------------------------- dispatch-path indexes
-        #: Mirror of the subset of ``workers`` whose ``accepting`` flag is
-        #: true, maintained through :meth:`worker_status_changed`, so a
-        #: dispatch pass touches only real candidates instead of scanning
-        #: every connected worker. The best-fit key ends in the unique
-        #: worker name, so the winner is independent of iteration order.
-        self._accepting: Dict[str, Worker] = {}
-        #: Last-seen (accepting, idle, busy, draining) per worker; the
-        #: deltas keep the integer counters below exact.
-        self._worker_flags: Dict[str, Tuple[bool, bool, bool, bool]] = {}
+        #: The subset of ``workers`` whose ``accepting`` flag is true,
+        #: grouped by ``(capacity, available)`` and maintained through
+        #: :meth:`worker_status_changed`, so a placement sizes and fits
+        #: once per group instead of once per worker (full workers all
+        #: share one group). The best-fit key ends in the unique worker
+        #: name, so the winner is independent of iteration order.
+        self._accepting: Dict[
+            Tuple[ResourceVector, ResourceVector], Dict[str, Worker]
+        ] = {}
+        #: Last-seen (accepting group or None, idle, busy, draining) per
+        #: worker; the deltas keep the index and counters below exact.
+        self._worker_flags: Dict[str, Tuple[Optional[Tuple], bool, bool, bool]] = {}
         self._n_idle = 0
         self._n_busy = 0
         self._n_draining = 0
-        #: Ids of tasks currently in ``queue`` — O(1) membership for the
-        #: completion/reconnect paths that used to scan the whole list.
-        self._queued_ids: Set[int] = set()
-        #: Queued tasks with nonzero priority; while zero (the default for
-        #: every workload) the dispatch order is plain queue order and the
-        #: per-pass sort is skipped.
-        self._queued_priority = 0
-        #: Bumped on every queue mutation; lets O(queue) aggregates such
-        #: as :meth:`cores_waiting` memoize their fold between mutations
-        #: (the recompute keeps the original iteration order, so the
-        #: cached float is bit-identical to an on-demand fold).
-        self._queue_rev = 0
+        #: ``(queue.rev, value)`` memo of :meth:`cores_waiting`.
         self._cores_waiting_cache: Tuple[int, float] = (-1, 0.0)
         #: Tasks given up on after max_retries worker losses.
         self.abandoned: List[Task] = []
@@ -366,39 +501,22 @@ class DispatchCore:
         """Register for worker deaths (called before the requeue loop)."""
         self._worker_lost_listeners = self._worker_lost_listeners + (fn,)
 
-    # ------------------------------------------------------- queue indexing
-    # Every mutation of ``queue`` goes through these helpers so the id set
-    # and the nonzero-priority count stay exact.
+    # ------------------------------------------------------- queue mutation
     def _enqueue_back(self, task: Task) -> None:
-        self.queue.append(task)
-        self._queued_ids.add(task.id)
-        self._queue_rev += 1
-        if task.priority:
-            self._queued_priority += 1
+        self.queue.push_back(task)
 
     def _enqueue_front(self, task: Task) -> None:
-        self.queue.insert(0, task)
-        self._queued_ids.add(task.id)
-        self._queue_rev += 1
-        if task.priority:
-            self._queued_priority += 1
+        self.queue.push_front(task)
 
     def _dequeue(self, task: Task) -> None:
         """Remove ``task`` from the queue if present (O(1) when absent —
         the common case on the completion path)."""
-        if task.id not in self._queued_ids:
-            return
-        self.queue = [t for t in self.queue if t is not task]
-        self._queued_ids.discard(task.id)
-        self._queue_rev += 1
-        if task.priority:
-            self._queued_priority -= 1
+        self.queue.remove(task)
 
     def _reset_queue(self, tasks: List[Task]) -> None:
-        self.queue = tasks
-        self._queued_ids = {t.id for t in tasks}
-        self._queue_rev += 1
-        self._queued_priority = sum(1 for t in tasks if t.priority)
+        self.queue.clear()
+        for task in tasks:
+            self.queue.push_back(task)
 
     # ------------------------------------------------------------- submit
     def submit(self, task: Task) -> None:
@@ -429,9 +547,12 @@ class DispatchCore:
         name = worker.name
         old = self._worker_flags.pop(name, None)
         if old is not None:
-            was_accepting, was_idle, was_busy, was_draining = old
-            if was_accepting:
-                self._accepting.pop(name, None)
+            old_group, was_idle, was_busy, was_draining = old
+            if old_group is not None:
+                members = self._accepting[old_group]
+                del members[name]
+                if not members:
+                    del self._accepting[old_group]
             if was_idle:
                 self._n_idle -= 1
             if was_busy:
@@ -440,15 +561,21 @@ class DispatchCore:
                 self._n_draining -= 1
         if self.workers.get(name) is not worker:
             return
-        accepting = worker.accepting
+        group = (
+            (worker.capacity, worker.available()) if worker.accepting else None
+        )
         idle = worker.idle
         draining = worker.state is WorkerState.DRAINING
         busy = bool(worker.runs) and (
             worker.state is WorkerState.READY or draining
         )
-        self._worker_flags[name] = (accepting, idle, busy, draining)
-        if accepting:
-            self._accepting[name] = worker
+        self._worker_flags[name] = (group, idle, busy, draining)
+        if group is not None:
+            members = self._accepting.get(group)
+            if members is None:
+                self._accepting[group] = {name: worker}
+            else:
+                members[name] = worker
         if idle:
             self._n_idle += 1
         if busy:
@@ -1093,39 +1220,9 @@ class DispatchCore:
         self._dispatch_pending = False
         if not self.queue or not self.available or not self._accepting:
             return
-        # Higher priority first; FIFO (stable sort over queue order)
-        # within a priority level. Requeued tasks sit at the queue front
-        # already, keeping retry-first semantics among equal priorities.
-        # When every queued priority is the default 0 (tracked by the
-        # queue helpers) the sorted order IS the queue order, so the
-        # per-pass sort is skipped.
-        if self._queued_priority:
-            ordered = sorted(self.queue, key=lambda t: -t.priority)
-        else:
-            ordered = self.queue
-        # Within one synchronous pass worker capacity only shrinks, so a
-        # task that found no seat proves the same for every later task
-        # with the same placement inputs (category drives the estimate;
-        # footprint/min_allocation/declared drive the sizing). Memoizing
-        # the failures turns the tail of a saturated pass into O(1) per
-        # task instead of a full candidate scan each.
-        unplaceable: Set[Tuple] = set()
-        placed: List[Task] = []
-        for task in ordered:
-            sig = (task.category, task.footprint, task.min_allocation, task.declared)
-            if sig in unplaceable:
-                continue
-            if self._try_place(task):
-                placed.append(task)
-            else:
-                unplaceable.add(sig)
-        if placed:
-            placed_ids = {t.id for t in placed}
-            self.queue = [t for t in self.queue if t.id not in placed_ids]
-            self._queued_ids -= placed_ids
-            self._queue_rev += 1
-            if self._queued_priority:
-                self._queued_priority -= sum(1 for t in placed if t.priority)
+        # Higher priority first, queue order (retries at the front)
+        # within a priority; see TaskQueue.dispatch for the cost.
+        self.queue.dispatch(self._try_place)
 
     #: Sentinel distinguishing "capacity not sized yet" from "sized to
     #: None (task cannot fit this capacity at all)" in the dispatch memo.
@@ -1143,10 +1240,7 @@ class DispatchCore:
         # once instead of once per candidate. None marks a capacity the
         # task can never fit.
         alloc_by_capacity: Dict[ResourceVector, Optional[ResourceVector]] = {}
-        for worker in self._accepting.values():
-            if worker is exclude or not worker.accepting:
-                continue
-            capacity = worker.capacity
+        for (capacity, available), members in self._accepting.items():
             alloc = alloc_by_capacity.get(capacity, DispatchCore._UNSIZED)
             if alloc is DispatchCore._UNSIZED:
                 alloc = estimator.allocation_for(task, capacity)
@@ -1168,17 +1262,17 @@ class DispatchCore:
                     if not alloc.fits_in(capacity):
                         alloc = None
                 alloc_by_capacity[capacity] = alloc
-            if alloc is None:
-                continue
-            available = worker.available()
-            if not alloc.fits_in(available):
+            if alloc is None or not alloc.fits_in(available):
                 continue
             # Prefer cache hits; then best-fit by remaining cores. The
             # unique name tiebreak makes the winner independent of the
             # order the index is walked in.
-            key = (worker.has_cached(task), -available.cores, worker.name)
-            if best_key is None or key > best_key:
-                best, best_alloc, best_key = worker, alloc, key
+            for worker in members.values():
+                if worker is exclude or not worker.accepting:
+                    continue
+                key = (worker.has_cached(task), -available.cores, worker.name)
+                if best_key is None or key > best_key:
+                    best, best_alloc, best_key = worker, alloc, key
         if best is None or best_alloc is None:
             return False
         self.running[task.id] = task
@@ -1568,15 +1662,15 @@ class DispatchCore:
         """RSH ingredient: cores desired by queued tasks (true footprints;
         the evaluation measures actual shortage, per §VI).
 
-        Memoized against :attr:`_queue_rev`: metric samplers and the
+        Memoized against :attr:`TaskQueue.rev`: metric samplers and the
         forecast scaler poll this between queue mutations, and the fold
-        is O(queue). The recompute preserves queue order, so the cached
+        is O(queue). The recompute folds in queue order, so the cached
         float is bit-identical to the unmemoized sum.
         """
         rev, value = self._cores_waiting_cache
-        if rev != self._queue_rev:
+        if rev != self.queue.rev:
             value = sum(t.footprint.cores for t in self.queue)
-            self._cores_waiting_cache = (self._queue_rev, value)
+            self._cores_waiting_cache = (self.queue.rev, value)
         return value
 
     def clean_goodput_core_s(self) -> float:

@@ -452,7 +452,7 @@ class Master(DispatchCore):
                         task.speculation_of is None
                         and (
                             task.id in self._unclaimed
-                            or task.id in self._queued_ids
+                            or self.queue.has_id(task.id)
                         )
                     )
                 )

@@ -1,10 +1,12 @@
 """Sharded data plane: task partitioning and the foreman tier.
 
 One :class:`~repro.wq.master.Master` serializes all dispatch. That is
-faithful to Work Queue and fine for the paper's hundreds of tasks, but
-a million-task workflow spends most of its wall clock in the master's
-dispatch passes (each completion re-scans the queue). This module
-splits the data plane the way glide-in / pool-of-pools systems do:
+faithful to Work Queue, and since a dispatch pass costs O(placed +
+signatures) (:class:`~repro.wq.dispatch.TaskQueue`) one master keeps
+up even with a million queued tasks. What one master cannot give is
+availability: if it dies, so does the whole data plane. This module
+splits the data plane the way glide-in / pool-of-pools systems do, so
+one shard's loss is survivable (:class:`FailoverCoordinator`):
 
 * :class:`TaskPartitioner` — a seeded hash (or range) function mapping
   every task id to one of N shards, so a workflow fans out across N
@@ -236,7 +238,7 @@ class Foreman:
         the task in its own log for the next failover to re-home."""
         src = None
         for shard in self.shards:
-            if task.id in shard._queued_ids:
+            if shard.queue.has_id(task.id):
                 src = shard
                 break
         if src is None or src is dst:
@@ -838,7 +840,7 @@ class FailoverCoordinator:
             if j == dead_idx:
                 continue
             if (
-                task.id in other._queued_ids
+                other.queue.has_id(task.id)
                 or task.id in other.running
                 or task.id in other._unclaimed
             ):
