@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Type
+from typing import Callable, Dict, List, Optional, Set, Tuple, Type
 
 from repro.cluster.node import Node
 from repro.cluster.objects import KubeObject, Service, StatefulSet
 from repro.cluster.pod import Pod, PodPhase, REASON_KILLED
+from repro.cluster.sched_index import FreeCapacityIndex, PendingPodIndex, list_key
 from repro.sim.engine import Engine
 from repro.telemetry.events import NULL_TRACER, Tracer
 from repro.telemetry.metrics import MetricsRegistry
@@ -89,9 +91,15 @@ class KubeApiServer:
         )
         self._stores: Dict[str, Dict[str, KubeObject]] = {k: {} for k in self.KINDS}
         # Memoized unfiltered list() result per kind. The sort key
-        # (creation_time, name) is immutable per object, so the order can
-        # only change when membership does — create/delete drop the entry.
+        # (creation_time, name) is immutable per object and unique per
+        # stored one, so create/delete keep the snapshot sorted with one
+        # bisect each instead of dropping it.
         self._sorted_cache: Dict[str, List[KubeObject]] = {}
+        #: The kube-scheduler's indexes (see :mod:`repro.cluster.sched_index`),
+        #: updated here on every write — during outages and watch-drop
+        #: windows too, because writes still commit then.
+        self.pending_index = PendingPodIndex()
+        self.capacity_index = FreeCapacityIndex()
         # Watchers are stored as (position, handler) so deliveries can be
         # merged with the node-keyed pod watchers below in exact
         # registration order (same-instant handler execution order is
@@ -141,7 +149,13 @@ class KubeApiServer:
             raise ConflictError(f"{obj.kind} {obj.name!r} already exists")
         obj.meta.creation_time = self.engine.now
         store[obj.name] = obj
-        self._sorted_cache.pop(obj.kind, None)
+        cached = self._sorted_cache.get(obj.kind)
+        if cached is not None:
+            insort(cached, obj, key=list_key)
+        if isinstance(obj, Pod):
+            self.pending_index.update(obj)
+        elif isinstance(obj, Node):
+            self.capacity_index.add(obj)
         self.writes += 1
         self._notify(WatchEventType.ADDED, obj)
         return obj
@@ -157,18 +171,17 @@ class KubeApiServer:
         return self._store(kind).get(name)
 
     def list(self, kind: str, selector: Optional[Dict[str, str]] = None) -> List[KubeObject]:
-        if selector:
-            objs: Iterable[KubeObject] = self._store(kind).values()
-            objs = (o for o in objs if o.meta.matches(selector))
-            return sorted(objs, key=lambda o: (o.meta.creation_time, o.name))
+        """Objects of ``kind`` in ``(creation_time, name)`` order; a fresh
+        list the caller may filter or mutate."""
         cached = self._sorted_cache.get(kind)
         if cached is None:
-            cached = sorted(
-                self._store(kind).values(),
-                key=lambda o: (o.meta.creation_time, o.name),
-            )
+            cached = sorted(self._store(kind).values(), key=list_key)
             self._sorted_cache[kind] = cached
-        return list(cached)  # callers may filter/mutate their copy
+        if selector:
+            # The key is unique per stored object, so filtering the sorted
+            # snapshot gives the order a sort of the matches would.
+            return [o for o in cached if o.meta.matches(selector)]
+        return list(cached)
 
     def mark_modified(self, obj: KubeObject) -> None:
         """Record an in-place status update and notify watchers.
@@ -179,6 +192,8 @@ class KubeApiServer:
         store = self._store(obj.kind)
         if store.get(obj.name) is not obj:
             return  # already deleted; late status updates are dropped
+        if isinstance(obj, Pod):
+            self.pending_index.update(obj)
         self.writes += 1
         self._notify(WatchEventType.MODIFIED, obj)
 
@@ -188,10 +203,15 @@ class KubeApiServer:
             obj = store.pop(name)
         except KeyError:
             raise NotFoundError(f"{kind} {name!r} not found") from None
-        self._sorted_cache.pop(kind, None)
+        cached = self._sorted_cache.get(kind)
+        if cached is not None:
+            del cached[bisect_left(cached, list_key(obj), key=list_key)]
         self.writes += 1
         if isinstance(obj, Pod):
+            self.pending_index.discard(obj)
             self._teardown_pod(obj)
+        elif isinstance(obj, Node):
+            self.capacity_index.discard(obj)
         self._notify(WatchEventType.DELETED, obj)
         return obj
 
@@ -303,7 +323,7 @@ class KubeApiServer:
             store = self._store("Pod")
             bound = sorted(
                 (p for p in node.pods if store.get(p.name) is p),
-                key=lambda o: (o.meta.creation_time, o.name),
+                key=list_key,
             )
             for obj in bound:
                 self.engine.call_soon(
@@ -371,4 +391,9 @@ class KubeApiServer:
         return [n for n in self.nodes() if n.ready and not n.deleted]
 
     def pending_pods(self) -> List[Pod]:
-        return [p for p in self.pods() if p.phase is PodPhase.PENDING and p.node is None]
+        """Pending, unbound pods in list order, served from the index."""
+        return [
+            p
+            for p in self.pending_index
+            if p.phase is PodPhase.PENDING and p.node is None
+        ]

@@ -524,17 +524,17 @@ class CloudController:
         # Remove newest-first, never dropping the on-demand pool below its
         # minimum (the spot pool has no floor).
         removable.sort(key=lambda n: n.meta.creation_time, reverse=True)
+        ondemand = self.ondemand_node_count()
         for node in removable:
-            if (
-                not node.preemptible
-                and self.ondemand_node_count() <= self.config.min_nodes
-            ):
-                continue
-            self._remove_node(node)
+            if node.preemptible:
+                self._remove_node(node)
+            elif ondemand > self.config.min_nodes and self._remove_node(node):
+                ondemand -= 1
 
-    def _remove_node(self, node: Node) -> None:
+    def _remove_node(self, node: Node) -> bool:
+        """Delete an idle node; False when it has turned busy."""
         if node.active_pods():
-            return  # became busy between the scan and now
+            return False  # became busy between the scan and now
         node.unschedulable = True
         node.deleted = True
         self._idle_since.pop(node.name, None)
@@ -542,3 +542,4 @@ class CloudController:
         self.nodes_removed += 1
         if self.tracer.enabled:
             self.tracer.emit("cluster", "node.removed", node=node.name)
+        return True

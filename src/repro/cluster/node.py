@@ -10,11 +10,14 @@ kubelet (one per node) handles image caching and container start.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.cluster.objects import KubeObject
 from repro.cluster.pod import Pod, PodPhase
 from repro.cluster.resources import ResourceVector
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cluster.sched_index import FreeCapacityIndex
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,6 +73,7 @@ class Node(KubeObject):
         "machine_type", "preemptible", "preemption_notice_at",
         "preemption_grace_s", "ready", "ready_time", "pods",
         "_requested_cache", "cached_images", "unschedulable", "deleted",
+        "_capacity_index",
     )
 
     kind = "Node"
@@ -112,6 +116,9 @@ class Node(KubeObject):
         self.cached_images: Set[str] = set()
         self.unschedulable = False  # cordoned during drain-for-removal
         self.deleted = False
+        #: The API server's free-capacity index while the node is stored
+        #: there; told whenever the requested() fold is dropped.
+        self._capacity_index: Optional["FreeCapacityIndex"] = None
 
     # ------------------------------------------------------------- capacity
     @property
@@ -136,6 +143,8 @@ class Node(KubeObject):
     def invalidate_requested(self) -> None:
         """The bound-pod set (or a bound pod's phase) changed."""
         self._requested_cache = None
+        if self._capacity_index is not None:
+            self._capacity_index.mark_dirty(self)
 
     def free(self) -> ResourceVector:
         return (self.allocatable - self.requested()).clamp_floor(0.0)
@@ -153,14 +162,14 @@ class Node(KubeObject):
         if pod in self.pods:
             raise RuntimeError(f"pod {pod.name} already bound to {self.name}")
         self.pods.append(pod)
-        self._requested_cache = None
+        self.invalidate_requested()
 
     def unbind(self, pod: Pod) -> None:
         try:
             self.pods.remove(pod)
         except ValueError:
             pass
-        self._requested_cache = None
+        self.invalidate_requested()
 
     def active_pods(self) -> List[Pod]:
         return [p for p in self.pods if not p.phase.terminal]

@@ -9,24 +9,33 @@ that both the cloud controller and HTA's init-time tracker key off.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+import heapq
+from typing import Optional
 
 from repro.cluster.api import KubeApiServer, WatchEvent, WatchEventType
 from repro.cluster.node import Node
 from repro.cluster.pod import Pod, PodPhase, REASON_FAILED_SCHEDULING
+from repro.cluster.sched_index import list_key, unschedulable_recorded
 from repro.sim.engine import Engine, PeriodicTask
 from repro.telemetry.events import NULL_TRACER, Tracer
 
 
 class KubeScheduler:
-    """First-fit / spread scheduler over ready nodes.
+    """Binds pending pods to the ready node with the most or fewest free
+    cores.
 
-    ``strategy`` selects the node-scoring policy among candidates that fit:
+    ``strategy`` selects the node-scoring policy among nodes that fit the
+    pod's request and node selector:
 
     * ``"least-requested"`` (default, mirrors kube-scheduler's spreading):
       pick the node with the most free CPU;
     * ``"binpack"``: pick the node with the least free CPU (used by the
       ablation benchmarks to show HTA is policy-agnostic).
+
+    Ties on free cores go to the larger name (least-requested) or the
+    smaller one (binpack). Both choices are walks of the API server's
+    free-capacity index, and a pass takes the pending pods from its
+    pending-pod index (:mod:`repro.cluster.sched_index`).
     """
 
     def __init__(
@@ -72,54 +81,61 @@ class KubeScheduler:
 
     # ----------------------------------------------------------------- sync
     def sync(self) -> int:
-        """One scheduling pass; returns the number of pods bound."""
+        """One scheduling pass; returns the number of pods bound.
+
+        Pods are taken in list order (``(creation_time, name)``) by
+        merging the heads of the pending index's signature buckets. A
+        live bucket offers its first pod for a node. Once a signature
+        finds no seat, capacity can only shrink for the rest of the pass,
+        so the bucket offers only its pods still owing a
+        ``FailedScheduling`` event, each recorded at its list position.
+        """
         state = (self.api.kind_version("Pod"), self.api.kind_version("Node"))
         if state == self._synced_state:
             return 0  # nothing changed since the last pass; see __init__
         bound = 0
-        pending = self.api.pending_pods()
-        if not pending:
-            self._synced_state = state
-            return 0
-        # One relist per pass: binding mutates node *state*, never the
-        # node set, and can_fit re-checks ready/cordoned/deleted per pod,
-        # so the per-pod relist the loop used to do was pure overhead.
-        nodes = self.api.nodes()
-        # Within a pass capacity only shrinks, so once a request (plus
-        # node-selector) finds no seat, every identical pending pod after
-        # it fails too — skip their node scans, but still record the
-        # FailedScheduling event per pod exactly as before.
-        unplaceable: set = set()
-        for pod in pending:
-            selector = pod.spec.node_selector
-            sig = (
-                pod.spec.request,
-                tuple(sorted(selector.items())) if selector else None,
-            )
-            if sig in unplaceable:
-                # Inline _record_unschedulable's common early-exit (the
-                # episode is already recorded) — at depth this branch runs
-                # once per pending pod per pass.
-                if not (
-                    pod.events
-                    and pod.events[-1].reason == REASON_FAILED_SCHEDULING
-                ):
-                    self._record_unschedulable(pod)
-                continue
-            node = self._select_node(pod, nodes)
-            if node is None:
-                unplaceable.add(sig)
+        index = self.api.pending_index
+        heap = [
+            (list_key(bucket.pods[0]), n, bucket, False)
+            for n, bucket in enumerate(index.buckets())
+        ]
+        heapq.heapify(heap)
+        while heap:
+            _, n, bucket, failed = heap[0]
+            taken_from = bucket.fresh if failed else bucket.pods
+            pod = taken_from[0]
+            if (
+                pod.phase is not PodPhase.PENDING
+                or pod.node is not None
+                or (failed and unschedulable_recorded(pod))
+            ):
+                # Changed without an API write (a direct mark_scheduled
+                # or add_event): re-file the entry; the pass skips it.
+                index.update(pod)
+            elif failed:
                 self._record_unschedulable(pod)
-                continue
-            pod.mark_scheduled(self.engine.now, node)
-            node.bind(pod)
-            self.api.mark_modified(pod)
-            self.binds += 1
-            bound += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "cluster", "scheduler.bind", pod=pod.name, node=node.name
-                )
+            else:
+                node = self._select_node(pod)
+                if node is None:
+                    failed = True
+                    self._record_unschedulable(pod)
+                else:
+                    pod.mark_scheduled(self.engine.now, node)
+                    node.bind(pod)
+                    self.api.mark_modified(pod)
+                    self.binds += 1
+                    bound += 1
+                    if self.tracer.enabled:
+                        self.tracer.emit(
+                            "cluster", "scheduler.bind", pod=pod.name, node=node.name
+                        )
+            queue = bucket.fresh if failed else bucket.pods
+            if not queue:
+                heapq.heappop(heap)
+            elif queue is taken_from and queue[0] is pod:
+                raise RuntimeError(f"pending index did not advance past pod {pod.name}")
+            else:
+                heapq.heapreplace(heap, (list_key(queue[0]), n, bucket, failed))
         # Recompute: the pass itself bumps versions (binds, events).
         self._synced_state = (
             self.api.kind_version("Pod"),
@@ -127,27 +143,24 @@ class KubeScheduler:
         )
         return bound
 
-    @staticmethod
-    def _selector_matches(pod: Pod, node: Node) -> bool:
+    def _select_node(self, pod: Pod) -> Optional[Node]:
+        """The fitting node with the most (least-requested) or fewest
+        (binpack) free cores, ties broken by name the same way."""
+        request = pod.spec.request
         selector = pod.spec.node_selector
-        if not selector:
-            return True
-        labels = node.meta.labels
-        return all(labels.get(k) == v for k, v in selector.items())
-
-    def _select_node(self, pod: Pod, nodes: Optional[List[Node]] = None) -> Optional[Node]:
-        if nodes is None:
-            nodes = self.api.ready_nodes()
-        candidates: List[Node] = [
-            n
-            for n in nodes
-            if self._selector_matches(pod, n) and n.can_fit(pod.spec.request)
-        ]
-        if not candidates:
-            return None
+        index = self.api.capacity_index
         if self.strategy == "least-requested":
-            return max(candidates, key=lambda n: (n.free().cores, n.name))
-        return min(candidates, key=lambda n: (n.free().cores, n.name))
+            candidates = index.descending(request.cores)
+        else:
+            candidates = index.ascending(request.cores)
+        for node in candidates:
+            if selector:
+                labels = node.meta.labels
+                if not all(labels.get(k) == v for k, v in selector.items()):
+                    continue
+            if node.can_fit(request):
+                return node
+        return None
 
     def _record_unschedulable(self, pod: Pod) -> None:
         if pod.phase is not PodPhase.PENDING:

@@ -37,6 +37,7 @@ from repro.soak.invariants import (
     check_journal_replay,
     check_migration_protocol,
     check_no_worker_leaks,
+    check_scheduler_indexes,
     check_task_conservation,
     check_trace_consistency,
     check_version_monotonic,
@@ -351,8 +352,19 @@ def run_soak(seed: int, config: SoakConfig = SoakConfig()) -> SoakReport:
         graph = WorkflowGraph(graph_tasks)
         manager = WorkflowManager(stack.engine, graph, operator)
         manager.done_signal.add_waiter(lambda _mgr: operator.notify_no_more_jobs())
+        api = stack.cluster.api
+        index_violations: List[Violation] = []
+
+        def strike(event: FaultEvent) -> None:
+            _apply_event(stack, event, migration)
+            # Chaos mutates the cluster behind the controllers' backs;
+            # the scheduler's indexes must have seen all of it. The
+            # first divergence is enough to flag the run.
+            if not index_violations:
+                index_violations.extend(check_scheduler_indexes(api))
+
         for event in events:
-            stack.engine.call_at(event.at_s, _apply_event, stack, event, migration)
+            stack.engine.call_at(event.at_s, strike, event)
 
         manager.start()
         operator.start()
@@ -403,6 +415,7 @@ def run_soak(seed: int, config: SoakConfig = SoakConfig()) -> SoakReport:
             violations.extend(check_failover_protocol(master))
         violations.extend(check_version_monotonic(probe))
         violations.extend(check_trace_consistency(master, stack.chaos, stack.tracer))
+        violations.extend(index_violations or check_scheduler_indexes(api))
         probe.close()
         stats: Dict[str, float] = {
             "sim_time_s": engine.now,

@@ -15,6 +15,9 @@ expose:
   coherence across outages and watch drops);
 * **metrics/trace consistency** — the chaos counters and the master's
   ledgers agree with the telemetry trace recorded along the way;
+* **scheduler indexes** — the API server's pending-pod and free-capacity
+  indexes equal what the store says, so no mutation bypassed the write
+  path that keeps them (checked after every strike and at the end);
 * **eventual quiescence** — the run actually reached a terminal state
   before its deadline (checked by the harness, reported here).
 """
@@ -26,6 +29,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.cluster.api import KubeApiServer, WatchEvent
+from repro.cluster.pod import PodPhase
+from repro.cluster.sched_index import placement_signature, unschedulable_recorded
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,6 +168,69 @@ def check_version_monotonic(probe: VersionProbe) -> List[Violation]:
                     )
                 )
                 break  # one per kind is enough to flag the stream
+    return violations
+
+
+def check_scheduler_indexes(api: KubeApiServer) -> List[Violation]:
+    """The kube-scheduler's indexes agree with the API server's store.
+
+    The pending index holds exactly the pods with ``phase is PENDING and
+    node is None``, in list order, each in the bucket of its placement
+    signature and flagged fresh iff it has no trailing FailedScheduling
+    event. Every stored node sits in the free-capacity index under a key
+    equal to a recomputed ``(free().cores, name)``. A mutation that
+    bypassed the write path fails here instead of silently changing
+    binds.
+    """
+    violations: List[Violation] = []
+    literal = [
+        p for p in api.pods() if p.phase is PodPhase.PENDING and p.node is None
+    ]
+    indexed = list(api.pending_index)
+    if indexed != literal:
+        violations.append(
+            Violation(
+                "scheduler-index",
+                f"pending index {[p.name for p in indexed][:8]} != pending pods "
+                f"{[p.name for p in literal][:8]} ({len(indexed)} vs {len(literal)})",
+            )
+        )
+    bucketed = 0
+    for bucket in api.pending_index.buckets():
+        bucketed += len(bucket.pods)
+        misfiled = [p.name for p in bucket.pods if placement_signature(p) != bucket.signature]
+        fresh = [p for p in bucket.pods if not unschedulable_recorded(p)]
+        if misfiled or bucket.fresh != fresh:
+            violations.append(
+                Violation(
+                    "scheduler-index",
+                    f"bucket {bucket.signature}: misfiled {misfiled}, fresh "
+                    f"{[p.name for p in bucket.fresh]} != {[p.name for p in fresh]}",
+                )
+            )
+    if bucketed != len(indexed):
+        violations.append(
+            Violation(
+                "scheduler-index",
+                f"{bucketed} bucketed pods for {len(indexed)} indexed",
+            )
+        )
+    entries = api.capacity_index.entries()
+    expected = sorted(
+        (((n.free().cores, n.name), n) for n in api.nodes()), key=lambda e: e[0]
+    )
+    if entries != expected:
+        stale = [
+            f"{node.name}@{key[0]!r}" for key, node in entries
+            if key != (node.free().cores, node.name)
+        ]
+        violations.append(
+            Violation(
+                "scheduler-index",
+                f"free-capacity index ({len(entries)} nodes) != store "
+                f"({len(expected)} nodes); stale keys {stale[:8]}",
+            )
+        )
     return violations
 
 

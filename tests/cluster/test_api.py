@@ -80,6 +80,22 @@ class TestCrud:
         api.create(make_pod("b", labels={"app": "y"}))
         assert [p.name for p in api.pods({"app": "x"})] == ["a"]
 
+    def test_list_with_selector_keeps_list_order(self, api, engine):
+        # Same-instant names arrive unsorted (w-9 after w-10); the filtered
+        # list must still be in (creation_time, name) order, as a fresh
+        # copy, across membership changes.
+        for name in ["w-9", "x-1", "w-10", "w-2"]:
+            api.create(make_pod(name, labels={"app": "w" if name[0] == "w" else "x"}))
+        engine.call_in(5.0, lambda: api.create(make_pod("w-0", labels={"app": "w"})))
+        engine.run()
+        listed = api.list("Pod", {"app": "w"})
+        assert [p.name for p in listed] == ["w-10", "w-2", "w-9", "w-0"]
+        assert listed == [p for p in api.list("Pod") if p.meta.labels["app"] == "w"]
+        listed.clear()
+        api.delete("Pod", "w-2")
+        api.create(make_pod("w-1", labels={"app": "w"}))
+        assert [p.name for p in api.pods({"app": "w"})] == ["w-10", "w-9", "w-0", "w-1"]
+
     def test_services_storable(self, api):
         svc = Service("master", {"app": "wq-master"}, service_type="LoadBalancer")
         api.create(svc)
@@ -184,6 +200,21 @@ class TestHelpers:
         bound.mark_scheduled(0.0, node)
         node.bind(bound)
         assert api.pending_pods() == [pending]
+
+    def test_pending_pods_follow_writes_in_list_order(self, api, engine):
+        node = Node("n1")
+        node.ready = True
+        api.create(node)
+        for name in ["w-9", "w-10", "w-1"]:
+            api.create(make_pod(name))
+        assert [p.name for p in api.pending_pods()] == ["w-1", "w-10", "w-9"]
+        bound = api.get("Pod", "w-10")
+        bound.mark_scheduled(0.0, node)
+        node.bind(bound)
+        api.mark_modified(bound)
+        api.delete("Pod", "w-1")
+        assert [p.name for p in api.pending_pods()] == ["w-9"]
+        assert list(api.pending_index) == api.pending_pods()
 
     def test_ready_nodes_filters(self, api):
         n1, n2 = Node("n1"), Node("n2")

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.api import KubeApiServer
+from repro.cluster.api import KubeApiServer, WatchEventType
 from repro.cluster.cloud import CloudController, CloudControllerConfig
 from repro.cluster.images import ContainerImage
-from repro.cluster.node import N1_STANDARD_4
+from repro.cluster.node import N1_STANDARD_4, Node
 from repro.cluster.pod import Pod, PodSpec, REASON_FAILED_SCHEDULING
 from repro.cluster.resources import ResourceVector
 from repro.cluster.scheduler import KubeScheduler
@@ -178,6 +178,32 @@ class TestScaleDown:
         engine.call_in(50.0, occupy)
         engine.run(until=190.0)
         assert ctl.node_count() == 1  # min_nodes floor anyway
+
+    def test_idle_nodes_removed_in_one_sync_down_to_min(self, engine, api):
+        ctl = make_controller(
+            engine, api, min_nodes=3, max_nodes=8, scan_period_s=10.0, idle_timeout_s=30.0
+        )
+        for name, preemptible in [("extra-0", False), ("extra-1", False),
+                                  ("extra-2", False), ("spot-0", True)]:
+            node = Node(name, N1_STANDARD_4, preemptible=preemptible)
+            node.ready = True
+            api.create(node)
+        assert (ctl.ondemand_node_count(), ctl.spot_node_count()) == (6, 1)
+        removed_at = {}
+
+        def on_node(event):
+            if event.type is WatchEventType.DELETED:
+                removed_at[event.obj.name] = event.time
+
+        api.watch("Node", on_node, replay_existing=False)
+        engine.run(until=100.0)
+        # All seven went idle together at t=0 and are visited in list
+        # order: the on-demand ones stop at the floor, while the spot node
+        # has no floor and does not count against the on-demand one.
+        assert removed_at == {"extra-0": 30.0, "extra-1": 30.0, "extra-2": 30.0,
+                              "spot-0": 30.0}
+        assert ctl.nodes_removed == 4
+        assert (ctl.ondemand_node_count(), ctl.spot_node_count()) == (3, 0)
 
     def test_removed_node_deleted_from_api(self, engine, api):
         ctl = make_controller(engine, api, min_nodes=0, max_nodes=5, idle_timeout_s=30.0)

@@ -85,6 +85,36 @@ class TestBinding:
         assert len(bound) == 4  # 4-core node
 
 
+class TestPassOrder:
+    def test_same_instant_pods_bound_in_list_order(self, engine, api):
+        # Created in the order w-9, w-10 at one instant; the list order is
+        # by name ("w-10" < "w-9"), so w-10 takes the only seat and w-9
+        # records the FailedScheduling event.
+        KubeScheduler(engine, api)
+        add_node(api, "n1")
+        late, early = make_pod("w-9", cores=4), make_pod("w-10", cores=4)
+        api.create(late)
+        api.create(early)
+        engine.run(until=2.0)
+        assert early.node is not None and late.node is None
+        assert late.last_event(REASON_FAILED_SCHEDULING) is not None
+
+    def test_freed_capacity_reused_next_pass(self, engine, api):
+        KubeScheduler(engine, api, strategy="binpack")
+        node = add_node(api, "n1")
+        first, second = make_pod("a", cores=4), make_pod("b", cores=4)
+        api.create(first)
+        engine.run(until=1.0)
+        api.create(second)
+        engine.run(until=3.0)
+        assert second.node is None
+        first.mark_running(engine.now)
+        first.mark_finished(engine.now)
+        api.mark_modified(first)
+        engine.run(until=5.0)
+        assert second.node is node
+
+
 class TestStrategies:
     def test_least_requested_spreads(self, engine, api):
         KubeScheduler(engine, api, strategy="least-requested")
@@ -105,6 +135,34 @@ class TestStrategies:
             api.create(p)
         engine.run(until=5.0)
         assert len({p.node.name for p in pods}) == 1
+
+    @pytest.mark.parametrize(
+        "strategy, expected", [("least-requested", "n2"), ("binpack", "n1")]
+    )
+    def test_equal_free_cores_tie_broken_by_name(self, engine, api, strategy, expected):
+        KubeScheduler(engine, api, strategy=strategy)
+        add_node(api, "n2")
+        add_node(api, "n1")
+        pod = make_pod("p")
+        api.create(pod)
+        engine.run(until=5.0)
+        assert pod.node.name == expected
+
+    @pytest.mark.parametrize("strategy", ["least-requested", "binpack"])
+    def test_float_drift_absorbed_like_fits_in(self, engine, api, strategy):
+        # Three 0.9-core pods leave 1.2999999999999998 free cores: a
+        # 1.3-core pod fits only through fits_in's epsilon, and the
+        # index's cores cutoff must not drop the node first.
+        KubeScheduler(engine, api, strategy=strategy)
+        node = add_node(api, "n1")
+        for name in ["a", "b", "c"]:
+            api.create(make_pod(name, cores=0.9))
+        engine.run(until=1.0)
+        assert node.free().cores < 1.3
+        big = make_pod("big", cores=1.3)
+        api.create(big)
+        engine.run(until=engine.now + 2.0)
+        assert big.node is node
 
     def test_unknown_strategy_rejected(self, engine, api):
         with pytest.raises(ValueError):

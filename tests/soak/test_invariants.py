@@ -11,9 +11,14 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cluster.api import KubeApiServer
+from repro.cluster.images import ContainerImage
+from repro.cluster.node import N1_STANDARD_4, Node
+from repro.cluster.pod import Pod, PodSpec, REASON_FAILED_SCHEDULING
 from repro.soak.invariants import (
     check_journal_replay,
     check_migration_protocol,
+    check_scheduler_indexes,
     check_task_conservation,
     check_trace_consistency,
     check_version_monotonic,
@@ -25,6 +30,9 @@ from repro.wq.link import Link
 from repro.wq.master import Master
 from repro.wq.task import Task
 from repro.wq.worker import Worker
+
+
+IMAGE = ContainerImage("img", 10)
 
 
 def fake_task(tid):
@@ -197,3 +205,46 @@ class TestTraceConsistency:
     def test_disabled_tracer_is_vacuously_consistent(self):
         master = SimpleNamespace(done=[], abandoned=[])
         assert check_trace_consistency(master, None, NULL_TRACER) == []
+
+
+class TestSchedulerIndexes:
+    @pytest.fixture
+    def cluster(self, engine):
+        api = KubeApiServer(engine)
+        node = Node("n1", N1_STANDARD_4)
+        node.ready = True
+        api.create(node)
+        pods = [Pod(f"w-{i}", PodSpec(IMAGE, ResourceVector(1, 512, 512))) for i in (9, 10)]
+        for pod in pods:
+            api.create(pod)
+        return api, node, pods
+
+    def test_write_path_keeps_indexes_exact(self, cluster):
+        api, node, (a, b) = cluster
+        a.mark_scheduled(0.0, node)
+        node.bind(a)
+        api.mark_modified(a)
+        b.add_event(0.0, REASON_FAILED_SCHEDULING, "Insufficient Resource")
+        api.mark_modified(b)
+        a.mark_finished(1.0)  # frees capacity without an API write
+        assert check_scheduler_indexes(api) == []
+
+    def test_bind_without_write_flagged(self, cluster):
+        api, node, (a, _) = cluster
+        a.mark_scheduled(0.0, node)
+        node.bind(a)
+        (violation,) = check_scheduler_indexes(api)
+        assert "pending index" in violation.detail
+
+    def test_event_without_write_flagged(self, cluster):
+        api, _, (a, _) = cluster
+        a.add_event(0.0, REASON_FAILED_SCHEDULING, "Insufficient Resource")
+        (violation,) = check_scheduler_indexes(api)
+        assert "fresh" in violation.detail
+
+    def test_capacity_change_behind_the_index_flagged(self, cluster):
+        api, node, (a, _) = cluster
+        node.pods.append(a)  # bypasses Node.bind
+        node._requested_cache = None
+        (violation,) = check_scheduler_indexes(api)
+        assert "stale keys ['n1@4" in violation.detail
