@@ -36,10 +36,16 @@ Extensions (documented in DESIGN.md):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.resources import ResourceVector
+
+#: A run of the simulated wait queue: that many adjacent waiting tasks
+#: with equal resources.
+Run = Tuple[ResourceVector, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,16 +191,21 @@ class ResourceEstimator:
             step = max(1, math.ceil(max(pw.eta_s, 0.0) / cfg.step_s))
             arrivals.setdefault(step, []).append(pw.capacity)
 
-        wait_queue: List[SimulatedTask] = list(waiting)
+        # The wait queue as runs of equal resources, in queue order: the
+        # waiting tasks' runtimes are never read, so a category is one run.
+        wait_queue: List[Run] = [
+            (res, len(list(group)))
+            for res, group in groupby(waiting, key=attrgetter("resources"))
+        ]
         steps = max(1, math.ceil(rsrc_init_time / cfg.step_s))
 
         # Forecast submissions joining the wait queue mid-cycle
         # (extension: the hybrid mode's predicted inflow).
-        task_arrivals: Dict[int, List[SimulatedTask]] = {}
+        task_arrivals: Dict[int, List[ResourceVector]] = {}
         for fa in future_arrivals:
             step = max(1, math.ceil(fa.eta_s / cfg.step_s))
             if step <= steps:
-                task_arrivals.setdefault(step, []).append(fa.task)
+                task_arrivals.setdefault(step, []).append(fa.task.resources)
 
         # --- lines 3-18: forward simulation over one init cycle
         for t in range(1, steps + 1):
@@ -202,8 +213,10 @@ class ResourceEstimator:
                 ava = ava + freed
             for extra in arrivals.get(t, ()):  # extension: in-flight pods
                 ava = ava + extra
-            wait_queue.extend(task_arrivals.get(t, ()))  # predicted inflow
+            for res in task_arrivals.get(t, ()):  # predicted inflow
+                _push_run(wait_queue, res, 1)
             wait_queue, ava = self._dispatch(wait_queue, ava)
+        waiting_after = sum(count for _, count in wait_queue)
 
         def removable() -> int:
             limit = max(0, active_workers - min_workers)
@@ -212,7 +225,7 @@ class ResourceEstimator:
         # --- lines 19-21: resources are enough. The pseudocode holds
         # steady here; the paper's controller ("scale down if RSH < 0")
         # additionally releases whole idle workers — see EstimatorConfig.
-        if not wait_queue:
+        if not waiting_after:
             if cfg.scale_down_on_empty_queue:
                 idle_removable = removable()
                 if idle_removable > 0:
@@ -228,7 +241,7 @@ class ResourceEstimator:
         if idle_removable > 0:
             max_run = max((t.remaining_s for t in running), default=cfg.default_cycle_s)
             next_action = max(cfg.min_cycle_s, max_run)
-            return ScalePlan(-idle_removable, next_action, len(wait_queue), ava.cores)
+            return ScalePlan(-idle_removable, next_action, waiting_after, ava.cores)
 
         # --- line 25: scale up by the workers the waiting tasks need
         needed = self._workers_required(wait_queue)
@@ -237,31 +250,39 @@ class ResourceEstimator:
             headroom = max(0, max_workers - active_workers - in_flight)
             needed = min(needed, headroom)
         next_action = max(cfg.min_cycle_s, rsrc_init_time)
-        return ScalePlan(needed, next_action, len(wait_queue), ava.cores)
+        return ScalePlan(needed, next_action, waiting_after, ava.cores)
 
     # ------------------------------------------------------------ internals
     @staticmethod
-    def _dispatch(
-        waiting: List[SimulatedTask], ava: ResourceVector
-    ) -> Tuple[List[SimulatedTask], ResourceVector]:
-        """Lines 8-17: first-fit dispatch of waiting tasks into ``ava``.
+    def _dispatch(runs: List[Run], ava: ResourceVector) -> Tuple[List[Run], ResourceVector]:
+        """Lines 8-17: first-fit dispatch of the waiting runs into ``ava``.
 
-        Pure function of its inputs: returns the still-waiting tasks and
+        Pure function of its inputs: returns the still-waiting runs and
         the capacity left after dispatch. Dispatched tasks are assumed to
         hold their resources past the cycle end (conservative: their
         remaining runtime usually exceeds the remaining cycle; the paper's
         pseudocode makes the same simplification by never re-completing
         newly dispatched tasks inside the loop).
+
+        Each placement makes the per-task pass's ``is_zero`` check, its
+        ``fits_in`` and its ``clamp_floor``, so ``ava`` is float-identical.
+        A run whose next task does not fit is skipped whole: ``ava`` has
+        not changed since, so no later task of the run fits either.
         """
-        remaining: List[SimulatedTask] = []
-        for i, task in enumerate(waiting):
+        remaining: List[Run] = []
+        for i, (res, count) in enumerate(runs):
             if ava.is_zero():  # lines 9-11
-                remaining.extend(waiting[i:])
+                for run in runs[i:]:
+                    _push_run(remaining, *run)
                 break
-            if task.resources.fits_in(ava):  # lines 12-16
-                ava = (ava - task.resources).clamp_floor(0.0)
-            else:
-                remaining.append(task)
+            left = count
+            while left and res.fits_in(ava):  # lines 12-16
+                ava = (ava - res).clamp_floor(0.0)
+                left -= 1
+                if ava.is_zero():
+                    break
+            if left:
+                _push_run(remaining, res, left)
         return remaining, ava
 
     def _num_idle_workers(self, ava: ResourceVector, idle_workers: int) -> int:
@@ -271,13 +292,12 @@ class ResourceEstimator:
         by_capacity = self.worker_capacity.copies_fitting_in(ava)
         return min(by_capacity, idle_workers)
 
-    def _workers_required(self, waiting: Sequence[SimulatedTask]) -> int:
-        """First-fit-decreasing packing of waiting tasks into workers.
+    def _workers_required(self, runs: Sequence[Run]) -> int:
+        """First-fit-decreasing packing of the waiting runs into workers.
 
-        Implementation notes, because this is the hottest loop of the HTA
-        controller at large queue depths: bins are kept as component
-        floats (the naive ResourceVector version allocated two vectors
-        per probe), and the scan start is carried over between tasks with
+        Runs are sorted stably by cores, which orders their tasks exactly
+        as a stable sort of the tasks would. Bins are kept as component
+        floats, and the scan start is carried over between tasks with
         identical resources. Both preserve the packing bit-for-bit: the
         comparisons and accumulations below perform exactly the float
         operations ``fits_in(capacity - used)`` / ``used + res`` did, and
@@ -293,34 +313,43 @@ class ResourceEstimator:
         bins_d: List[float] = []
         prev_res: Optional[ResourceVector] = None
         start = 0
-        for task in sorted(waiting, key=lambda t: t.resources.cores, reverse=True):
-            res = task.resources
+        for res, count in sorted(runs, key=lambda run: run[0].cores, reverse=True):
             if res != prev_res:
                 prev_res = res
                 start = 0
             if not res.fits_in(cap):
-                # Will never fit a worker; clamp to one dedicated worker.
-                bins_c.append(cap_c)
-                bins_m.append(cap_m)
-                bins_d.append(cap_d)
+                # Will never fit a worker; clamp to one dedicated worker each.
+                bins_c.extend([cap_c] * count)
+                bins_m.extend([cap_m] * count)
+                bins_d.extend([cap_d] * count)
                 continue
             res_c, res_m, res_d = res.cores, res.memory_mb, res.disk_mb
-            for i in range(start, len(bins_c)):
-                if (
-                    res_c <= (cap_c - bins_c[i]) + eps
-                    and res_m <= (cap_m - bins_m[i]) + eps
-                    and res_d <= (cap_d - bins_d[i]) + eps
-                ):
-                    bins_c[i] = bins_c[i] + res_c
-                    bins_m[i] = bins_m[i] + res_m
-                    bins_d[i] = bins_d[i] + res_d
-                    start = i
-                    break
-            else:
-                bins_c.append(res_c)
-                bins_m.append(res_m)
-                bins_d.append(res_d)
-                start = len(bins_c) - 1
-            # ``start`` is where this task landed; an identical next task
-            # cannot land earlier, so its scan resumes there.
+            for _ in range(count):
+                for i in range(start, len(bins_c)):
+                    if (
+                        res_c <= (cap_c - bins_c[i]) + eps
+                        and res_m <= (cap_m - bins_m[i]) + eps
+                        and res_d <= (cap_d - bins_d[i]) + eps
+                    ):
+                        bins_c[i] = bins_c[i] + res_c
+                        bins_m[i] = bins_m[i] + res_m
+                        bins_d[i] = bins_d[i] + res_d
+                        start = i
+                        break
+                else:
+                    bins_c.append(res_c)
+                    bins_m.append(res_m)
+                    bins_d.append(res_d)
+                    start = len(bins_c) - 1
+                # ``start`` is where this task landed; an identical next
+                # task cannot land earlier, so its scan resumes there.
         return len(bins_c)
+
+
+def _push_run(runs: List[Run], resources: ResourceVector, count: int) -> None:
+    """Append ``count`` tasks to the tail of ``runs``, merging equal
+    resources into the tail run."""
+    if runs and runs[-1][0] == resources:
+        runs[-1] = (resources, runs[-1][1] + count)
+    else:
+        runs.append((resources, count))

@@ -376,11 +376,16 @@ class HtaOperator:
     def plan_once(self) -> ScalePlan:
         """Gather inputs and run Algorithm 1 (no side effects)."""
         init_time = self.init_tracker.current()
-        running = [self._simulated_running(t) for t in self.master.running_tasks()]
-        waiting = [self._simulated_waiting(t) for t in self.master.waiting_tasks()]
+        resources = self._resources_memo()
+        running = [
+            self._simulated_running(t, resources) for t in self.master.running_tasks()
+        ]
+        waiting = [
+            self._simulated_waiting(t, resources) for t in self.master.waiting_tasks()
+        ]
         if self.config.count_held_tasks:
             for held_tasks in self._held.values():
-                waiting.extend(self._simulated_waiting(t) for t in held_tasks)
+                waiting.extend(self._simulated_waiting(t, resources) for t in held_tasks)
 
         # Quarantined workers are dead supply: the dispatcher refuses
         # them, so counting them would understate the workers Algorithm 1
@@ -411,7 +416,7 @@ class HtaOperator:
             pending=pending,
             max_workers=self.config.max_workers,
             min_workers=self.config.min_workers,
-            future_arrivals=self._forecast_arrivals(init_time),
+            future_arrivals=self._forecast_arrivals(init_time, resources),
             spot_workers=spot_workers,
             spot_survival=spot_survival,
         )
@@ -421,7 +426,9 @@ class HtaOperator:
         pod = worker.pod
         return pod is not None and pod.node is not None and pod.node.preemptible
 
-    def _forecast_arrivals(self, init_time: float) -> List[ForecastArrival]:
+    def _forecast_arrivals(
+        self, init_time: float, resources: Callable[[Task], ResourceVector]
+    ) -> List[ForecastArrival]:
         """Hybrid mode: predicted submissions over the coming cycle.
 
         Expected count is the trapezoid of the forecast rate at now and
@@ -448,9 +455,7 @@ class HtaOperator:
         arrivals: List[ForecastArrival] = []
         for i in range(count):
             proto = prototypes[i % len(prototypes)]
-            synthetic = SimulatedTask(
-                self._estimate_resources(proto), self._estimate_runtime(proto)
-            )
+            synthetic = self._simulated_waiting(proto, resources)
             eta = (i + 1) / (count + 1) * init_time
             arrivals.append(ForecastArrival(synthetic, eta))
         return arrivals
@@ -503,18 +508,40 @@ class HtaOperator:
         self.tracer.emit("hta", "decision", mode, **attrs)
 
     # ------------------------------------------------------------ modelling
-    def _simulated_running(self, task: Task) -> SimulatedTask:
-        resources = task.allocation or self._estimate_resources(task)
+    def _resources_memo(self) -> Callable[[Task], ResourceVector]:
+        """:meth:`_estimate_resources` memoized per ``(category, declared)``.
+
+        Valid for one cycle: besides those two fields the estimate reads
+        only the monitor and ``worker_request``, which nothing changes
+        while a cycle plans.
+        """
+        memo: Dict[tuple, ResourceVector] = {}
+
+        def resources(task: Task) -> ResourceVector:
+            key = (task.category, task.declared)
+            res = memo.get(key)
+            if res is None:
+                res = memo[key] = self._estimate_resources(task)
+            return res
+
+        return resources
+
+    def _simulated_running(
+        self, task: Task, resources: Callable[[Task], ResourceVector]
+    ) -> SimulatedTask:
+        allocation = task.allocation or resources(task)
         predicted = self._estimate_runtime(task)
         if task.state is TaskState.RUNNING and task.start_time is not None:
             elapsed = self.engine.now - task.start_time
             remaining = max(1.0, predicted - elapsed)
         else:
             remaining = predicted  # still fetching inputs
-        return SimulatedTask(resources, remaining)
+        return SimulatedTask(allocation, remaining)
 
-    def _simulated_waiting(self, task: Task) -> SimulatedTask:
-        return SimulatedTask(self._estimate_resources(task), self._estimate_runtime(task))
+    def _simulated_waiting(
+        self, task: Task, resources: Callable[[Task], ResourceVector]
+    ) -> SimulatedTask:
+        return SimulatedTask(resources(task), self._estimate_runtime(task))
 
     def _estimate_resources(self, task: Task) -> ResourceVector:
         estimate = self.master.monitor.resource_estimate(task.category)

@@ -446,6 +446,16 @@ class DispatchCore:
         #: Dispatched-but-unresolved tasks reconstructed by replay, keyed
         #: by task id; re-adopted as their workers reconnect.
         self._unclaimed: Dict[int, Task] = {}
+        #: Workers cut off from this master that have not reconnected
+        #: yet — dropped by a crash, or declared lost while partitioned
+        #: — keyed by name: they still poll this master. A crash carries
+        #: the ones still waiting forward, so a shard failover can
+        #: re-point every worker bound to the dead shard, not only the
+        #: ones in its table at the final crash.
+        self._orphaned: Dict[str, Worker] = {}
+        #: Ids of tasks this shard handed to another shard (FAILOVER_OUT
+        #: not since undone by a FAILOVER_IN); rebuilt by replay.
+        self._handed_off: Set[int] = set()
         #: ``(task_id, attempt)`` results already accepted.
         self._delivered: Set[Tuple[int, int]] = set()
         #: Bumped on every crash; callbacks scheduled pre-crash carry the
@@ -661,12 +671,16 @@ class DispatchCore:
 
     # -------------------------------------------------------------- failover
     def failover_out(self, task: Task) -> None:
-        """Journal-only marker on a *dead* shard's PV: the foreman's
-        failover coordinator re-homed ``task`` to a survivor. The live
-        tables were already wiped by the crash, so nothing folds here —
-        the record exists so that a post-failover restart replays to a
-        state without the task (see journal replay's OUT/IN pairing)."""
+        """``task`` left this shard for another one: the failover
+        coordinator re-homed it off this (dead) shard, or the foreman's
+        rebalance moved it out of this shard's queue. The record exists
+        so that a restart replays to a state without the task (see
+        journal replay's OUT/IN pairing). From here on the adopting
+        shard owns the task's outcome, so a stale worker still bound to
+        this shard cannot complete it here (see
+        :meth:`_finalize_completion`)."""
         self.journal.record_failover_out(self.engine.now, task)
+        self._handed_off.add(task.id)
 
     def failover_in(
         self, task: Task, *, placement: str = "ready"
@@ -687,6 +701,7 @@ class DispatchCore:
         self.journal.record_failover_in(
             self.engine.now, task, placement=placement, progress=progress
         )
+        self._handed_off.discard(task.id)
         self.tasks_rehomed_in += 1
         if placement == "unclaimed":
             self._unclaimed[task.id] = task
@@ -959,8 +974,22 @@ class DispatchCore:
         if incarnation is not None and incarnation != self._incarnation:
             return  # scheduled before a crash; recovery re-owns the task
         self._backoff_pending -= 1
-        if task.state is not TaskState.WAITING:
+        if task.result is not None or task.state is TaskState.DONE:
             return  # resolved meanwhile (e.g. its speculative copy won)
+        if (
+            self.queue.has_id(task.id)
+            or task.id in self.running
+            or task.id in self._unclaimed
+        ):
+            # Re-owned meanwhile: a stale copy's worker died and its
+            # loss requeued the task already. A second push would
+            # queue it twice.
+            return
+        # Any other state is a stale run's doing: a worker the master
+        # already gave up on (declared lost behind a partition) still
+        # executes its old attempt on the shared task object. The master
+        # holds no copy of the task while it backs off, so skipping the
+        # requeue here would strand it.
         self.journal.record_retry(self.engine.now, task)
         if self.tracer.enabled:
             self.tracer.emit(
@@ -1442,6 +1471,14 @@ class DispatchCore:
             return
         if task.speculation_of is not None:
             self._finalize_speculative_win(worker, task)
+            return
+        if task.id in self._handed_off:
+            # This shard gave the task away; a worker still bound here
+            # (a healed partition, a late redelivery) ran a copy the
+            # adopting shard does not know about. Only the owner may
+            # complete it — accepting here would leave the owner
+            # dispatching a task that is already done.
+            self.duplicate_results += 1
             return
         key = (task.id, task.attempts)
         if task.result is not None or key in self._delivered:

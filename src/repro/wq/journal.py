@@ -101,6 +101,9 @@ class ReplayedState:
     #: Last banked checkpoint progress per task id (execute-seconds a
     #: resumed attempt skips); restored onto recovered tasks.
     progress: Dict[int, float] = field(default_factory=dict)
+    #: Ids of tasks this log handed to another shard (FAILOVER_OUT not
+    #: since undone by a FAILOVER_IN) — their outcome belongs elsewhere.
+    handed_off: Set[int] = field(default_factory=set)
     #: Workers quarantined (and not since unquarantined) at crash time,
     #: in quarantine order — the recovered master keeps distrusting them.
     quarantined: List[str] = field(default_factory=list)
@@ -294,13 +297,16 @@ class TransactionJournal:
                     state.ready.append(rec.task)
             return state
         # Failover records may interleave across shards in a merged log:
-        # the destination's FAILOVER_IN can fold before the dead shard's
+        # the destination's FAILOVER_IN can fold before the source's
         # FAILOVER_OUT when both carry the same timestamp and the
-        # destination's shard index sorts first. Counting OUT/IN pairs
-        # per task makes the fold commute — an OUT only removes the task
-        # when it has not already been superseded by a matching IN.
-        failed_out: Dict[int, int] = {}
-        failed_in: Dict[int, int] = {}
+        # destination's shard index sorts first. A hand-off writes both
+        # records at one instant, so pairing them by (task id, time)
+        # makes the fold commute — an OUT leaves the task in place only
+        # when its own IN already folded. An IN from an *earlier*
+        # hand-off never excuses a later OUT: a shard that adopted a
+        # task and then lost it to failover must replay without it.
+        early_in: Dict[Tuple[int, float], int] = {}
+        folded_out: Dict[Tuple[int, float], int] = {}
         for rec in self.records:
             task = rec.task
             if rec.op == "submit":
@@ -345,18 +351,28 @@ class TransactionJournal:
                 state.attempts[task.id] = rec.attempt
                 state.progress[task.id] = rec.progress
             elif rec.op == "failover_out":
-                outs = failed_out.get(task.id, 0) + 1
-                failed_out[task.id] = outs
-                if outs > failed_in.get(task.id, 0):
-                    # Not (yet) re-adopted elsewhere in this log: the
-                    # task left this shard's recoverable state. On the
-                    # dead shard's own journal there is never a matching
-                    # IN, so replay after a post-failover restart drops
-                    # the re-homed entry instead of double-dispatching.
+                key = (task.id, rec.time)
+                if early_in.get(key, 0):
+                    # Its IN already folded: the task now sits where the
+                    # destination put it.
+                    early_in[key] -= 1
+                else:
+                    # The task left this shard's recoverable state. On
+                    # the source shard's own journal the matching IN is
+                    # never present, so replay after a post-failover
+                    # restart drops the re-homed entry instead of
+                    # double-dispatching.
+                    folded_out[key] = folded_out.get(key, 0) + 1
                     state.unclaimed.pop(task.id, None)
                     self._remove(state.ready, task)
+                    state.handed_off.add(task.id)
             elif rec.op == "failover_in":
-                failed_in[task.id] = failed_in.get(task.id, 0) + 1
+                key = (task.id, rec.time)
+                if folded_out.get(key, 0):
+                    folded_out[key] -= 1
+                else:
+                    early_in[key] = early_in.get(key, 0) + 1
+                state.handed_off.discard(task.id)
                 state.unclaimed.pop(task.id, None)
                 self._remove(state.ready, task)
                 if rec.placement == "unclaimed":

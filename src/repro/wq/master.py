@@ -212,6 +212,12 @@ class Master(DispatchCore):
                 tasks=len(lost),
             )
         self.worker_lost(worker, lost)
+        if worker._detached and worker.state in (
+            WorkerState.READY,
+            WorkerState.DRAINING,
+        ):
+            # Still alive behind the partition and still polling us.
+            self._orphaned[worker.name] = worker
 
     # ----------------------------------------------------------- availability
     def pause(self) -> None:
@@ -267,6 +273,15 @@ class Master(DispatchCore):
             self.available = False
             self.outages += 1
         self._incarnation += 1
+        orphaned = {
+            name: w
+            for name, w in self._orphaned.items()
+            if w._detached
+            and w.master is self
+            and w.state in (WorkerState.READY, WorkerState.DRAINING)
+        }
+        orphaned.update(self.workers)
+        self._orphaned = orphaned
         # ``master_lost`` never re-enters the worker table, so iterating
         # the live view (no defensive copy) is safe here.
         for worker in self.workers.values():
@@ -279,6 +294,7 @@ class Master(DispatchCore):
         self.abandoned.clear()
         self._unclaimed.clear()
         self._delivered.clear()
+        self._handed_off.clear()
         self.tasks_submitted = 0
         self._backoff_pending = 0
         self.monitor.reset()
@@ -312,6 +328,7 @@ class Master(DispatchCore):
             self._reset_queue(list(state.ready))
             self._unclaimed = dict(state.unclaimed)
             self._delivered = set(state.delivered)
+            self._handed_off = set(state.handed_off)
             self.abandoned = list(state.abandoned)
             for task in chain(self._unclaimed.values(), self.queue):
                 if task.id in state.attempts:
@@ -408,6 +425,7 @@ class Master(DispatchCore):
         through the normal queue."""
         if worker.state not in (WorkerState.READY, WorkerState.DRAINING):
             return
+        self._orphaned.pop(worker.name, None)
         self.workers[worker.name] = worker
         self._refresh_worker_cache(worker)
         self._unreachable.pop(worker.name, None)

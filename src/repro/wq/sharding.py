@@ -38,6 +38,7 @@ to exactly the work that shard currently owes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Callable,
     Dict,
@@ -244,11 +245,12 @@ class Foreman:
         if src is None or src is dst:
             return False
         src._dequeue(task)
-        src.journal.record_failover_out(self.engine.now, task)
+        src.failover_out(task)
         progress = task.progress_s if task.progress_s > 0 else None
         dst.journal.record_failover_in(
             self.engine.now, task, placement="ready", progress=progress
         )
+        dst._handed_off.discard(task.id)
         dst._enqueue_front(task)
         dst._schedule_dispatch()
         self.transfers += 1
@@ -335,18 +337,21 @@ class Foreman:
         self, i: int, *, restart_delay_s: Optional[float] = None
     ) -> None:
         """Take down one shard (the single-shard fault the chaos layer
-        injects). The shard's worker list is snapshotted *before* the
-        crash wipes it and handed to the shard-crash listeners — the
-        failover coordinator needs to know which workers are stranded.
+        injects). The crash keeps the workers it cut off (see
+        ``Master._orphaned``), and that list goes to the shard-crash
+        listeners — the failover coordinator needs to know which
+        workers are stranded.
         Unlike :meth:`Master.crash`, the optional restart is scheduled
         through :meth:`recover_shard` so the foreman's failover
         bookkeeping (retire/redirect state, recover listeners) stays
-        consistent whichever way the shard comes back."""
+        consistent whichever way the shard comes back. Workers an
+        earlier crash cut off that had not reconnected yet still poll
+        this shard, so they count as stranded too."""
         shard = self.shards[i]
         if shard.crashed:
             return
-        stranded = list(shard.workers.values())
         shard.crash()
+        stranded = list(shard._orphaned.values())
         for fn in self._shard_crash_listeners:
             fn(i, stranded)
         if restart_delay_s is not None:
@@ -905,12 +910,26 @@ class FailoverCoordinator:
             if j != i and s.available
         ]
         if not survivors:
-            # Nowhere to re-home; the shard stays crashed and a later
-            # crash/recover cycle gets another chance.
+            # Nowhere to re-home yet: every other shard is down too (a
+            # whole-plane crash landed inside the grace window). Look
+            # again one grace period later — the others restart on
+            # their own, and the dead shard's work must not strand.
             self.failovers_aborted += 1
+            if not self._stopped:
+                self.engine.call_in(
+                    self.config.grace_s, self._grace_expired, i, token
+                )
             return
         state = shard.journal.replay()
         stranded = self._stranded.pop(i, [])
+        # A fresh pod assigned while no shard was up registers with the
+        # dark shard anyway (its table or, once cut off, its orphans):
+        # it is as stranded as the workers the crash itself cut off.
+        known = {w.name for w in stranded}
+        for worker in chain(shard.workers.values(), shard._orphaned.values()):
+            if worker.name not in known:
+                known.add(worker.name)
+                stranded.append(worker)
         # Assign surviving workers to survivor shards first, and note
         # which tasks each one is still bound to (live runs, held
         # results, held checkpoints). A task and the worker holding it
@@ -968,6 +987,12 @@ class FailoverCoordinator:
             )
         for worker, slot in reattach:
             _, dst = survivors[slot]
+            if not worker._detached:
+                # Registered with the dark shard: drop that link first,
+                # or the reconnect below would find nothing to redo.
+                worker.master_lost()
+            shard.unregister_worker(worker)
+            shard._orphaned.pop(worker.name, None)
             worker.master = dst
             self.workers_reattached += 1
             # The worker's own backoff poll would find the new master

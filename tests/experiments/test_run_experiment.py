@@ -10,6 +10,7 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
+from repro.experiments import runner
 from repro.experiments.runner import (
     POLICIES,
     ExperimentSpec,
@@ -151,6 +152,54 @@ class TestRunExperiment:
             assert r.tasks_completed == 8
         finally:
             del POLICIES["static-alias"]
+
+
+class TestSingleShardEquivalence:
+    """A 1-shard Foreman is the bare master behind an aggregating view."""
+
+    @staticmethod
+    def journal_and_events(monkeypatch, spec):
+        """Run ``spec``; return the master's journal digest and the event
+        count at the workflow's done signal."""
+        seen = {}
+        drive = runner._drive
+
+        def traced_drive(stack, manager, accountant):
+            manager.done_signal.add_waiter(
+                lambda _m: seen.setdefault("events", stack.engine.events_fired)
+            )
+            drive(stack, manager, accountant)
+            seen["digest"] = stack.master.journal.digest()
+
+        monkeypatch.setattr(runner, "_drive", traced_drive)
+        result = run_experiment(spec)
+        return seen["digest"], seen["events"], result.makespan_s
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_one_shard_foreman_matches_the_bare_master(self, monkeypatch, seed):
+        def bag():
+            return uniform_bag(60, execute_s=90.0, declared=True)
+
+        stack = small_stack(
+            cluster=ClusterConfig(
+                machine_type=N1_STANDARD_4_RESERVED,
+                min_nodes=2,
+                max_nodes=12,
+                node_reservation_mean_s=60.0,
+                node_reservation_std_s=10.0,
+            ),
+            seed=seed,
+        )
+        bare = self.journal_and_events(
+            monkeypatch, ExperimentSpec(bag(), policy="hta", stack=stack)
+        )
+        sharded = self.journal_and_events(
+            monkeypatch,
+            ExperimentSpec(
+                bag(), policy="sharded", stack=stack, options={"shards": 1}
+            ),
+        )
+        assert sharded == bare
 
 
 class TestDeprecatedWrappers:

@@ -170,15 +170,15 @@ class TestPlanMetadata:
 
 class TestDispatchHelper:
     def test_dispatch_is_first_fit_in_order(self):
-        small = SimulatedTask(ResourceVector(1, 1000, 100), 10.0)
-        big = SimulatedTask(ResourceVector(3, 1000, 100), 10.0)
+        small = ResourceVector(1, 1000, 100)
+        big = ResourceVector(3, 1000, 100)
         remaining, ava = ResourceEstimator._dispatch(
-            [big, small], ResourceVector(1, 14 * 1024, 90 * 1024)
+            [(big, 1), (small, 1)], ResourceVector(1, 14 * 1024, 90 * 1024)
         )
-        assert remaining == [big]
+        assert remaining == [(big, 1)]
         assert ava.cores == pytest.approx(0.0)
 
     def test_dispatch_stops_at_zero_capacity(self):
-        t = SimulatedTask(ResourceVector(1, 100, 100), 10.0)
-        remaining, ava = ResourceEstimator._dispatch([t, t, t], ResourceVector.zero())
-        assert len(remaining) == 3
+        t = ResourceVector(1, 100, 100)
+        remaining, ava = ResourceEstimator._dispatch([(t, 3)], ResourceVector.zero())
+        assert sum(count for _, count in remaining) == 3

@@ -58,6 +58,13 @@ def test_every_invariant_holds_with_migrations_enabled(seed):
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
+# A partitioned worker's stale run moved the shared task's state while
+# a later attempt's failure backed off; the backoff then skipped the
+# requeue and the task was stranded.
+@example(seed=33)
+# A stale copy's worker died while the task backed off, and its loss
+# requeued the task; the backoff then queued it a second time.
+@example(seed=1396)
 def test_every_invariant_holds_with_integrity_enabled(seed):
     """Satellite: for any seeded chaos schedule *including value faults*
     (silent result/checkpoint corruption, black-hole workers, health
@@ -88,6 +95,23 @@ def test_migrate_flag_leaves_other_draws_bit_identical(seed):
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
+# A shard that adopted a task by rebalance and then lost it to failover
+# replayed it back as its own after restarting.
+@example(seed=34)
+# Workers a whole-plane crash cut off had not reconnected when their
+# shard died for good, so the failover never re-pointed them.
+@example(seed=8)
+# The same for a worker declared lost behind a partition.
+@example(seed=635)
+# A healed partition delivered a held result to the shard that had
+# handed the task away; the adopting shard ran it again.
+@example(seed=492)
+# The dead shard's grace expired during a whole-plane crash and the
+# failover was never retried.
+@example(seed=604)
+# A worker that started while every shard was down joined the shard
+# that never came back, and the failover did not re-point it.
+@example(seed=5905)
 def test_every_invariant_holds_with_shard_crashes_enabled(seed):
     """Satellite (PR 10): for any seeded chaos schedule *including
     shard crashes* (the plane runs as 4 masters behind a foreman with a

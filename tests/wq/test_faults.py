@@ -203,6 +203,34 @@ class TestTransientRetries:
         assert master.wasted_core_s == pytest.approx(20.0 * FOOT.cores)
         assert master.goodput_core_s() == pytest.approx(20.0 * FOOT.cores)
 
+    def test_backoff_requeue_survives_a_stale_run(self, engine):
+        """A worker declared lost behind a partition still executes its
+        old attempt on the shared task object. When that stale run moves
+        the task's state while a later attempt's failure backs off, the
+        backoff must still requeue the task — the master holds no other
+        copy of it, so skipping the requeue would strand it."""
+        fault = TaskFault(kind="transient", at_fraction=0.1)
+        master = make_master(
+            engine,
+            fault_model=ScriptedFaultModel([None, fault]),
+            retry_policy=RetryPolicy(base_backoff_s=30.0),
+        )
+        wa = Worker(engine, master, "wa", BIG)
+        task = make_task(execute_s=120.0)
+        master.submit(task)
+        engine.run(until=5.0)
+        wa.partition()
+        master.worker_unreachable(wa)
+        engine.run(until=94.0)
+        Worker(engine, master, "wb", BIG)  # takes the requeued task
+        engine.run(until=150.0)
+        assert master.tasks_failed == 1  # attempt 2 failed on wb
+        wa.heal()
+        engine.run(until=400.0)
+        assert task.state is TaskState.DONE
+        assert task.result.worker_name == "wb"
+        assert master.all_done
+
 
 class TestExhaustionEscalation:
     def make_exhausting_master(self, engine):

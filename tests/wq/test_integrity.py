@@ -525,6 +525,45 @@ class TestQuarantineRejection:
         assert master.all_done
 
 
+class TestStaleDelivery:
+    def test_backoff_does_not_requeue_a_task_queued_meanwhile(self, engine):
+        """A stale held result fails verification against the current
+        attempt's corrupt flag and sends the task into backoff while the
+        current worker still runs it. That worker's loss then requeues
+        the task; when the backoff fires it must not queue it a second
+        time."""
+        master = make_master(
+            engine,
+            value_faults=ScriptedValueFaults(result=[False, True]),
+            retry_policy=RetryPolicy(base_backoff_s=60.0),
+        )
+        w1 = Worker(engine, master, "w1", BIG, connect_latency=1.0)
+        task = make_task(execute_s=60.0)
+        master.submit(task)
+        run_until_running(engine, task)
+        w1.partition()
+        master.worker_unreachable(w1)
+        expiry = engine.now + master.liveness_timeout_s
+        engine.run(until=expiry - 2.0)
+        w2 = Worker(engine, master, "w2", BIG, connect_latency=1.0)
+        engine.run(until=expiry + 1.0)
+        assert master.running.get(task.id) is task  # attempt 2, on w2
+        w1.heal()  # w1's next poll re-delivers its stale held result
+        while master.verify_fails == 0 and engine.now < expiry + 60.0:
+            engine.run(until=engine.now + 1.0)
+        assert master.verify_fails == 1
+        w1.kill()
+        w2.kill()  # requeues the task while its backoff is pending
+        assert master.queue.has_id(task.id)
+        engine.run(until=engine.now + 150.0)  # the backoff fires
+        assert len(master.queue) == 1
+        Worker(engine, master, "w3", BIG, connect_latency=1.0)
+        engine.run(until=engine.now + 100.0)
+        assert task.state is TaskState.DONE
+        assert master.done.count(task) == 1
+        assert master.all_done
+
+
 class TestQuarantineReplay:
     def test_same_tick_quarantine_evacuation_is_replay_deterministic(
         self, engine

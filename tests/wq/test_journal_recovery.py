@@ -61,6 +61,39 @@ class TestJournalReplay:
         assert not state.unclaimed
         assert not state.completions
 
+    def test_failover_out_after_an_earlier_failover_in_drops_the_task(
+        self, engine
+    ):
+        """A shard that adopted a task (FAILOVER_IN) and later lost it to
+        a failover (FAILOVER_OUT) replays without it: the earlier IN is a
+        different hand-off and must not excuse the later OUT."""
+        journal = TransactionJournal()
+        task = make_task()
+        journal.record_failover_in(10.0, task, placement="ready")
+        journal.record_dispatch(10.0, task)
+        journal.record_failover_out(50.0, task)
+        state = journal.replay()
+        assert not state.ready and not state.unclaimed
+        assert state.handed_off == {task.id}
+
+    def test_same_instant_hand_off_folds_in_either_order(self, engine):
+        """A merged log may fold the destination's FAILOVER_IN before the
+        source's FAILOVER_OUT of the same hand-off; either order leaves
+        the task where the destination put it."""
+        for in_first in (True, False):
+            journal = TransactionJournal()
+            task = make_task()
+            journal.record_submit(0.0, task)
+            if in_first:
+                journal.record_failover_in(10.0, task, placement="ready")
+                journal.record_failover_out(10.0, task)
+            else:
+                journal.record_failover_out(10.0, task)
+                journal.record_failover_in(10.0, task, placement="ready")
+            state = journal.replay()
+            assert state.ready == [task]
+            assert not state.handed_off
+
 
 class TestCrashRecovery:
     def run_partial(self, engine, master, n=6, until=25.0):

@@ -378,3 +378,96 @@ class TestFailoverEdges:
         assert len(done_ids) == len(set(done_ids)) == 7
         assert late.id in {t.id for t in b.done}
         assert check_failover_protocol(foreman) == []
+
+    def test_stale_delivery_to_the_giving_shard_is_rejected(self, engine):
+        """A task handed from shard A to shard B belongs to B: a worker
+        still bound to A that delivers a held result after the hand-off
+        (a healed partition) must not complete it on A, or B would keep
+        running — and re-dispatching — a task that is already done."""
+        foreman, (a, b) = make_foreman(engine, 2)
+        wa = Worker(engine, a, "wa", CAP, connect_latency=1.0)
+        task = make_task(execute_s=30.0)
+        a.submit(task)
+        engine.run(until=5.0)
+        assert task.id in a.running
+        wa.partition()
+        a.worker_unreachable(wa)
+        # wa finishes behind the partition and holds the result; the
+        # liveness expiry requeues the task on A.
+        engine.run(until=5.0 + a.liveness_timeout_s + 1.0)
+        assert a.queue.has_id(task.id)
+        Worker(engine, b, "wb", CAP, connect_latency=1.0)
+        assert foreman.transfer_queued(task, b)
+        wa.heal()  # wa's next poll redelivers to A while wb still runs
+        engine.run(until=300.0)
+        assert task.state is TaskState.DONE
+        assert task.result.worker_name == "wb"
+        assert task.id not in {t.id for t in a.done}
+        assert [t.id for t in foreman.done] == [task.id]
+        state = foreman.journal.replay()
+        assert not state.unclaimed and not state.ready
+        assert check_failover_protocol(foreman) == []
+
+    def test_worker_cut_off_by_an_earlier_crash_is_reattached(self, engine):
+        """A worker an earlier crash cut off, which had not reconnected
+        when its shard died for good, still polls that shard: the
+        failover re-points it at a survivor like the shard's listed
+        workers, instead of leaving it polling a dead master forever."""
+        foreman, (a, b) = make_foreman(engine, 2)
+        coordinator = make_coordinator(engine, foreman, grace_s=10.0)
+        wb = Worker(engine, b, "wb", CAP, connect_latency=1.0)
+        engine.run(until=2.0)
+        b.crash()
+        engine.run(until=2.5)
+        b.recover()  # back before wb's first reconnect poll
+        foreman.crash_shard(1)  # permanent
+        assert "wb" not in b.workers
+        engine.run(until=15.0)
+        assert coordinator.failovers == 1
+        assert coordinator.workers_reattached == 1
+        assert wb.master is a and a.workers.get("wb") is wb
+
+    def test_failover_waits_out_a_whole_plane_crash(self, engine):
+        """When a dead shard's grace expires while every other shard is
+        down too, the failover retries one grace period later instead
+        of stranding the dead shard's work."""
+        foreman, (a, b) = make_foreman(engine, 2)
+        coordinator = make_coordinator(engine, foreman, grace_s=10.0)
+        Worker(engine, a, "wa", CAP, connect_latency=1.0)
+        tasks = [make_task(execute_s=2.0) for _ in range(3)]
+        for task in tasks:
+            b.submit(task)  # B has no workers: all 3 stay queued
+        engine.run(until=2.0)
+        foreman.crash_shard(1)  # permanent
+        a.crash(restart_delay_s=15.0)
+        engine.run(until=13.0)
+        assert coordinator.failovers == 0
+        assert coordinator.failovers_aborted == 1
+        engine.run(until=23.0)
+        assert coordinator.failovers == 1
+        assert coordinator.tasks_rehomed == 3
+        engine.run(until=200.0)
+        assert foreman.all_done
+        assert all(t.state is TaskState.DONE for t in tasks)
+        assert check_failover_protocol(foreman) == []
+
+    def test_worker_that_joined_a_dark_shard_is_reattached(self, engine):
+        """A worker pod started while no shard was up registers with a
+        shard that then never comes back; the failover re-points it at
+        a survivor and drops it from the dead shard's table."""
+        foreman, (a, b) = make_foreman(engine, 2)
+        coordinator = make_coordinator(engine, foreman, grace_s=10.0)
+        foreman.crash_shard(1)  # permanent
+        a.crash(restart_delay_s=15.0)
+        wb = Worker(engine, b, "wb", CAP, connect_latency=1.0)
+        engine.run(until=5.0)
+        assert b.workers.get("wb") is wb  # joined the dark shard
+        engine.run(until=25.0)  # grace retried once a was back
+        assert coordinator.failovers == 1
+        assert coordinator.workers_reattached == 1
+        assert wb.master is a and a.workers.get("wb") is wb
+        assert "wb" not in b.workers
+        task = make_task(execute_s=2.0)
+        foreman.submit(task)
+        engine.run(until=60.0)
+        assert task.state is TaskState.DONE
