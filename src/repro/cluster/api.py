@@ -44,6 +44,9 @@ class WatchEvent:
 
 WatchHandler = Callable[[WatchEvent], None]
 
+#: A label selector in canonical (sorted items) form.
+Selector = Tuple[Tuple[str, str], ...]
+
 
 class ConflictError(RuntimeError):
     """Create of an object whose name already exists."""
@@ -51,6 +54,53 @@ class ConflictError(RuntimeError):
 
 class NotFoundError(KeyError):
     """Get/delete of an object that does not exist."""
+
+
+class NodeCounts:
+    """Stored nodes tallied by the flags the accounting reads.
+
+    ``ready`` and ``ready_spot`` count nodes that are ready and not
+    flagged deleted (all of them, and the preemptible ones);
+    ``ondemand`` and ``spot`` count nodes not flagged deleted, per pool.
+    The API server adds a node on ``create`` and discards it on
+    ``delete``, and a stored node re-tallies itself whenever its
+    ``ready`` or ``deleted`` flag flips — so a node flagged deleted but
+    not yet removed from the store (a chaos kill, a reclaim, a removal
+    in progress) already counts as gone, exactly as a filter over
+    ``nodes()`` would see it. ``preemptible`` is fixed when a node is
+    built. Writes commit during outages and watch-drop windows, so the
+    counts never depend on watch delivery.
+    """
+
+    __slots__ = ("ready", "ready_spot", "ondemand", "spot")
+
+    def __init__(self) -> None:
+        self.ready = 0
+        self.ready_spot = 0
+        self.ondemand = 0
+        self.spot = 0
+
+    def add(self, node: Node) -> None:
+        node._counts = self
+        self.tally(node, 1)
+
+    def discard(self, node: Node) -> None:
+        node._counts = None
+        self.tally(node, -1)
+
+    def tally(self, node: Node, delta: int) -> None:
+        """Add ``node``'s contribution, scaled by ``delta`` (+1 / -1)."""
+        if node._deleted:
+            return
+        if node.preemptible:
+            self.spot += delta
+            if node._ready:
+                self.ready += delta
+                self.ready_spot += delta
+        else:
+            self.ondemand += delta
+            if node._ready:
+                self.ready += delta
 
 
 class KubeApiServer:
@@ -95,11 +145,20 @@ class KubeApiServer:
         # stored one, so create/delete keep the snapshot sorted with one
         # bisect each instead of dropping it.
         self._sorted_cache: Dict[str, List[KubeObject]] = {}
+        # Memoized list(kind, selector) results per kind, keyed by the
+        # selector's sorted items. Labels are set before create and never
+        # change, so create/delete keep each snapshot exact the same way.
+        self._selector_cache: Dict[str, Dict[Selector, List[KubeObject]]] = {
+            k: {} for k in self.KINDS
+        }
         #: The kube-scheduler's indexes (see :mod:`repro.cluster.sched_index`),
         #: updated here on every write — during outages and watch-drop
         #: windows too, because writes still commit then.
         self.pending_index = PendingPodIndex()
         self.capacity_index = FreeCapacityIndex()
+        #: Node counts for the accounting gauges and the cloud controller,
+        #: kept on the same write path (see :class:`NodeCounts`).
+        self.node_counts = NodeCounts()
         # Watchers are stored as (position, handler) so deliveries can be
         # merged with the node-keyed pod watchers below in exact
         # registration order (same-instant handler execution order is
@@ -152,10 +211,15 @@ class KubeApiServer:
         cached = self._sorted_cache.get(obj.kind)
         if cached is not None:
             insort(cached, obj, key=list_key)
+        matches = obj.meta.matches
+        for selector, selected in self._selector_cache[obj.kind].items():
+            if matches(dict(selector)):
+                insort(selected, obj, key=list_key)
         if isinstance(obj, Pod):
             self.pending_index.update(obj)
         elif isinstance(obj, Node):
             self.capacity_index.add(obj)
+            self.node_counts.add(obj)
         self.writes += 1
         self._notify(WatchEventType.ADDED, obj)
         return obj
@@ -178,10 +242,21 @@ class KubeApiServer:
             cached = sorted(self._store(kind).values(), key=list_key)
             self._sorted_cache[kind] = cached
         if selector:
-            # The key is unique per stored object, so filtering the sorted
-            # snapshot gives the order a sort of the matches would.
-            return [o for o in cached if o.meta.matches(selector)]
+            snapshots = self._selector_cache[kind]
+            key = tuple(sorted(selector.items()))
+            selected = snapshots.get(key)
+            if selected is None:
+                # The key is unique per stored object, so filtering the
+                # sorted snapshot gives the order a sort of the matches
+                # would.
+                selected = [o for o in cached if o.meta.matches(selector)]
+                snapshots[key] = selected
+            return list(selected)
         return list(cached)
+
+    def selectors(self, kind: str) -> List[Dict[str, str]]:
+        """The selectors whose ``list(kind, selector)`` snapshot is kept."""
+        return [dict(key) for key in self._selector_cache[kind]]
 
     def mark_modified(self, obj: KubeObject) -> None:
         """Record an in-place status update and notify watchers.
@@ -203,15 +278,21 @@ class KubeApiServer:
             obj = store.pop(name)
         except KeyError:
             raise NotFoundError(f"{kind} {name!r} not found") from None
+        key = list_key(obj)
         cached = self._sorted_cache.get(kind)
         if cached is not None:
-            del cached[bisect_left(cached, list_key(obj), key=list_key)]
+            del cached[bisect_left(cached, key, key=list_key)]
+        for selected in self._selector_cache[kind].values():
+            i = bisect_left(selected, key, key=list_key)
+            if i < len(selected) and selected[i] is obj:
+                del selected[i]
         self.writes += 1
         if isinstance(obj, Pod):
             self.pending_index.discard(obj)
             self._teardown_pod(obj)
         elif isinstance(obj, Node):
             self.capacity_index.discard(obj)
+            self.node_counts.discard(obj)
         self._notify(WatchEventType.DELETED, obj)
         return obj
 
@@ -381,11 +462,13 @@ class KubeApiServer:
             self.engine.call_soon(handler, event)
 
     # ------------------------------------------------------------- helpers
+    # A kind's store only ever holds objects of that kind's class, so
+    # these return list()'s fresh copy as is.
     def pods(self, selector: Optional[Dict[str, str]] = None) -> List[Pod]:
-        return [p for p in self.list("Pod", selector) if isinstance(p, Pod)]
+        return self.list("Pod", selector)  # type: ignore[return-value]
 
     def nodes(self) -> List[Node]:
-        return [n for n in self.list("Node") if isinstance(n, Node)]
+        return self.list("Node")  # type: ignore[return-value]
 
     def ready_nodes(self) -> List[Node]:
         return [n for n in self.nodes() if n.ready and not n.deleted]

@@ -167,16 +167,17 @@ class CloudController:
             self._reclaim_loop.stop()
 
     # ----------------------------------------------------------- accounting
+    # Served from the API server's write-path tally (O(1)): a landing
+    # burst checks the on-demand count once per node.
     def node_count(self) -> int:
-        return len([n for n in self.api.nodes() if not n.deleted])
+        counts = self.api.node_counts
+        return counts.ondemand + counts.spot
 
     def ondemand_node_count(self) -> int:
-        return len(
-            [n for n in self.api.nodes() if not n.deleted and not n.preemptible]
-        )
+        return self.api.node_counts.ondemand
 
     def spot_node_count(self) -> int:
-        return len([n for n in self.api.nodes() if not n.deleted and n.preemptible])
+        return self.api.node_counts.spot
 
     def target_count(self) -> int:
         """Current on-demand nodes plus reservations in flight."""

@@ -134,10 +134,12 @@ class Cluster:
         return sum(n.capacity.cores for n in self.api.ready_nodes())
 
     def node_count(self) -> int:
-        return len(self.api.ready_nodes())
+        """Ready nodes not flagged deleted (kept by the API server)."""
+        return self.api.node_counts.ready
 
     def spot_node_count(self) -> int:
-        return len([n for n in self.api.ready_nodes() if n.preemptible])
+        """The preemptible subset of :meth:`node_count`."""
+        return self.api.node_counts.ready_spot
 
     def describe(self) -> dict:
         """Diagnostic snapshot used by experiment logs."""

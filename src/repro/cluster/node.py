@@ -17,6 +17,7 @@ from repro.cluster.pod import Pod, PodPhase
 from repro.cluster.resources import ResourceVector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cluster.api import NodeCounts
     from repro.cluster.sched_index import FreeCapacityIndex
 
 
@@ -71,9 +72,9 @@ class Node(KubeObject):
 
     __slots__ = (
         "machine_type", "preemptible", "preemption_notice_at",
-        "preemption_grace_s", "ready", "ready_time", "pods",
-        "_requested_cache", "cached_images", "unschedulable", "deleted",
-        "_capacity_index",
+        "preemption_grace_s", "_ready", "ready_time", "pods",
+        "_requested_cache", "cached_images", "unschedulable", "_deleted",
+        "_capacity_index", "_counts",
     )
 
     kind = "Node"
@@ -105,7 +106,10 @@ class Node(KubeObject):
         #: alongside ``preemption_notice_at`` so responders can decide
         #: which in-flight work still has time to finish.
         self.preemption_grace_s: Optional[float] = None
-        self.ready = False
+        #: The API server's node tally while the node is stored there;
+        #: told whenever ``ready`` or ``deleted`` flips.
+        self._counts: Optional["NodeCounts"] = None
+        self._ready = False
         self.ready_time: Optional[float] = None
         self.pods: List[Pod] = []
         #: Memoized :meth:`requested` fold; dropped on bind/unbind and on
@@ -115,10 +119,41 @@ class Node(KubeObject):
         self._requested_cache: Optional[ResourceVector] = None
         self.cached_images: Set[str] = set()
         self.unschedulable = False  # cordoned during drain-for-removal
-        self.deleted = False
+        self._deleted = False
         #: The API server's free-capacity index while the node is stored
         #: there; told whenever the requested() fold is dropped.
         self._capacity_index: Optional["FreeCapacityIndex"] = None
+
+    # ---------------------------------------------------------------- flags
+    @property
+    def ready(self) -> bool:
+        return self._ready
+
+    @ready.setter
+    def ready(self, value: bool) -> None:
+        counts = self._counts
+        if counts is None:
+            self._ready = value
+        else:
+            counts.tally(self, -1)
+            self._ready = value
+            counts.tally(self, 1)
+
+    @property
+    def deleted(self) -> bool:
+        """Flagged gone (crashed, preempted, removed); the API server may
+        still store the node until the delete that follows."""
+        return self._deleted
+
+    @deleted.setter
+    def deleted(self, value: bool) -> None:
+        counts = self._counts
+        if counts is None:
+            self._deleted = value
+        else:
+            counts.tally(self, -1)
+            self._deleted = value
+            counts.tally(self, 1)
 
     # ------------------------------------------------------------- capacity
     @property

@@ -55,7 +55,13 @@ class AccountingSummary:
 
 
 class ResourceAccountant:
-    """Samples the five resource series for one experiment run."""
+    """Samples the five resource series for one experiment run.
+
+    Each sample evaluates the ``supply``, ``in_use`` and ``shortage``
+    gauges once, in that order, and derives ``waste`` and ``demand`` from
+    those same three values rather than polling the gauges again: the
+    five series of one instant always agree with each other.
+    """
 
     def __init__(
         self,
@@ -72,16 +78,27 @@ class ResourceAccountant:
         self._in_use = in_use
         self._shortage = shortage
         self._nodes = nodes
+        #: The current sample's (supply, in_use, shortage).
+        self._taken = (0.0, 0.0, 0.0)
         self.sampler = Sampler(engine, period)
-        self.sampler.add_gauge("supply", supply)
-        self.sampler.add_gauge("in_use", in_use)
-        self.sampler.add_gauge("shortage", shortage)
-        self.sampler.add_gauge("waste", lambda: max(0.0, supply() - in_use()))
-        self.sampler.add_gauge("demand", lambda: in_use() + shortage())
+        # The sampler polls in registration order, so "supply" takes the
+        # sample and the four series after it read what it took.
+        self.sampler.add_gauge("supply", self._take)
+        self.sampler.add_gauge("in_use", lambda: self._taken[1])
+        self.sampler.add_gauge("shortage", lambda: self._taken[2])
+        self.sampler.add_gauge(
+            "waste", lambda: max(0.0, self._taken[0] - self._taken[1])
+        )
+        self.sampler.add_gauge("demand", lambda: self._taken[1] + self._taken[2])
         if nodes is not None:
             self.sampler.add_gauge("nodes", nodes)
         self.start_time: Optional[float] = None
         self.stop_time: Optional[float] = None
+
+    def _take(self) -> float:
+        taken = (self._supply(), self._in_use(), self._shortage())
+        self._taken = taken
+        return taken[0]
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> None:

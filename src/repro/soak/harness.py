@@ -32,6 +32,7 @@ from repro.sim.rng import RngRegistry
 from repro.soak.invariants import (
     VersionProbe,
     Violation,
+    check_accounting_aggregates,
     check_failover_protocol,
     check_integrity_protocol,
     check_journal_replay,
@@ -354,14 +355,18 @@ def run_soak(seed: int, config: SoakConfig = SoakConfig()) -> SoakReport:
         manager.done_signal.add_waiter(lambda _mgr: operator.notify_no_more_jobs())
         api = stack.cluster.api
         index_violations: List[Violation] = []
+        accounting_violations: List[Violation] = []
 
         def strike(event: FaultEvent) -> None:
             _apply_event(stack, event, migration)
             # Chaos mutates the cluster behind the controllers' backs;
-            # the scheduler's indexes must have seen all of it. The
-            # first divergence is enough to flag the run.
+            # the scheduler's indexes and the accounting aggregates must
+            # have seen all of it. The first divergence of each is
+            # enough to flag the run.
             if not index_violations:
                 index_violations.extend(check_scheduler_indexes(api))
+            if not accounting_violations:
+                accounting_violations.extend(check_accounting_aggregates(stack))
 
         for event in events:
             stack.engine.call_at(event.at_s, strike, event)
@@ -416,6 +421,9 @@ def run_soak(seed: int, config: SoakConfig = SoakConfig()) -> SoakReport:
         violations.extend(check_version_monotonic(probe))
         violations.extend(check_trace_consistency(master, stack.chaos, stack.tracer))
         violations.extend(index_violations or check_scheduler_indexes(api))
+        violations.extend(
+            accounting_violations or check_accounting_aggregates(stack)
+        )
         probe.close()
         stats: Dict[str, float] = {
             "sim_time_s": engine.now,

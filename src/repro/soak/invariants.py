@@ -18,6 +18,10 @@ expose:
 * **scheduler indexes** — the API server's pending-pod and free-capacity
   indexes equal what the store says, so no mutation bypassed the write
   path that keeps them (checked after every strike and at the end);
+* **accounting aggregates** — RS and RIU memoized by each dispatch
+  core, the API server's node counts and its kept selector snapshots
+  equal a rescan of the state they summarize (checked after every strike
+  and at the end);
 * **eventual quiescence** — the run actually reached a terminal state
   before its deadline (checked by the harness, reported here).
 """
@@ -31,6 +35,8 @@ from typing import Dict, List, Sequence
 from repro.cluster.api import KubeApiServer, WatchEvent
 from repro.cluster.pod import PodPhase
 from repro.cluster.sched_index import placement_signature, unschedulable_recorded
+from repro.wq.task import TaskState
+from repro.wq.worker import WorkerState
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,6 +237,86 @@ def check_scheduler_indexes(api: KubeApiServer) -> List[Violation]:
                 f"({len(expected)} nodes); stale keys {stale[:8]}",
             )
         )
+    return violations
+
+
+def check_accounting_aggregates(stack) -> List[Violation]:
+    """The accounting gauges' maintained values equal their rescans.
+
+    ``stack`` carries ``master`` (a master or a foreman) and ``cluster``.
+    Every dispatch core's memoized ``supplied_cores`` / ``cores_in_use``
+    must equal the fold over its worker table with float ``==``; the API
+    server's node counts, as the cluster and the cloud controller serve
+    them, must equal a filter over the stored nodes; and every kept
+    ``list(kind, selector)`` snapshot must equal the selector filter over
+    the kind's full list. A mutation that bypassed a write path (a flag
+    set behind a setter, a worker-table edit without its refresh, a
+    relabel after create) fails here.
+    """
+    violations: List[Violation] = []
+
+    def differs(name: str, maintained: object, literal: object) -> None:
+        if maintained != literal:
+            violations.append(
+                Violation(
+                    "accounting-aggregates",
+                    f"{name} = {maintained!r}, rescan = {literal!r}",
+                )
+            )
+
+    master = stack.master
+    for core in getattr(master, "shards", None) or [master]:
+        workers = core.workers.values()
+        differs(
+            f"{core.name}.supplied_cores",
+            core.supplied_cores(),
+            sum(
+                w.capacity.cores
+                for w in workers
+                if w.state in (WorkerState.READY, WorkerState.DRAINING)
+                and not w.quarantined
+            ),
+        )
+        differs(
+            f"{core.name}.cores_in_use",
+            core.cores_in_use(),
+            sum(
+                sum(
+                    min(run.task.footprint.cores, run.allocation.cores)
+                    for run in w.runs.values()
+                    if run.task.state is TaskState.RUNNING
+                )
+                for w in workers
+            ),
+        )
+    cluster = stack.cluster
+    api = cluster.api
+    live = [n for n in api.nodes() if not n.deleted]
+    ready = [n for n in live if n.ready]
+    differs("cluster.node_count", cluster.node_count(), len(ready))
+    differs(
+        "cluster.spot_node_count",
+        cluster.spot_node_count(),
+        len([n for n in ready if n.preemptible]),
+    )
+    cloud = cluster.cloud
+    spot = len([n for n in live if n.preemptible])
+    differs("cloud.node_count", cloud.node_count(), len(live))
+    differs("cloud.ondemand_node_count", cloud.ondemand_node_count(), len(live) - spot)
+    differs("cloud.spot_node_count", cloud.spot_node_count(), spot)
+    for kind in api.KINDS:
+        every = api.list(kind)
+        for selector in api.selectors(kind):
+            kept = api.list(kind, selector)
+            want = [o for o in every if o.meta.matches(selector)]
+            if len(kept) != len(want) or any(a is not b for a, b in zip(kept, want)):
+                violations.append(
+                    Violation(
+                        "accounting-aggregates",
+                        f"list({kind}, {selector}) = {[o.name for o in kept][:8]}, "
+                        f"rescan = {[o.name for o in want][:8]}",
+                    )
+                )
     return violations
 
 

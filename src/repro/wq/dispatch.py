@@ -358,6 +358,13 @@ class DispatchCore:
         self._n_draining = 0
         #: ``(queue.rev, value)`` memo of :meth:`cores_waiting`.
         self._cores_waiting_cache: Tuple[int, float] = (-1, 0.0)
+        #: Revision of the worker-side gauge inputs: bumped whenever the
+        #: worker table, a worker's flags or runs set, or a run's task
+        #: entering or leaving RUNNING could change :meth:`cores_in_use`
+        #: or :meth:`supplied_cores`, each memoized as ``(rev, value)``.
+        self._gauge_rev = 0
+        self._in_use_cache: Tuple[int, float] = (-1, 0.0)
+        self._supplied_cache: Tuple[int, float] = (-1, 0.0)
         #: Tasks given up on after max_retries worker losses.
         self.abandoned: List[Task] = []
         # Callback registries are tuples so notification loops iterate a
@@ -554,6 +561,7 @@ class DispatchCore:
         worker's live flags. Exact by construction: the old contribution
         is retired, the new one recomputed from the worker itself, and a
         worker no longer registered under its name contributes nothing."""
+        self._gauge_rev += 1
         name = worker.name
         old = self._worker_flags.pop(name, None)
         if old is not None:
@@ -594,6 +602,7 @@ class DispatchCore:
             self._n_draining += 1
 
     def _reset_worker_caches(self) -> None:
+        self._gauge_rev += 1
         self._accepting.clear()
         self._worker_flags.clear()
         self._n_idle = 0
@@ -1512,6 +1521,9 @@ class DispatchCore:
         self._unclaimed.pop(task.id, None)
         self._dequeue(task)
         task.state = TaskState.DONE
+        # A copy of the task may still execute on another worker (a held
+        # result from across a partition won the race).
+        self.run_states_changed()
         task.finish_time = self.engine.now
         assert task.submit_time is not None
         assert task.dispatch_time is not None
@@ -1578,6 +1590,7 @@ class DispatchCore:
             self.tasks_rerun += 1
             self._charge_waste(task)
             task.state = TaskState.DONE
+            self.run_states_changed()
         self._schedule_dispatch()
 
     def _finalize_speculative_win(self, worker: Worker, clone: Task) -> None:
@@ -1603,6 +1616,7 @@ class DispatchCore:
             host.cancel_run(original)
         clone.state = TaskState.DONE
         original.state = TaskState.DONE
+        self.run_states_changed()
         original.finish_time = self.engine.now
         assert original.submit_time is not None
         assert clone.dispatch_time is not None
@@ -1691,9 +1705,25 @@ class DispatchCore:
             if t.result is not None
         )
 
+    def run_states_changed(self) -> None:
+        """A run's task entered or left RUNNING outside a runs-set change
+        (which :meth:`_refresh_worker_cache` already covers): the gauge
+        memos of :meth:`cores_in_use` and :meth:`supplied_cores` are stale."""
+        self._gauge_rev += 1
+
     def cores_in_use(self) -> float:
-        """RIU in cores: footprint cores of currently executing tasks."""
-        return sum(w.cores_in_use() for w in self.workers.values())
+        """RIU in cores: footprint cores of currently executing tasks.
+
+        Memoized against the gauge revision (see :meth:`run_states_changed`).
+        A stale memo is refolded over the workers in table order rather
+        than patched with a running ``+=``/``-=`` sum, so the value stays
+        bit-identical to the unmemoized fold even for fractional cores.
+        """
+        rev, value = self._in_use_cache
+        if rev != self._gauge_rev:
+            value = sum(w.cores_in_use() for w in self.workers.values())
+            self._in_use_cache = (self._gauge_rev, value)
+        return value
 
     def cores_waiting(self) -> float:
         """RSH ingredient: cores desired by queued tasks (true footprints;
@@ -1721,10 +1751,15 @@ class DispatchCore:
         """RS in cores: capacity of connected, accepting workers.
         Quarantined workers are excluded — their capacity is untrusted,
         and counting it would let HTA's estimator see supply the
-        dispatcher refuses to use."""
-        return sum(
-            w.capacity.cores
-            for w in self.workers.values()
-            if w.state in (WorkerState.READY, WorkerState.DRAINING)
-            and not w.quarantined
-        )
+        dispatcher refuses to use. Memoized like :meth:`cores_in_use`:
+        every input changes through :meth:`_refresh_worker_cache`."""
+        rev, value = self._supplied_cache
+        if rev != self._gauge_rev:
+            value = sum(
+                w.capacity.cores
+                for w in self.workers.values()
+                if w.state in (WorkerState.READY, WorkerState.DRAINING)
+                and not w.quarantined
+            )
+            self._supplied_cache = (self._gauge_rev, value)
+        return value

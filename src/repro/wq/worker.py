@@ -415,6 +415,7 @@ class Worker:
     def _begin_execution(self, run: _TaskRun) -> None:
         task = run.task
         task.state = TaskState.RUNNING
+        self.master.run_states_changed()
         task.start_time = self.engine.now
         task.payload_corrupt = False
         run.transfers.clear()
@@ -483,6 +484,7 @@ class Worker:
             return
         task = run.task
         task.state = TaskState.RETURNING
+        self.master.run_states_changed()
         run.exec_event = None
         t = self.master.link.start_transfer(
             f"{self.name}:out:{task.id}",
@@ -517,6 +519,7 @@ class Worker:
         if run.exec_event is not None:
             run.exec_event.cancel()
         task.state = TaskState.MIGRATING  # paused: burns no CPU
+        self.master.run_states_changed()
         run.exec_event = self.engine.call_in(
             spec.cost_s, self._checkpoint_cut, run, new_progress, lost_s, started_at
         )

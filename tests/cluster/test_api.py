@@ -222,3 +222,54 @@ class TestHelpers:
         api.create(n1)
         api.create(n2)
         assert api.ready_nodes() == [n1]
+
+
+class TestSelectorSnapshots:
+    SELECTORS = ({"app": "w"}, {"app": "w", "tier": "x"}, {"tier": "x"})
+
+    @staticmethod
+    def literal(api, selector):
+        return [p for p in api.list("Pod") if p.meta.matches(selector)]
+
+    def assert_snapshots_exact(self, api):
+        for selector in self.SELECTORS:
+            listed = api.list("Pod", selector)
+            want = self.literal(api, selector)
+            assert len(listed) == len(want)
+            assert all(a is b for a, b in zip(listed, want)), selector
+
+    def test_same_objects_same_order_as_literal_filter(self, api, engine):
+        def labels(i):
+            out = {"app": "w" if i % 3 else "x"}
+            if i % 2:
+                out["tier"] = "x"
+            return out
+
+        # Same-instant creates arrive out of name order (p-10 before p-9).
+        for i in (10, 9, 2, 11, 1):
+            api.create(make_pod(f"p-{i}", labels=labels(i)))
+        self.assert_snapshots_exact(api)
+        engine.run(until=5.0)
+        for step in range(12, 30):
+            if step % 4 == 0:
+                victim = api.list("Pod")[step % len(api.list("Pod"))]
+                api.delete("Pod", victim.name)
+            elif step % 4 == 1:
+                api.mark_modified(api.list("Pod")[0])
+            else:
+                api.create(make_pod(f"p-{step}", labels=labels(step)))
+            self.assert_snapshots_exact(api)
+            engine.run(until=engine.now + 1.0)
+        # A selector first listed late builds from the current store.
+        late = {"app": "x", "tier": "x"}
+        assert api.list("Pod", late) == self.literal(api, late)
+
+    def test_returns_a_fresh_list(self, api):
+        for name in ("a", "b", "c"):
+            api.create(make_pod(name, labels={"app": "w"}))
+        listed = api.pods({"app": "w"})
+        listed.clear()
+        api.list("Pod", {"app": "w"}).append(make_pod("z"))
+        del api.list("Pod", {"app": "w"})[0]
+        assert [p.name for p in api.pods({"app": "w"})] == ["a", "b", "c"]
+        assert api.selectors("Pod") == [{"app": "w"}]

@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.api import KubeApiServer, WatchEventType
-from repro.cluster.cloud import CloudController, CloudControllerConfig
+from repro.cluster.cloud import (
+    CloudController,
+    CloudControllerConfig,
+    PreemptiblePoolConfig,
+)
 from repro.cluster.images import ContainerImage
 from repro.cluster.node import N1_STANDARD_4, Node
 from repro.cluster.pod import Pod, PodSpec, REASON_FAILED_SCHEDULING
@@ -212,3 +216,58 @@ class TestScaleDown:
         api.delete("Pod", "p")
         engine.run(until=400.0)
         assert api.nodes() == []
+
+
+class TestNodeCounts:
+    """The counts come from the API server's write-path tally; these pin
+    them to a filter over the stored nodes where a tally could slip."""
+
+    @staticmethod
+    def literal(api):
+        live = [n for n in api.nodes() if not n.deleted]
+        spot = len([n for n in live if n.preemptible])
+        return len(live), len(live) - spot, spot
+
+    @staticmethod
+    def counts(ctl):
+        return ctl.node_count(), ctl.ondemand_node_count(), ctl.spot_node_count()
+
+    def test_exact_across_a_same_instant_landing_burst(self, engine, api):
+        ctl = make_controller(engine, api, min_nodes=1, max_nodes=4)
+        seen = []
+        register = ctl._register_node
+
+        def landing(**kwargs):
+            node = register(**kwargs)
+            seen.append((engine.now, self.counts(ctl), self.literal(api)))
+            return node
+
+        ctl._register_node = landing
+        # Six reservations with a zero spread land at one instant, over
+        # the cap: the cap check reads the count once per landing.
+        for _ in range(6):
+            ctl._reserve_node()
+        engine.run(until=101.0)
+        assert [t for t, _, _ in seen] == [100.0] * 3
+        assert all(got == want for _, got, want in seen)
+        assert [got[1] for _, got, _ in seen] == [2, 3, 4]
+        assert self.counts(ctl) == (4, 4, 0)
+
+    def test_exact_for_a_node_flagged_deleted_but_still_stored(self, engine, api):
+        ctl = make_controller(
+            engine, api, min_nodes=2, max_nodes=5,
+            preemptible=PreemptiblePoolConfig(max_nodes=2),
+        )
+        spot = ctl._register_node(preemptible=True)
+        ondemand = api.nodes()[0]
+        assert self.counts(ctl) == (3, 2, 1)
+        ondemand.deleted = True
+        spot.deleted = True
+        assert ondemand in api.nodes() and spot in api.nodes()
+        assert self.counts(ctl) == self.literal(api) == (1, 1, 0)
+        api.delete("Node", ondemand.name)
+        api.delete("Node", spot.name)
+        assert self.counts(ctl) == self.literal(api) == (1, 1, 0)
+        # A stored node that stops being ready still counts for the cloud.
+        api.nodes()[0].ready = False
+        assert self.counts(ctl) == self.literal(api) == (1, 1, 0)

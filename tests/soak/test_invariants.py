@@ -12,10 +12,13 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cluster.api import KubeApiServer
+from repro.cluster.cloud import PreemptiblePoolConfig
+from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.images import ContainerImage
 from repro.cluster.node import N1_STANDARD_4, Node
 from repro.cluster.pod import Pod, PodSpec, REASON_FAILED_SCHEDULING
 from repro.soak.invariants import (
+    check_accounting_aggregates,
     check_journal_replay,
     check_migration_protocol,
     check_scheduler_indexes,
@@ -23,6 +26,7 @@ from repro.soak.invariants import (
     check_trace_consistency,
     check_version_monotonic,
 )
+from repro.sim.rng import RngRegistry
 from repro.telemetry.events import NULL_TRACER
 from repro.cluster.resources import ResourceVector
 from repro.wq.estimator import DeclaredResourceEstimator
@@ -248,3 +252,61 @@ class TestSchedulerIndexes:
         node._requested_cache = None
         (violation,) = check_scheduler_indexes(api)
         assert "stale keys ['n1@4" in violation.detail
+
+
+class TestAccountingAggregates:
+    @pytest.fixture
+    def stack(self, engine):
+        cluster = Cluster(
+            engine,
+            RngRegistry(5),
+            ClusterConfig(min_nodes=2, preemptible=PreemptiblePoolConfig(max_nodes=2)),
+        )
+        cluster.cloud._register_node(preemptible=True)
+        master = Master(engine, Link(engine, 100.0), estimator=DeclaredResourceEstimator())
+        workers = [
+            Worker(engine, master, f"w{i}", ResourceVector(4, 4096, 4096))
+            for i in range(2)
+        ]
+        foot = ResourceVector(1 / 3, 256, 256)
+        for _ in range(5):
+            master.submit(Task("t", execute_s=50.0, footprint=foot, declared=foot))
+        api = cluster.api
+        api.create(Pod("p-1", PodSpec(IMAGE, foot, labels={"app": "a"})))
+        api.list("Pod", {"app": "a"})
+        engine.run(until=10.0)
+        return SimpleNamespace(master=master, cluster=cluster, workers=workers)
+
+    def test_write_paths_keep_aggregates_exact(self, stack, engine):
+        assert stack.master.cores_in_use() > 0
+        assert check_accounting_aggregates(stack) == []
+        api = stack.cluster.api
+        node = api.nodes()[0]
+        node.deleted = True  # flagged, still stored
+        api.begin_outage()
+        api.create(Pod("p-2", PodSpec(IMAGE, ResourceVector(1, 1, 1), labels={"app": "a"})))
+        stack.workers[0].kill()
+        assert check_accounting_aggregates(stack) == []
+        engine.run(until=100.0)
+        assert check_accounting_aggregates(stack) == []
+
+    def test_deleted_flag_behind_the_setter_flagged(self, stack):
+        node = stack.cluster.api.nodes()[0]
+        node._deleted = True  # bypasses the node tally
+        details = [v.detail for v in check_accounting_aggregates(stack)]
+        assert any(d.startswith("cloud.node_count") for d in details)
+        assert any(d.startswith("cluster.node_count") for d in details)
+
+    def test_worker_flag_without_refresh_flagged(self, stack):
+        master = stack.master
+        master.supplied_cores()  # memoize
+        stack.workers[0].quarantined = True  # no _refresh_worker_cache
+        (violation,) = check_accounting_aggregates(stack)
+        assert violation.invariant == "accounting-aggregates"
+        assert "supplied_cores = 8" in violation.detail
+
+    def test_relabel_after_create_flagged(self, stack):
+        pod = stack.cluster.api.pods({"app": "a"})[0]
+        pod.meta.labels["app"] = "b"
+        (violation,) = check_accounting_aggregates(stack)
+        assert "list(Pod, {'app': 'a'})" in violation.detail
