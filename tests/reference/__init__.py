@@ -2,5 +2,11 @@
 
 Each module here holds the straightforward implementation a fast path
 replaced, copied verbatim, so property tests can drive both on the
-same random states and demand identical decisions.
+same random states and demand identical decisions:
+
+* :mod:`.accounting_literal` — the accounting gauges as rescans;
+* :mod:`.dispatch_literal` — the list-walking Work Queue dispatch pass;
+* :mod:`.estimator_literal` — Algorithm 1 over a list wait queue;
+* :mod:`.link_literal` — the fair-share link as a per-stream loop;
+* :mod:`.scheduler_literal` — the list-scanning kube-scheduler.
 """

@@ -201,3 +201,50 @@ class TestThroughputMetrics:
     def test_mean_active_throughput_zero_when_never_busy(self, engine):
         link = Link(engine, 100.0)
         assert link.mean_active_throughput(0.0, 10.0) == 0.0
+
+
+class TestOneRateRepresentation:
+    def test_mid_flight_reads_come_from_the_link(self, engine):
+        link = Link(engine, 100.0)
+        a = link.start_transfer("a", 100.0)
+        b = link.start_transfer("b", 300.0, rate_cap_mbps=20.0)
+        assert a.rate_mbps == 80.0 and b.rate_mbps == 20.0
+        # remaining_mb is as of the last settle: b's start, then a's cancel.
+        engine.call_in(0.5, link.cancel, a)
+        engine.run(until=1.0)
+        assert a.remaining_mb == pytest.approx(60.0)
+        assert link.current_rate_of(a) == 0.0
+        assert b.remaining_mb == pytest.approx(290.0)
+        assert link.current_rate_of(b) == 20.0
+        assert Link(engine, 100.0).current_rate_of(b) == 0.0
+        engine.run()
+        assert b.done and b.remaining_mb == 0.0
+        assert b.finish_time == pytest.approx(15.0)
+
+    def test_shared_cap_below_fair_share_caps_every_stream(self, engine):
+        link = Link(engine, 100.0)
+        ts = [link.start_transfer(f"t{i}", 10.0, rate_cap_mbps=20.0) for i in range(3)]
+        assert [link.current_rate_of(t) for t in ts] == [20.0, 20.0, 20.0]
+        assert link.throughput.value_at(0.0) == 60.0
+        engine.run()
+        assert [t.finish_time for t in ts] == [pytest.approx(0.5)] * 3
+
+
+class TestLivelockFarFromZero:
+    def test_transfers_started_at_1e5_complete(self, engine):
+        # At t=1e5, rate × ulp(now) exceeds the 1e-9 MB completion
+        # tolerance: without the livelock rule, a completion event can
+        # finish nothing and re-arm at the same instant forever.
+        links = [Link(engine, 500.0) for _ in range(200)]
+        transfers = []
+
+        def start_all() -> None:
+            for k, link in enumerate(links):
+                transfers.append(link.start_transfer(f"t{k}", 1.0 + 0.37 * k))
+
+        engine.call_at(1e5, start_all)
+        engine.run(max_events=10_000)
+        assert engine.peek() is None
+        assert all(t.done for t in transfers)
+        for t in transfers:
+            assert t.finish_time - t.start_time == pytest.approx(t.size_mb / 500.0, abs=1e-9)
