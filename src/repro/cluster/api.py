@@ -14,7 +14,7 @@ import enum
 import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple, Type
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Type
 
 from repro.cluster.node import Node
 from repro.cluster.objects import KubeObject, Service, StatefulSet
@@ -103,6 +103,44 @@ class NodeCounts:
                 self.ready += delta
 
 
+class NodeChangeFeed:
+    """Stored nodes changed since each subscriber last took its changes.
+
+    The API server notes a node on ``create``, ``delete`` and
+    ``mark_modified``; a stored node notes itself when its ``ready`` or
+    ``deleted`` flag flips and when its ``requested()`` fold is dropped
+    (bind, unbind, a bound pod turning terminal). Like the node tally it
+    is fed on the write path, so outages and watch-drop windows lose
+    nothing. A subscriber holds an insertion-ordered set of nodes and
+    empties it when it has looked at them.
+    """
+
+    __slots__ = ("_subscribers",)
+
+    def __init__(self) -> None:
+        self._subscribers: List[Dict[Node, None]] = []
+
+    def subscribe(self) -> Dict[Node, None]:
+        changed: Dict[Node, None] = {}
+        self._subscribers.append(changed)
+        return changed
+
+    def unsubscribe(self, changed: Dict[Node, None]) -> None:
+        self._subscribers = [c for c in self._subscribers if c is not changed]
+
+    def attach(self, node: Node) -> None:
+        node._feed = self
+        self.note(node)
+
+    def detach(self, node: Node) -> None:
+        self.note(node)
+        node._feed = None
+
+    def note(self, node: Node) -> None:
+        for changed in self._subscribers:
+            changed[node] = None
+
+
 class KubeApiServer:
     """Stores objects by kind and name; fans out watch events.
 
@@ -151,6 +189,12 @@ class KubeApiServer:
         self._selector_cache: Dict[str, Dict[Selector, List[KubeObject]]] = {
             k: {} for k in self.KINDS
         }
+        # Beside each Pod selector snapshot, the pods that were PENDING at
+        # their last write, in list order. A pod enters on create and
+        # leaves on a non-PENDING write or its delete; the phase never
+        # returns to PENDING, and reads re-check it, so a pod changed
+        # without a write is filtered out until its next write.
+        self._pending_views: Dict[Selector, List[Pod]] = {}
         #: The kube-scheduler's indexes (see :mod:`repro.cluster.sched_index`),
         #: updated here on every write — during outages and watch-drop
         #: windows too, because writes still commit then.
@@ -159,6 +203,8 @@ class KubeApiServer:
         #: Node counts for the accounting gauges and the cloud controller,
         #: kept on the same write path (see :class:`NodeCounts`).
         self.node_counts = NodeCounts()
+        #: Changed nodes for the cloud controller's scale-down pass.
+        self.node_feed = NodeChangeFeed()
         # Watchers are stored as (position, handler) so deliveries can be
         # merged with the node-keyed pod watchers below in exact
         # registration order (same-instant handler execution order is
@@ -215,11 +261,19 @@ class KubeApiServer:
         for selector, selected in self._selector_cache[obj.kind].items():
             if matches(dict(selector)):
                 insort(selected, obj, key=list_key)
+                view = self._pending_views.get(selector)
+                if (
+                    view is not None
+                    and isinstance(obj, Pod)
+                    and obj.phase is PodPhase.PENDING
+                ):
+                    insort(view, obj, key=list_key)
         if isinstance(obj, Pod):
             self.pending_index.update(obj)
         elif isinstance(obj, Node):
             self.capacity_index.add(obj)
             self.node_counts.add(obj)
+            self.node_feed.attach(obj)
         self.writes += 1
         self._notify(WatchEventType.ADDED, obj)
         return obj
@@ -237,22 +291,58 @@ class KubeApiServer:
     def list(self, kind: str, selector: Optional[Dict[str, str]] = None) -> List[KubeObject]:
         """Objects of ``kind`` in ``(creation_time, name)`` order; a fresh
         list the caller may filter or mutate."""
+        if selector:
+            return list(self._selected(kind, selector))
+        return list(self._sorted(kind))
+
+    def _sorted(self, kind: str) -> List[KubeObject]:
         cached = self._sorted_cache.get(kind)
         if cached is None:
             cached = sorted(self._store(kind).values(), key=list_key)
             self._sorted_cache[kind] = cached
-        if selector:
-            snapshots = self._selector_cache[kind]
-            key = tuple(sorted(selector.items()))
-            selected = snapshots.get(key)
-            if selected is None:
-                # The key is unique per stored object, so filtering the
-                # sorted snapshot gives the order a sort of the matches
-                # would.
-                selected = [o for o in cached if o.meta.matches(selector)]
-                snapshots[key] = selected
-            return list(selected)
-        return list(cached)
+        return cached
+
+    def _selected(self, kind: str, selector: Dict[str, str]) -> List[KubeObject]:
+        snapshots = self._selector_cache[kind]
+        key = tuple(sorted(selector.items()))
+        selected = snapshots.get(key)
+        if selected is None:
+            # The key is unique per stored object, so filtering the
+            # sorted snapshot gives the order a sort of the matches
+            # would.
+            selected = [o for o in self._sorted(kind) if o.meta.matches(selector)]
+            snapshots[key] = selected
+        return selected
+
+    def stored(self, kind: str) -> Iterable[KubeObject]:
+        """The stored objects of ``kind`` in no particular order: a live
+        view, not a copy, so the caller must not write while iterating."""
+        return self._store(kind).values()
+
+    def list_pending(self, selector: Dict[str, str]) -> List[Pod]:
+        """``[p for p in pods(selector) if p.phase is PENDING]``, served
+        from the selector's pending view instead of its whole snapshot."""
+        key = tuple(sorted(selector.items()))
+        view = self._pending_views.get(key)
+        if view is None:
+            view = [
+                p
+                for p in self._selected("Pod", selector)
+                if p.phase is PodPhase.PENDING  # type: ignore[attr-defined]
+            ]
+            self._pending_views[key] = view
+        return [p for p in view if p.phase is PodPhase.PENDING]
+
+    def pending_views(self) -> List[Dict[str, str]]:
+        """The selectors whose ``list_pending`` view is kept."""
+        return [dict(key) for key in self._pending_views]
+
+    def _drop_pending(self, pod: Pod) -> None:
+        key = list_key(pod)
+        for view in self._pending_views.values():
+            i = bisect_left(view, key, key=list_key)
+            if i < len(view) and view[i] is pod:
+                del view[i]
 
     def selectors(self, kind: str) -> List[Dict[str, str]]:
         """The selectors whose ``list(kind, selector)`` snapshot is kept."""
@@ -269,6 +359,10 @@ class KubeApiServer:
             return  # already deleted; late status updates are dropped
         if isinstance(obj, Pod):
             self.pending_index.update(obj)
+            if obj.phase is not PodPhase.PENDING:
+                self._drop_pending(obj)
+        elif isinstance(obj, Node):
+            self.node_feed.note(obj)
         self.writes += 1
         self._notify(WatchEventType.MODIFIED, obj)
 
@@ -289,10 +383,12 @@ class KubeApiServer:
         self.writes += 1
         if isinstance(obj, Pod):
             self.pending_index.discard(obj)
+            self._drop_pending(obj)
             self._teardown_pod(obj)
         elif isinstance(obj, Node):
             self.capacity_index.discard(obj)
             self.node_counts.discard(obj)
+            self.node_feed.detach(obj)
         self._notify(WatchEventType.DELETED, obj)
         return obj
 

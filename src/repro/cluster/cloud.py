@@ -14,6 +14,11 @@ add/remove nodes accordingly". This loop:
 * **scale-down** — a node continuously idle for ``idle_timeout`` seconds
   is cordoned and removed, never below ``min_nodes`` (the paper keeps 3
   nodes so the cluster survives master upgrades).
+
+Both passes run every scan, so both touch only what changed: scale-up
+returns before listing pending pods when no pool has room, and packs
+only the nodes that could seat the smallest request; scale-down reads
+the API server's node change feed instead of every node.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from repro.cluster.api import KubeApiServer
 from repro.cluster.node import MachineType, N1_STANDARD_4, Node, PREEMPTIBLE_LABEL
 from repro.cluster.pod import Pod
 from repro.cluster.resources import ResourceVector
+from repro.cluster.sched_index import list_key
 from repro.sim.engine import Engine, PeriodicTask
 from repro.sim.rng import RngRegistry
 from repro.telemetry.events import NULL_TRACER, Tracer
@@ -135,7 +141,14 @@ class CloudController:
         self._spot_seq = 0
         self._inflight = 0  # on-demand reservations not yet registered
         self._inflight_spot = 0
+        #: When each idle node was first seen idle. Entries are only ever
+        #: added stamped with the current time, so the dict is time-ordered.
         self._idle_since: Dict[str, float] = {}
+        #: Nodes changed since the last scale-down pass.
+        self._changed = api.node_feed.subscribe()
+        #: The next scale-down pass looks at every stored node: at the
+        #: first sync, and after the pending-pod guard cleared the timers.
+        self._rescan = True
         self.nodes_provisioned = 0
         self.nodes_removed = 0
         #: Mutable copy of the configured rate so fault injection can
@@ -163,6 +176,7 @@ class CloudController:
 
     def stop(self) -> None:
         self._loop.stop()
+        self.api.node_feed.unsubscribe(self._changed)
         if self._reclaim_loop is not None:
             self._reclaim_loop.stop()
 
@@ -212,10 +226,14 @@ class CloudController:
         return pod.spec.node_selector.get(PREEMPTIBLE_LABEL) == "true"
 
     def _scale_up(self) -> None:
+        if self._room(preemptible=False) <= 0 and (
+            self.config.preemptible is None or self._room(preemptible=True) <= 0
+        ):
+            return  # every pool is full: each estimate would clamp to 0
         pending = [
             p
             for p in self.api.pending_pods()
-            if p.had_event("FailedScheduling") and not p.deletion_requested
+            if p.failed_scheduling and not p.deletion_requested
         ]
         if not pending:
             return
@@ -225,28 +243,34 @@ class CloudController:
         if self.config.preemptible is not None:
             self._scale_up_pool(spot_pending, preemptible=True)
 
-    def _scale_up_pool(self, pending: List[Pod], *, preemptible: bool) -> None:
-        if not pending:
-            return
+    def _room(self, *, preemptible: bool) -> int:
+        """Most machines the pool may reserve now: its headroom under
+        ``max_nodes``, capped by the reservations batch."""
         if preemptible:
             spot = self.config.preemptible
             assert spot is not None
+            room = spot.max_nodes - self.spot_target_count()
+        else:
+            room = self.config.max_nodes - self.target_count()
+        cap = self.config.max_concurrent_reservations
+        if cap is not None:
+            room = min(room, cap - (self._inflight + self._inflight_spot))
+        return room
+
+    def _scale_up_pool(self, pending: List[Pod], *, preemptible: bool) -> None:
+        if not pending:
+            return
+        room = self._room(preemptible=preemptible)
+        if room <= 0:
+            return  # _nodes_needed is pure and its result would clamp to 0
+        if preemptible:
             machine_type = self.spot_machine_type
             inflight = self._inflight_spot
-            headroom = spot.max_nodes - self.spot_target_count()
         else:
             machine_type = self.config.machine_type
             inflight = self._inflight
-            headroom = self.config.max_nodes - self.target_count()
         needed = self._nodes_needed(pending, machine_type, preemptible=preemptible)
-        needed -= inflight
-        to_add = max(0, min(needed, headroom))
-        if self.config.max_concurrent_reservations is not None:
-            batch_room = self.config.max_concurrent_reservations - (
-                self._inflight + self._inflight_spot
-            )
-            to_add = max(0, min(to_add, batch_room))
-        for _ in range(to_add):
+        for _ in range(max(0, min(needed - inflight, room))):
             self._reserve_node(preemptible=preemptible)
 
     def _nodes_needed(
@@ -276,11 +300,24 @@ class CloudController:
             key=lambda r: r.cores,
             reverse=True,
         )
+        # Free capacity only shrinks during the pack, so a node that
+        # cannot seat the smallest request never seats any: pack only the
+        # nodes the capacity index says might, put back in list order.
+        # First fit over that subsequence picks the same nodes.
+        seats = sorted(
+            self.api.capacity_index.descending(requests[-1].cores),
+            key=list_key,
+        )
         free_c: List[float] = []
         free_m: List[float] = []
         free_d: List[float] = []
-        for n in self.api.ready_nodes():
-            if not n.unschedulable and n.preemptible == preemptible:
+        for n in seats:
+            if (
+                n.ready
+                and not n.deleted
+                and not n.unschedulable
+                and n.preemptible == preemptible
+            ):
                 free = n.free()
                 free_c.append(free.cores)
                 free_m.append(free.memory_mb)
@@ -492,7 +529,6 @@ class CloudController:
             self.api.try_delete("Pod", pod.name)
         node.ready = False
         node.deleted = True
-        self._idle_since.pop(node.name, None)
         self.api.try_delete("Node", node.name)
         self.preemptions += 1
         self.tracer.emit("cluster", "node.preempted", "fault", node=node.name)
@@ -503,28 +539,39 @@ class CloudController:
         # node the scheduler is about to use would thrash (the upstream
         # cluster autoscaler applies the same guard).
         if any(
-            p.had_event("FailedScheduling") and not p.deletion_requested
+            p.failed_scheduling and not p.deletion_requested
             for p in self.api.pending_pods()
         ):
             self._idle_since.clear()
+            self._rescan = True
             return
-        nodes = [
-            n
-            for n in self.api.nodes()
-            if not n.deleted and n.preemption_notice_at is None
-        ]
         now = self.engine.now
-        removable: List[Node] = []
-        for node in nodes:
-            if node.is_idle():
-                since = self._idle_since.setdefault(node.name, now)
-                if now - since >= self.config.idle_timeout_s:
-                    removable.append(node)
+        if self._rescan:
+            self._rescan = False
+            changed: List[Node] = self.api.nodes()
+        else:
+            changed = list(self._changed)
+        self._changed.clear()
+        # A node no change reached is exactly as idle as at the last pass.
+        for node in changed:
+            if (
+                not node.deleted
+                and node.preemption_notice_at is None
+                and node.is_idle()
+                and self.api.try_get("Node", node.name) is node
+            ):
+                self._idle_since.setdefault(node.name, now)
             else:
                 self._idle_since.pop(node.name, None)
-        # Remove newest-first, never dropping the on-demand pool below its
-        # minimum (the spot pool has no floor).
-        removable.sort(key=lambda n: n.meta.creation_time, reverse=True)
+        # Time-ordered, so the nodes idle long enough are a prefix.
+        removable: List[Node] = []
+        for name, since in self._idle_since.items():
+            if now - since < self.config.idle_timeout_s:
+                break
+            removable.append(self.api.get("Node", name))  # type: ignore[arg-type]
+        # Remove newest-first (ties by name), never dropping the on-demand
+        # pool below its minimum (the spot pool has no floor).
+        removable.sort(key=lambda n: (-n.meta.creation_time, n.name))
         ondemand = self.ondemand_node_count()
         for node in removable:
             if node.preemptible:

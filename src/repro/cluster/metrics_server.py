@@ -46,22 +46,26 @@ class MetricsServer:
 
     # --------------------------------------------------------------- scrape
     def scrape(self) -> None:
+        """Sample every running pod in one pass over the store. Pods no
+        longer running drop out, so usage doesn't linger after exit; a
+        pod's reading depends on no other pod, so store order is fine."""
         self.scrapes += 1
         now = self.engine.now
-        live = set()
-        for pod in self.api.pods():
+        cutoff = now - self.window
+        previous = self._samples
+        samples: Dict[str, Deque[Tuple[float, float]]] = {}
+        pods: Iterable[Pod] = self.api.stored("Pod")  # type: ignore[assignment]
+        for pod in pods:
             if pod.phase is not PodPhase.RUNNING:
                 continue
-            live.add(pod.name)
-            q = self._samples.setdefault(pod.name, deque())
+            q = previous.get(pod.name)
+            if q is None:
+                q = deque()
             q.append((now, pod.current_cpu_usage()))
-            cutoff = now - self.window
             while q and q[0][0] < cutoff:
                 q.popleft()
-        # Forget pods no longer running so usage doesn't linger after exit.
-        for name in list(self._samples):
-            if name not in live:
-                del self._samples[name]
+            samples[pod.name] = q
+        self._samples = samples
 
     # ---------------------------------------------------------------- reads
     def pod_usage(self, pod: Pod) -> Optional[float]:

@@ -17,7 +17,7 @@ from repro.cluster.pod import Pod, PodPhase
 from repro.cluster.resources import ResourceVector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.api import NodeCounts
+    from repro.cluster.api import NodeChangeFeed, NodeCounts
     from repro.cluster.sched_index import FreeCapacityIndex
 
 
@@ -74,7 +74,7 @@ class Node(KubeObject):
         "machine_type", "preemptible", "preemption_notice_at",
         "preemption_grace_s", "_ready", "ready_time", "pods",
         "_requested_cache", "cached_images", "unschedulable", "_deleted",
-        "_capacity_index", "_counts",
+        "_capacity_index", "_counts", "_feed",
     )
 
     kind = "Node"
@@ -109,6 +109,10 @@ class Node(KubeObject):
         #: The API server's node tally while the node is stored there;
         #: told whenever ``ready`` or ``deleted`` flips.
         self._counts: Optional["NodeCounts"] = None
+        #: The API server's node change feed while the node is stored
+        #: there; told whenever ``ready``, ``deleted`` or the
+        #: ``requested()`` fold changes.
+        self._feed: Optional["NodeChangeFeed"] = None
         self._ready = False
         self.ready_time: Optional[float] = None
         self.pods: List[Pod] = []
@@ -138,6 +142,8 @@ class Node(KubeObject):
             counts.tally(self, -1)
             self._ready = value
             counts.tally(self, 1)
+        if self._feed is not None:
+            self._feed.note(self)
 
     @property
     def deleted(self) -> bool:
@@ -154,6 +160,8 @@ class Node(KubeObject):
             counts.tally(self, -1)
             self._deleted = value
             counts.tally(self, 1)
+        if self._feed is not None:
+            self._feed.note(self)
 
     # ------------------------------------------------------------- capacity
     @property
@@ -180,6 +188,8 @@ class Node(KubeObject):
         self._requested_cache = None
         if self._capacity_index is not None:
             self._capacity_index.mark_dirty(self)
+        if self._feed is not None:
+            self._feed.note(self)
 
     def free(self) -> ResourceVector:
         return (self.allocatable - self.requested()).clamp_floor(0.0)

@@ -98,6 +98,7 @@ class Pod(KubeObject):
     __slots__ = (
         "spec", "phase", "node", "events", "scheduled_time", "started_time",
         "finished_time", "deletion_requested", "cpu_usage_fn", "on_stop",
+        "failed_scheduling",
     )
 
     kind = "Pod"
@@ -108,6 +109,9 @@ class Pod(KubeObject):
         self.phase = PodPhase.PENDING
         self.node: Optional["Node"] = None
         self.events: List[PodEvent] = []
+        #: ``had_event(REASON_FAILED_SCHEDULING)``, set by :meth:`add_event`
+        #: (events are append-only, so the flag never clears).
+        self.failed_scheduling = False
         self.scheduled_time: Optional[float] = None
         self.started_time: Optional[float] = None
         self.finished_time: Optional[float] = None
@@ -119,6 +123,8 @@ class Pod(KubeObject):
     def add_event(self, time: float, reason: str, message: str = "") -> PodEvent:
         ev = PodEvent(time, reason, message)
         self.events.append(ev)
+        if reason == REASON_FAILED_SCHEDULING:
+            self.failed_scheduling = True
         return ev
 
     def last_event(self, reason: str) -> Optional[PodEvent]:

@@ -336,8 +336,14 @@ class WorkerProvisioner:
         return [p for p in self.my_pods() if not p.phase.terminal]
 
     def pending_pods(self) -> List[Pod]:
-        """Created but not yet running — the estimator's in-flight pods."""
-        return [p for p in self.my_pods() if p.phase is PodPhase.PENDING]
+        """Created but not yet running — the estimator's in-flight pods.
+        Served from the API server's pending view of the app selector, so
+        a call costs O(pending pods), not O(worker pods)."""
+        return [
+            p
+            for p in self.api.list_pending({"app": self.app_label})
+            if p.name.startswith(self.name_prefix)
+        ]
 
     def running_pods(self) -> List[Pod]:
         return [p for p in self.my_pods() if p.phase is PodPhase.RUNNING]

@@ -20,6 +20,10 @@ Measured per run:
   the CI smoke job runs a single scenario for a clean reading.
 - ``tasks_completed`` / ``tasks_total`` / ``completed`` — whether the
   workload finished inside the wall budget.
+- ``tasks_abandoned`` — tasks the workflow lost for good. A run whose
+  workflow fails stops there and is recorded (``completed: false``, the
+  sim time of the failure) instead of raising, so a sweep goes on to the
+  next rung.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from typing import Dict, List, Optional
 
 from repro.experiments.runner import (
     POLICIES,
-    WorkflowFailed,
     _make_accountant,
     _reject_unknown,
     _Stack,
@@ -72,6 +75,7 @@ class RunMeasurement:
     tasks_completed: int
     completed: bool
     peak_rss_mb: float
+    tasks_abandoned: int = 0
 
     @property
     def sim_per_wall(self) -> float:
@@ -131,7 +135,7 @@ class BenchReport:
                 f"{m.scenario:<26} {m.n_tasks:>7} {m.max_nodes:>6} "
                 f"{m.wall_s:>8.1f} {m.sim_s:>9.0f} {m.sim_per_wall:>9.1f} "
                 f"{m.events_per_sec:>10.0f} {m.peak_rss_mb:>8.0f} "
-                f"{'yes' if m.completed else 'NO'}"
+                f"{'yes' if m.completed else 'FAIL' if m.tasks_abandoned else 'NO'}"
             )
         for name, ratio in sorted(self.speedup_vs_reference.items()):
             lines.append(f"speedup vs reference  {name}: {ratio:.1f}x")
@@ -183,10 +187,7 @@ def run_scenario(
         manager.start()
         while not manager.done:
             if manager.failed:
-                raise WorkflowFailed(
-                    f"{scenario.name}: task(s) permanently abandoned at "
-                    f"t={engine.now:.0f}s"
-                )
+                break  # recorded below; the sweep moves on
             if engine.now >= limit or engine.peek() is None:
                 break
             if (
@@ -217,6 +218,7 @@ def run_scenario(
             tasks_completed=len(stack.master.done),
             completed=bool(manager.done),
             peak_rss_mb=_peak_rss_mb(),
+            tasks_abandoned=len(manager.failed_task_ids),
         )
 
 
@@ -238,10 +240,16 @@ def run_bench(config: BenchConfig, *, echo=print) -> BenchReport:
         run_dir.mkdir(parents=True, exist_ok=True)
         with open(run_dir / "result.json", "w") as f:
             json.dump(measurement.row(), f, indent=2, sort_keys=True)
+        if measurement.tasks_abandoned:
+            status = (
+                f" (workflow failed: {measurement.tasks_abandoned} task(s) "
+                f"abandoned at t={measurement.sim_s:.0f}s)"
+            )
+        else:
+            status = "" if measurement.completed else " (wall budget hit)"
         echo(
             f"perf: {scenario.name}: {measurement.sim_per_wall:.1f} sim-s/wall-s, "
-            f"{measurement.events_per_sec:.0f} events/s"
-            + ("" if measurement.completed else " (wall budget hit)")
+            f"{measurement.events_per_sec:.0f} events/s{status}"
         )
     report = BenchReport(runs=runs)
     for m in runs:

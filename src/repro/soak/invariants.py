@@ -249,9 +249,12 @@ def check_accounting_aggregates(stack) -> List[Violation]:
     server's node counts, as the cluster and the cloud controller serve
     them, must equal a filter over the stored nodes; and every kept
     ``list(kind, selector)`` snapshot must equal the selector filter over
-    the kind's full list. A mutation that bypassed a write path (a flag
-    set behind a setter, a worker-table edit without its refresh, a
-    relabel after create) fails here.
+    the kind's full list. Each core's ``cores_waiting`` must be
+    ``repr``-equal to the fold over its queue, and every kept
+    ``list_pending`` view must equal the pending filter over the Pod
+    list. A mutation that bypassed a write path (a flag set behind a
+    setter, a worker-table edit without its refresh, a relabel after
+    create, a queue edit behind its totals) fails here.
     """
     violations: List[Violation] = []
 
@@ -289,6 +292,11 @@ def check_accounting_aggregates(stack) -> List[Violation]:
                 for w in workers
             ),
         )
+        differs(
+            f"{core.name}.cores_waiting",
+            repr(core.cores_waiting()),
+            repr(sum(t.footprint.cores for t in core.queue)),
+        )
     cluster = stack.cluster
     api = cluster.api
     live = [n for n in api.nodes() if not n.deleted]
@@ -317,6 +325,21 @@ def check_accounting_aggregates(stack) -> List[Violation]:
                         f"rescan = {[o.name for o in want][:8]}",
                     )
                 )
+    pods = api.list("Pod")
+    for selector in api.pending_views():
+        kept = api.list_pending(selector)
+        want = [
+            p for p in pods
+            if p.meta.matches(selector) and p.phase is PodPhase.PENDING
+        ]
+        if len(kept) != len(want) or any(a is not b for a, b in zip(kept, want)):
+            violations.append(
+                Violation(
+                    "accounting-aggregates",
+                    f"list_pending({selector}) = {[p.name for p in kept][:8]}, "
+                    f"rescan = {[p.name for p in want][:8]}",
+                )
+            )
     return violations
 
 

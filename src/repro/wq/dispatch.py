@@ -126,6 +126,23 @@ def placement_signature(task: Task) -> Tuple:
 #: A bucket entry: ``(position, task)``.
 _Entry = Tuple[int, Task]
 
+#: Footprint cores ``c`` with ``0 <= c < DYADIC_LIMIT`` that are whole
+#: multiples of ``1 / DYADIC_UNIT`` are *dyadic*: a sum of fewer than 2^33
+#: of them is a multiple of 2^-10 below 2^43, so every partial sum of any
+#: fold over them is exact and all folds agree to the bit.
+DYADIC_UNIT = 1024
+DYADIC_LIMIT = 1024
+
+
+def dyadic_cores(cores: object) -> bool:
+    """``cores`` is an ``int`` or ``float`` that every fold sums exactly."""
+    kind = type(cores)
+    return (
+        (kind is int or kind is float)
+        and 0 <= cores < DYADIC_LIMIT  # type: ignore[operator]
+        and (cores * DYADIC_UNIT) % 1 == 0  # type: ignore[operator]
+    )
+
 
 class TaskQueue:
     """The master's wait queue: FIFO with retry-to-front, bucketed by
@@ -140,7 +157,10 @@ class TaskQueue:
     instead of walking the queue (:meth:`dispatch`).
     """
 
-    __slots__ = ("_front", "_back", "_buckets", "_next_back", "_next_front", "rev")
+    __slots__ = (
+        "_front", "_back", "_buckets", "_next_back", "_next_front", "rev",
+        "cores", "n_float", "n_odd",
+    )
 
     def __init__(self) -> None:
         #: Front inserts by task id; insertion order is reverse queue order.
@@ -153,6 +173,12 @@ class TaskQueue:
         #: Bumped on every mutation; lets O(queue) folds such as
         #: :meth:`DispatchCore.cores_waiting` memoize between mutations.
         self.rev = 0
+        #: Running total of the queued dyadic footprint cores (see
+        #: :func:`dyadic_cores`), the float-typed ones among them, and
+        #: the count of queued footprints that are not dyadic.
+        self.cores = 0.0
+        self.n_float = 0
+        self.n_odd = 0
 
     # ----------------------------------------------------------- reading
     def __len__(self) -> int:
@@ -176,12 +202,24 @@ class TaskQueue:
         self._back[task.id] = task
         self._bucket(task).append((self._next_back, task))
         self._next_back += 1
-        self.rev += 1
+        self._count(task, 1)
 
     def push_front(self, task: Task) -> None:
         self._front[task.id] = task
         self._bucket(task).appendleft((self._next_front, task))
         self._next_front -= 1
+        self._count(task, 1)
+
+    def _count(self, task: Task, sign: int) -> None:
+        """Enter (+1) or leave (-1) ``task``'s footprint in the totals;
+        every mutation but :meth:`clear` passes here and bumps ``rev``."""
+        cores = task.footprint.cores
+        if dyadic_cores(cores):
+            self.cores += sign * cores
+            if type(cores) is float:
+                self.n_float += sign
+        else:
+            self.n_odd += sign
         self.rev += 1
 
     def remove(self, task: Task) -> None:
@@ -200,12 +238,15 @@ class TaskQueue:
                 break
         if not bucket:
             del self._buckets[key]
-        self.rev += 1
+        self._count(task, -1)
 
     def clear(self) -> None:
         self._front.clear()
         self._back.clear()
         self._buckets.clear()
+        self.cores = 0.0
+        self.n_float = 0
+        self.n_odd = 0
         self.rev += 1
 
     def _bucket(self, task: Task) -> Deque[_Entry]:
@@ -245,7 +286,7 @@ class TaskQueue:
                 continue
             bucket.popleft()
             del (self._front if pos < 0 else self._back)[task.id]
-            self.rev += 1
+            self._count(task, -1)
             if bucket:
                 heapreplace(heap, (-key[0], bucket[0][0], key))
             else:
@@ -1729,11 +1770,16 @@ class DispatchCore:
         """RSH ingredient: cores desired by queued tasks (true footprints;
         the evaluation measures actual shortage, per §VI).
 
-        Memoized against :attr:`TaskQueue.rev`: metric samplers and the
-        forecast scaler poll this between queue mutations, and the fold
-        is O(queue). The recompute folds in queue order, so the cached
-        float is bit-identical to the unmemoized sum.
+        While every queued footprint is dyadic the queue's running total
+        is exact, so it equals the fold in queue order; it is returned
+        with the fold's type (``int`` when no footprint is a float, ``0``
+        for an empty queue). Otherwise the fold runs, memoized against
+        :attr:`TaskQueue.rev`: metric samplers and the forecast scaler
+        poll this between queue mutations, and the fold is O(queue).
         """
+        queue = self.queue
+        if not queue.n_odd:
+            return queue.cores if queue.n_float else int(queue.cores)
         rev, value = self._cores_waiting_cache
         if rev != self.queue.rev:
             value = sum(t.footprint.cores for t in self.queue)

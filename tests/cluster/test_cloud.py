@@ -271,3 +271,114 @@ class TestNodeCounts:
         # A stored node that stops being ready still counts for the cloud.
         api.nodes()[0].ready = False
         assert self.counts(ctl) == self.literal(api) == (1, 1, 0)
+
+
+class TestSweepSemantics:
+    """What each autoscaler pass decides, pinned at the points where a
+    pass that looks only at changed nodes could drift from a full scan."""
+
+    @staticmethod
+    def record(ctl, method):
+        """Wrap ``ctl.<method>`` so every call's first argument is logged."""
+        calls = []
+        original = getattr(ctl, method)
+
+        def recorder(*args, **kwargs):
+            calls.append(args[0].name if args else kwargs)
+            return original(*args, **kwargs)
+
+        setattr(ctl, method, recorder)
+        return calls
+
+    @staticmethod
+    def add_node(api, name, *, preemptible=False):
+        node = Node(name, N1_STANDARD_4, creation_time=api.engine.now,
+                    preemptible=preemptible)
+        node.ready = True
+        api.create(node)
+        return node
+
+    def test_failed_scheduling_pod_resets_every_idle_timer(self, engine, api):
+        ctl = make_controller(engine, api, min_nodes=2, max_nodes=2,
+                              idle_timeout_s=100.0)
+        engine.run(until=25.0)
+        assert ctl._idle_since == {"node-001": 0.0, "node-002": 0.0}
+        pending_pod(api, "stuck", cores=64.0)
+        engine.run(until=35.0)
+        assert ctl._idle_since == {}
+        api.delete("Pod", "stuck")
+        engine.run(until=45.0)
+        # The timers restart at the first sync after the guard lifts.
+        assert ctl._idle_since == {"node-001": 40.0, "node-002": 40.0}
+
+    def test_idle_node_with_preemption_notice_is_never_removed(self, engine, api):
+        ctl = make_controller(
+            engine, api, min_nodes=1, idle_timeout_s=30.0,
+            preemptible=PreemptiblePoolConfig(max_nodes=2, grace_period_s=1000.0),
+        )
+        removals = self.record(ctl, "_remove_node")
+        spot = ctl._register_node(preemptible=True)
+        engine.run(until=15.0)
+        assert spot.name in ctl._idle_since
+        assert ctl.begin_preemption(spot)
+        engine.run(until=200.0)
+        assert removals == []
+        assert api.try_get("Node", spot.name) is spot
+
+    def test_node_flipped_not_ready_loses_its_timer(self, engine, api):
+        ctl = make_controller(engine, api, min_nodes=1, idle_timeout_s=100.0)
+        extra = self.add_node(api, "extra")
+        engine.run(until=15.0)
+        assert ctl._idle_since["extra"] == 0.0
+        extra.ready = False
+        engine.run(until=25.0)
+        assert "extra" not in ctl._idle_since
+        extra.ready = True
+        engine.run(until=35.0)
+        assert ctl._idle_since["extra"] == 30.0
+
+    def test_idle_node_killed_by_chaos_is_never_a_candidate(self, engine, api):
+        from repro.cluster.chaos import ChaosInjector
+
+        ctl = make_controller(engine, api, min_nodes=1, idle_timeout_s=30.0)
+        chaos = ChaosInjector(engine, api, RngRegistry(4), cloud=ctl)
+        removals = self.record(ctl, "_remove_node")
+        self.add_node(api, "doomed")
+        self.add_node(api, "spare")
+        engine.run(until=15.0)
+        chaos.kill_node(api.get("Node", "doomed"))
+        engine.run(until=100.0)
+        # Two live nodes idle since 0 and a floor of one: the first by
+        # name goes, and the killed node is never offered.
+        assert removals == ["node-001"]
+        assert ctl.nodes_removed == 1
+
+    def test_equal_creation_times_removed_in_name_order_down_to_min(
+        self, engine, api
+    ):
+        ctl = make_controller(engine, api, min_nodes=2, max_nodes=8,
+                              idle_timeout_s=30.0)
+        removals = self.record(ctl, "_remove_node")
+
+        def land():
+            # One instant, created out of name order.
+            for name in ("c-0", "a-2", "b-1"):
+                self.add_node(api, name)
+
+        engine.call_in(5.0, land)
+        engine.run(until=100.0)
+        # At t=30 the bootstrap pair (created at 0, idle since 0) goes,
+        # oldest name first; at t=40 the landed three are due, newest
+        # first and then by name, and the floor of two stops after one.
+        assert removals == ["node-001", "node-002", "a-2"]
+        assert sorted(n.name for n in api.nodes()) == ["b-1", "c-0"]
+
+    def test_nothing_reserved_at_max_nodes_with_pending_pods(self, engine, api):
+        ctl = make_controller(engine, api, min_nodes=2, max_nodes=2)
+        fill_existing_nodes(api)
+        for i in range(3):
+            pending_pod(api, f"p{i}")
+        reservations = self.record(ctl, "_reserve_node")
+        engine.run(until=300.0)
+        assert reservations == []
+        assert ctl.target_count() == ctl.node_count() == 2

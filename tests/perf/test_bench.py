@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.makeflow.manager import WorkflowManager
 from repro.perf.bench import BenchConfig, BenchReport, run_bench, run_scenario
 from repro.perf.scenarios import PerfScenario
 
@@ -83,6 +84,54 @@ class TestRunBench:
         ratio = report.speedup_vs_reference["tiny-perf"]
         assert ratio == pytest.approx(report.runs[0].sim_per_wall)
         assert f"{ratio:.1f}x" in report.table()
+
+
+#: A rung whose manager is forced to report failure (see ``fail_rung``).
+FAILING = PerfScenario(
+    name="tiny-failing", n_tasks=30, max_nodes=10, policy="hta", execute_s=10.0
+)
+
+
+@pytest.fixture
+def fail_rung(monkeypatch):
+    """Every completion of a ``FAILING`` workflow is reported as an
+    abandonment, the way a task past its retry budget is."""
+    completed = WorkflowManager._task_completed
+
+    def task_completed(self, task, result):
+        if len(self.graph) == FAILING.n_tasks:
+            self._task_abandoned(task)
+        else:
+            completed(self, task, result)
+
+    monkeypatch.setattr(WorkflowManager, "_task_completed", task_completed)
+
+
+class TestFailedRung:
+    def test_failure_is_recorded_not_raised(self, fail_rung):
+        m = run_scenario(FAILING, max_wall_s=120.0)
+        assert not m.completed
+        assert m.tasks_abandoned >= 1
+        assert 0 < m.sim_s < FAILING.max_sim_time_s
+        row = m.row()
+        assert row["completed"] is False
+        assert row["tasks_abandoned"] == m.tasks_abandoned
+        assert "FAIL" in BenchReport(runs=[m]).table()
+
+    def test_sweep_moves_on_to_the_next_rung(self, fail_rung, tmp_path):
+        lines = []
+        config = BenchConfig(
+            scenarios=[FAILING, TINY], out_dir=tmp_path / "out", max_wall_s=120.0
+        )
+        report = run_bench(config, echo=lines.append)
+        failed, tiny = report.runs
+        assert not failed.completed and tiny.completed
+        assert any(
+            "tiny-failing" in line and "workflow failed" in line for line in lines
+        )
+        top = json.loads((tmp_path / "out" / "BENCH_PERF.json").read_text())
+        assert top["schema"] == 1
+        assert top["runs"]["tiny-failing"]["completed"] is False
 
 
 def test_table_renders_without_runs():

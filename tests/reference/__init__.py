@@ -5,6 +5,8 @@ replaced, copied verbatim, so property tests can drive both on the
 same random states and demand identical decisions:
 
 * :mod:`.accounting_literal` — the accounting gauges as rescans;
+* :mod:`.autoscaler_literal` — the cluster autoscaler's full scans, HTA's
+  pending-pod filter and the waiting-cores fold;
 * :mod:`.dispatch_literal` — the list-walking Work Queue dispatch pass;
 * :mod:`.estimator_literal` — Algorithm 1 over a list wait queue;
 * :mod:`.link_literal` — the fair-share link as a per-stream loop;

@@ -310,3 +310,19 @@ class TestAccountingAggregates:
         pod.meta.labels["app"] = "b"
         (violation,) = check_accounting_aggregates(stack)
         assert "list(Pod, {'app': 'a'})" in violation.detail
+
+    def test_corrupted_pending_view_flagged(self, stack):
+        api = stack.cluster.api
+        api.create(Pod("p-2", PodSpec(IMAGE, ResourceVector(1, 1, 1), labels={"app": "a"})))
+        assert [p.name for p in api.list_pending({"app": "a"})] == ["p-2"]
+        assert check_accounting_aggregates(stack) == []
+        api._pending_views[(("app", "a"),)].clear()  # a create the view missed
+        (violation,) = check_accounting_aggregates(stack)
+        assert "list_pending({'app': 'a'}) = []" in violation.detail
+
+    def test_queue_edit_behind_its_totals_flagged(self, stack):
+        queue = stack.master.queue
+        assert not queue and check_accounting_aggregates(stack) == []
+        queue.cores += 1.0  # a push that skipped the running total
+        (violation,) = check_accounting_aggregates(stack)
+        assert "cores_waiting = '1', rescan = '0'" in violation.detail
