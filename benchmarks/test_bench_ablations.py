@@ -23,11 +23,7 @@ import pytest
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.hpa import HpaConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
-from repro.experiments.runner import (
-    StackConfig,
-    run_hpa_experiment,
-    run_hta_experiment,
-)
+from repro.experiments.runner import ExperimentSpec, StackConfig, run_experiment
 from repro.hta.estimator import EstimatorConfig
 from repro.hta.operator import HtaConfig
 from repro.workloads.synthetic import staged_pipeline, uniform_bag
@@ -60,12 +56,18 @@ def test_ablation_init_time_feedback(benchmark, capsys):
     workload = lambda: uniform_bag(60, execute_s=80.0, declared=True)
 
     def run_both():
-        live = run_hta_experiment(workload(), stack_config=stack(), name="live-init")
-        wrong = run_hta_experiment(
-            workload(),
-            stack_config=stack(),
-            fixed_init_time_s=10.0,  # ~15x below the real ~155 s
-            name="fixed-10s",
+        live = run_experiment(
+            ExperimentSpec(workload(), policy="hta", stack=stack(), name="live-init")
+        )
+        wrong = run_experiment(
+            ExperimentSpec(
+                workload(),
+                policy="hta",
+                stack=stack(),
+                name="fixed-10s",
+                # ~15x below the real ~155 s
+                options={"fixed_init_time_s": 10.0},
+            )
         )
         return live, wrong
 
@@ -86,18 +88,20 @@ def test_ablation_category_sizing(benchmark, capsys):
     conservative_workload = lambda: uniform_bag(30, execute_s=60.0, declared=False)
 
     def run_both():
-        packed = run_hta_experiment(workload(), stack_config=stack(), name="packed")
+        packed = run_experiment(
+            ExperimentSpec(workload(), policy="hta", stack=stack(), name="packed")
+        )
         # Unknown resources + no completions yet -> every task probes a
         # whole worker; category stats then fix it. Measure the pure
         # conservative regime via a static pool instead.
-        from repro.experiments.runner import run_static_experiment
-
-        serial = run_static_experiment(
-            conservative_workload(),
-            n_workers=4,
-            stack_config=stack(max_nodes=4),
-            estimator="conservative",
-            name="conservative",
+        serial = run_experiment(
+            ExperimentSpec(
+                conservative_workload(),
+                policy="static",
+                stack=stack(max_nodes=4),
+                name="conservative",
+                options={"n_workers": 4, "estimator": "conservative"},
+            )
         )
         return packed, serial
 
@@ -120,17 +124,22 @@ def test_ablation_hpa_stabilization_window(benchmark, capsys):
     def run_sweep():
         out = {}
         for window in (0.0, 120.0, 300.0, 600.0):
-            out[window] = run_hpa_experiment(
-                workload(),
-                target_cpu=0.2,
-                stack_config=stack(),
-                hpa_config=HpaConfig(
-                    target_cpu_utilization=0.2,
-                    min_replicas=2,
-                    max_replicas=10,
-                    scale_down_stabilization_s=window,
-                ),
-                name=f"HPA-stab-{int(window)}s",
+            out[window] = run_experiment(
+                ExperimentSpec(
+                    workload(),
+                    policy="hpa",
+                    stack=stack(),
+                    name=f"HPA-stab-{int(window)}s",
+                    options={
+                        "target_cpu": 0.2,
+                        "hpa_config": HpaConfig(
+                            target_cpu_utilization=0.2,
+                            min_replicas=2,
+                            max_replicas=10,
+                            scale_down_stabilization_s=window,
+                        ),
+                    },
+                )
             )
         return out
 
@@ -160,18 +169,25 @@ def test_ablation_drain_vs_kill(benchmark, capsys):
     workload = lambda: staged_pipeline([24, 4, 20], execute_s=100.0, declared=True)
 
     def run_both():
-        hta = run_hta_experiment(workload(), stack_config=stack(), name="drain")
-        hpa = run_hpa_experiment(
-            workload(),
-            target_cpu=0.2,
-            stack_config=stack(),
-            hpa_config=HpaConfig(
-                target_cpu_utilization=0.2,
-                min_replicas=2,
-                max_replicas=10,
-                scale_down_stabilization_s=0.0,  # eager deletion
-            ),
-            name="kill",
+        hta = run_experiment(
+            ExperimentSpec(workload(), policy="hta", stack=stack(), name="drain")
+        )
+        hpa = run_experiment(
+            ExperimentSpec(
+                workload(),
+                policy="hpa",
+                stack=stack(),
+                name="kill",
+                options={
+                    "target_cpu": 0.2,
+                    "hpa_config": HpaConfig(
+                        target_cpu_utilization=0.2,
+                        min_replicas=2,
+                        max_replicas=10,
+                        scale_down_stabilization_s=0.0,  # eager deletion
+                    ),
+                },
+            )
         )
         return hta, hpa
 
@@ -190,14 +206,21 @@ def test_ablation_literal_pseudocode_scale_down(benchmark, capsys):
     workload = lambda: staged_pipeline([24, 2, 2], execute_s=80.0, declared=True)
 
     def run_both():
-        paper = run_hta_experiment(workload(), stack_config=stack(), name="paper-mode")
-        literal = run_hta_experiment(
-            workload(),
-            stack_config=stack(),
-            hta_config=hta_cfg(
-                estimator=EstimatorConfig(scale_down_on_empty_queue=False)
-            ),
-            name="literal-mode",
+        paper = run_experiment(
+            ExperimentSpec(workload(), policy="hta", stack=stack(), name="paper-mode")
+        )
+        literal = run_experiment(
+            ExperimentSpec(
+                workload(),
+                policy="hta",
+                stack=stack(),
+                name="literal-mode",
+                options={
+                    "hta_config": hta_cfg(
+                        estimator=EstimatorConfig(scale_down_on_empty_queue=False)
+                    )
+                },
+            )
         )
         return paper, literal
 

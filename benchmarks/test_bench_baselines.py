@@ -19,7 +19,7 @@ from __future__ import annotations
 from benchmarks.conftest import run_once
 
 from repro.experiments import fig10, fig11
-from repro.experiments.runner import run_queue_scaler_experiment
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.metrics.cost import CostModel
 from repro.metrics.summary import format_summary_table
 
@@ -29,12 +29,17 @@ def test_baselines_multistage(benchmark, capsys):
         results = {
             "HPA(20% CPU)": fig10.run_hpa(0.20, 0),
             "HTA": fig10.run_hta(0),
-            "KEDA-queue": run_queue_scaler_experiment(
-                fig10.workload(),
-                stack_config=fig10.stack_config(0),
-                tasks_per_replica=3.0,
-                min_replicas=3,
-                max_replicas=20,
+            "KEDA-queue": run_experiment(
+                ExperimentSpec(
+                    fig10.workload(),
+                    policy="queue",
+                    stack=fig10.stack_config(0),
+                    options={
+                        "tasks_per_replica": 3.0,
+                        "min_replicas": 3,
+                        "max_replicas": 20,
+                    },
+                )
             ),
         }
         return results
@@ -91,12 +96,17 @@ def test_baselines_io_bound(benchmark, capsys):
         return {
             "HPA(20% CPU)": fig11.run_hpa(0.20, 0),
             "HTA": fig11.run_hta(0),
-            "KEDA-queue": run_queue_scaler_experiment(
-                fig11.workload(),
-                stack_config=fig11.stack_config(0),
-                tasks_per_replica=3.0,
-                min_replicas=3,
-                max_replicas=20,
+            "KEDA-queue": run_experiment(
+                ExperimentSpec(
+                    fig11.workload(),
+                    policy="queue",
+                    stack=fig11.stack_config(0),
+                    options={
+                        "tasks_per_replica": 3.0,
+                        "min_replicas": 3,
+                        "max_replicas": 20,
+                    },
+                )
             ),
         }
 

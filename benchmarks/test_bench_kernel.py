@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
-from repro.experiments.runner import StackConfig, run_hta_experiment
+from repro.experiments.runner import ExperimentSpec, StackConfig, run_experiment
 from repro.sim.engine import Engine
 from repro.wq.link import Link
 from repro.workloads.synthetic import uniform_bag
@@ -61,8 +61,10 @@ def test_full_experiment_wall_time(benchmark):
     )
 
     def run():
-        return run_hta_experiment(
-            uniform_bag(40, execute_s=60.0, declared=True), stack_config=cfg
+        return run_experiment(
+            ExperimentSpec(
+                uniform_bag(40, execute_s=60.0, declared=True), policy="hta", stack=cfg
+            )
         )
 
     result = benchmark(run)

@@ -15,11 +15,7 @@ from benchmarks.conftest import run_once
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
 from repro.cluster.resources import ResourceVector
-from repro.experiments.runner import (
-    StackConfig,
-    run_hpa_experiment,
-    run_hta_experiment,
-)
+from repro.experiments.runner import ExperimentSpec, StackConfig, run_experiment
 from repro.metrics.summary import format_summary_table
 from repro.workloads.synthetic import multi_category_mix
 
@@ -50,13 +46,16 @@ def stack(seed=0):
 
 def test_mixed_categories(benchmark, capsys):
     def run_both():
-        hta = run_hta_experiment(make_workload(), stack_config=stack())
-        hpa = run_hpa_experiment(
-            make_workload(),
-            target_cpu=0.2,
-            stack_config=stack(),
-            min_replicas=3,
-            max_replicas=16,
+        hta = run_experiment(
+            ExperimentSpec(make_workload(), policy="hta", stack=stack())
+        )
+        hpa = run_experiment(
+            ExperimentSpec(
+                make_workload(),
+                policy="hpa",
+                stack=stack(),
+                options={"target_cpu": 0.2, "min_replicas": 3, "max_replicas": 16},
+            )
         )
         return hta, hpa
 

@@ -14,7 +14,7 @@ from benchmarks.conftest import run_once
 from repro.cluster.chaos import ChaosInjector
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
-from repro.experiments.runner import StackConfig, run_hta_experiment
+from repro.experiments.runner import ExperimentSpec, StackConfig, run_experiment
 from repro.workloads.synthetic import staged_pipeline
 
 
@@ -38,7 +38,9 @@ def _run(seed: int, chaos_interval_s: float | None):
     # the runner and attach chaos by patching the drive loop is fragile —
     # instead assemble manually for the chaotic variant.
     if chaos_interval_s is None:
-        return run_hta_experiment(workload, stack_config=cfg, name="calm")
+        return run_experiment(
+            ExperimentSpec(workload, policy="hta", stack=cfg, name="calm")
+        )
     return _run_chaotic(cfg, workload, chaos_interval_s)
 
 

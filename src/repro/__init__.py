@@ -44,7 +44,7 @@ See README.md for the architecture overview, DESIGN.md for the system
 inventory, and EXPERIMENTS.md for paper-vs-measured numbers.
 """
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -71,12 +71,6 @@ __all__ = [
     "explain_decisions",
     "prometheus_text",
     "write_events_jsonl",
-    # -- deprecated entry points (thin wrappers over run_experiment)
-    "run_hpa_experiment",
-    "run_hta_experiment",
-    "run_predictive_experiment",
-    "run_queue_scaler_experiment",
-    "run_static_experiment",
 ]
 
 _RUNNER_EXPORTS = {
@@ -86,11 +80,6 @@ _RUNNER_EXPORTS = {
     "StackConfig",
     "register_policy",
     "run_experiment",
-    "run_hpa_experiment",
-    "run_hta_experiment",
-    "run_predictive_experiment",
-    "run_queue_scaler_experiment",
-    "run_static_experiment",
 }
 
 _WQ_EXPORTS = {

@@ -12,9 +12,6 @@ The entry points:
   reports (and the paper's own numbers alongside);
 * ``python -m repro.experiments <figN|all>`` — the CLI (``--trace-out``
   records a telemetry trace, ``--explain`` prints the decision audit).
-
-The ``run_*_experiment`` functions are deprecated wrappers kept for
-backward compatibility.
 """
 
 from repro.experiments import sweeps
@@ -25,11 +22,6 @@ from repro.experiments.runner import (
     StackConfig,
     register_policy,
     run_experiment,
-    run_hpa_experiment,
-    run_hta_experiment,
-    run_predictive_experiment,
-    run_queue_scaler_experiment,
-    run_static_experiment,
 )
 
 __all__ = [
@@ -39,10 +31,5 @@ __all__ = [
     "StackConfig",
     "register_policy",
     "run_experiment",
-    "run_hpa_experiment",
-    "run_hta_experiment",
-    "run_predictive_experiment",
-    "run_queue_scaler_experiment",
-    "run_static_experiment",
     "sweeps",
 ]

@@ -20,9 +20,7 @@ policies mirror the resource-provisioning modes the paper compares:
 * ``"static"`` — a fixed worker pool (fig 4's sizing study and fig 2's
   "ideal" reference).
 
-New policies plug in through :func:`register_policy`. The historical
-``run_hta_experiment``-style entry points survive as deprecated thin
-wrappers over :func:`run_experiment`.
+New policies plug in through :func:`register_policy`.
 
 Telemetry (the :mod:`repro.telemetry` tracer + metrics registry) is
 wired through every layer when the spec carries an enabled
@@ -33,15 +31,17 @@ early-returning call per instrumented site.
 from __future__ import annotations
 
 import math
-import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
@@ -706,9 +706,15 @@ def _reject_unknown(policy: str, options: Dict) -> None:
         )
 
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Run one experiment described by ``spec``; the single entry point
-    behind every figure harness, example, and deprecated wrapper."""
+@contextmanager
+def _assembled(
+    spec: ExperimentSpec, telemetry: Optional[TelemetryConfig]
+) -> Iterator[
+    Tuple[_Stack, WorkflowGraph, _PolicyHarness, WorkflowManager, ResourceAccountant]
+]:
+    """Build ``spec``'s stack, policy, workflow manager and accountant,
+    and start the policy, ready for a drive loop; the stack closes when
+    the block exits."""
     try:
         policy = POLICIES[spec.policy]
     except KeyError:
@@ -721,16 +727,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     cfg = spec.stack if spec.stack is not None else StackConfig()
     if spec.seed is not None:
         cfg = replace(cfg, seed=spec.seed)
-    telemetry = (
-        spec.telemetry if spec.telemetry is not None else default_telemetry()
-    )
     with _Stack(
         cfg, estimator_kind=policy.estimator_kind(options), telemetry=telemetry
     ) as stack:
         graph = ensure_graph(spec.workload)
         harness = policy.build(stack, cfg, graph, options)
         _reject_unknown(spec.policy, options)
-        name = spec.name if spec.name is not None else harness.name
         manager = WorkflowManager(
             stack.engine, graph, harness.submitter, recorder=stack.recorder
         )
@@ -743,10 +745,21 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         )
         if harness.start is not None:
             harness.start()
+        yield stack, graph, harness, manager, accountant
+
+
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+    """Run one experiment described by ``spec``; the single entry point
+    behind every figure harness and example."""
+    telemetry = (
+        spec.telemetry if spec.telemetry is not None else default_telemetry()
+    )
+    with _assembled(spec, telemetry) as (stack, graph, harness, manager, accountant):
         _drive(stack, manager, accountant)
         if harness.finish is not None:
             harness.finish()
         extras = harness.extras(accountant) if harness.extras is not None else {}
+        name = spec.name if spec.name is not None else harness.name
         result = _collect(name, stack, manager, accountant, graph, **extras)
     stack.telemetry.export(result.name)
     sink = default_sink()
@@ -911,6 +924,52 @@ def _validate_sharded(options: Dict) -> None:
         raise ValueError("shard_crash_index out of range")
 
 
+def _shard_plane(
+    stack: _Stack,
+    partitioner: TaskPartitioner,
+    failover: Optional[FailoverConfig] = None,
+) -> Foreman:
+    """Put ``partitioner.n_shards`` dispatch shards behind a Foreman in
+    place of ``stack.master`` and return the foreman. With a
+    ``failover`` config a FailoverCoordinator rides along as
+    ``stack.failover``."""
+    metrics = stack.metrics if stack.telemetry.enabled else None
+    shards = [stack.master]
+    for i in range(1, partitioner.n_shards):
+        # Every shard is stamped from the same DispatchConfig and feeds
+        # the same (global) monitor, so category statistics and
+        # allocation estimates see the full sample stream regardless of
+        # which shard completed a task.
+        shard = Master(
+            stack.engine,
+            stack.link,
+            config=stack.dispatch_config,
+            estimator=stack._make_estimator("monitor"),
+            monitor=stack.monitor,
+            name=f"{stack.master.name}-{i}",
+            tracer=stack.tracer,
+            metrics=metrics,
+        )
+        shards.append(shard)
+    foreman = Foreman(stack.engine, shards, partitioner=partitioner)
+    # A faults.max_retries override landed on shard 0 post-construction;
+    # replicate it everywhere through the foreman's broadcast setter.
+    foreman.max_retries = shards[0].max_retries
+    # From here on the whole runner flow — HTA, the accountant, result
+    # collection, stack teardown — sees the foreman as *the* master.
+    stack.master = foreman
+    stack.runtime.master_selector = foreman.master_for_pod
+    if failover is not None:
+        stack.failover = FailoverCoordinator(
+            stack.engine,
+            foreman,
+            failover,
+            tracer=stack.tracer,
+            metrics=metrics,
+        )
+    return foreman
+
+
 def _build_sharded(
     stack: _Stack, cfg: StackConfig, graph: WorkflowGraph, options: Dict
 ) -> _PolicyHarness:
@@ -924,52 +983,19 @@ def _build_sharded(
     shard_crash_at_s = _take(options, "shard_crash_at_s")
     shard_crash_index = int(_take(options, "shard_crash_index", 0))
     shard_crash_restart_s = _take(options, "shard_crash_restart_s")
-    shards = [stack.master]
-    for i in range(1, n_shards):
-        # Every shard is stamped from the same DispatchConfig and feeds
-        # the same (global) monitor, so category statistics and
-        # allocation estimates see the full sample stream regardless of
-        # which shard completed a task.
-        shard = Master(
-            stack.engine,
-            stack.link,
-            config=stack.dispatch_config,
-            estimator=stack._make_estimator("monitor"),
-            monitor=stack.monitor,
-            name=f"{stack.master.name}-{i}",
-            tracer=stack.tracer,
-            metrics=stack.metrics if stack.telemetry.enabled else None,
-        )
-        shards.append(shard)
-    foreman = Foreman(
-        stack.engine,
-        shards,
-        partitioner=TaskPartitioner(
-            n_shards, seed=cfg.seed, mode=partition_mode
-        ),
-    )
-    # A faults.max_retries override landed on shard 0 post-construction;
-    # replicate it everywhere through the foreman's broadcast setter.
-    foreman.max_retries = shards[0].max_retries
-    # From here on the whole runner flow — HTA, the accountant, result
-    # collection, stack teardown — sees the foreman as *the* master.
-    stack.master = foreman
-    stack.runtime.master_selector = foreman.master_for_pod
-    coordinator: Optional[FailoverCoordinator] = None
+    fo_cfg: Optional[FailoverConfig] = None
     if failover:
         fo_cfg = (
             FailoverConfig()
             if failover_grace_s is None
             else FailoverConfig(grace_s=float(failover_grace_s))
         )
-        coordinator = FailoverCoordinator(
-            stack.engine,
-            foreman,
-            fo_cfg,
-            tracer=stack.tracer,
-            metrics=stack.metrics if stack.telemetry.enabled else None,
-        )
-        stack.failover = coordinator
+    foreman = _shard_plane(
+        stack,
+        TaskPartitioner(n_shards, seed=cfg.seed, mode=partition_mode),
+        fo_cfg,
+    )
+    coordinator = stack.failover
     if shard_crash_at_s is not None:
         restart = (
             None if shard_crash_restart_s is None else float(shard_crash_restart_s)
@@ -1208,147 +1234,3 @@ register_policy(
     )
 )
 
-
-# ------------------------------------------------- deprecated entry points
-def _deprecated(old: str, policy: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use "
-        f"run_experiment(ExperimentSpec(workload, policy={policy!r}, ...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_hta_experiment(
-    workload: Workload,
-    *,
-    stack_config: Optional[StackConfig] = None,
-    hta_config: Optional[HtaConfig] = None,
-    seed: Optional[int] = None,
-    name: str = "HTA",
-    fixed_init_time_s: Optional[float] = None,
-) -> ExperimentResult:
-    """Deprecated: ``run_experiment(ExperimentSpec(..., policy="hta"))``."""
-    _deprecated("run_hta_experiment", "hta")
-    return run_experiment(
-        ExperimentSpec(
-            workload=workload,
-            policy="hta",
-            name=name,
-            stack=stack_config,
-            seed=seed,
-            options={
-                "hta_config": hta_config,
-                "fixed_init_time_s": fixed_init_time_s,
-            },
-        )
-    )
-
-
-def run_predictive_experiment(
-    workload: Workload,
-    *,
-    stack_config: Optional[StackConfig] = None,
-    scaler_config=None,
-    seed: Optional[int] = None,
-    name: str = "Predictive",
-    fixed_init_time_s: Optional[float] = None,
-) -> ExperimentResult:
-    """Deprecated: ``run_experiment(ExperimentSpec(..., policy="predictive"))``."""
-    _deprecated("run_predictive_experiment", "predictive")
-    return run_experiment(
-        ExperimentSpec(
-            workload=workload,
-            policy="predictive",
-            name=name,
-            stack=stack_config,
-            seed=seed,
-            options={
-                "scaler_config": scaler_config,
-                "fixed_init_time_s": fixed_init_time_s,
-            },
-        )
-    )
-
-
-def run_hpa_experiment(
-    workload: Workload,
-    *,
-    target_cpu: float = 0.5,
-    stack_config: Optional[StackConfig] = None,
-    hpa_config: Optional[HpaConfig] = None,
-    min_replicas: Optional[int] = None,
-    max_replicas: Optional[int] = None,
-    seed: Optional[int] = None,
-    name: Optional[str] = None,
-) -> ExperimentResult:
-    """Deprecated: ``run_experiment(ExperimentSpec(..., policy="hpa"))``."""
-    _deprecated("run_hpa_experiment", "hpa")
-    return run_experiment(
-        ExperimentSpec(
-            workload=workload,
-            policy="hpa",
-            name=name,
-            stack=stack_config,
-            seed=seed,
-            options={
-                "target_cpu": target_cpu,
-                "hpa_config": hpa_config,
-                "min_replicas": min_replicas,
-                "max_replicas": max_replicas,
-            },
-        )
-    )
-
-
-def run_queue_scaler_experiment(
-    workload: Workload,
-    *,
-    stack_config: Optional[StackConfig] = None,
-    scaler_config=None,
-    tasks_per_replica: float = 3.0,
-    min_replicas: Optional[int] = None,
-    max_replicas: Optional[int] = None,
-    seed: Optional[int] = None,
-    name: str = "KEDA-queue",
-) -> ExperimentResult:
-    """Deprecated: ``run_experiment(ExperimentSpec(..., policy="queue"))``."""
-    _deprecated("run_queue_scaler_experiment", "queue")
-    return run_experiment(
-        ExperimentSpec(
-            workload=workload,
-            policy="queue",
-            name=name,
-            stack=stack_config,
-            seed=seed,
-            options={
-                "scaler_config": scaler_config,
-                "tasks_per_replica": tasks_per_replica,
-                "min_replicas": min_replicas,
-                "max_replicas": max_replicas,
-            },
-        )
-    )
-
-
-def run_static_experiment(
-    workload: Workload,
-    *,
-    n_workers: int,
-    stack_config: Optional[StackConfig] = None,
-    estimator: str = "monitor",
-    seed: Optional[int] = None,
-    name: Optional[str] = None,
-) -> ExperimentResult:
-    """Deprecated: ``run_experiment(ExperimentSpec(..., policy="static"))``."""
-    _deprecated("run_static_experiment", "static")
-    return run_experiment(
-        ExperimentSpec(
-            workload=workload,
-            policy="static",
-            name=name,
-            stack=stack_config,
-            seed=seed,
-            options={"n_workers": n_workers, "estimator": estimator},
-        )
-    )

@@ -37,14 +37,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.experiments.runner import (
-    POLICIES,
-    _make_accountant,
-    _reject_unknown,
-    _Stack,
-    ensure_graph,
-)
-from repro.makeflow.manager import WorkflowManager
+from repro.experiments.runner import _assembled
 from repro.perf.scenarios import LADDER, PerfScenario
 from repro.telemetry.session import TelemetryConfig
 
@@ -147,42 +140,20 @@ def run_scenario(
 ) -> RunMeasurement:
     """Execute one scenario under the bench's wall-boxed drive loop.
 
-    Mirrors :func:`repro.experiments.runner.run_experiment`'s assembly —
-    same registry, same stack, same accountant — but drives the engine
-    in sim-time chunks with a wall-clock check between chunks, so a slow
-    configuration yields a partial-but-valid throughput sample instead
-    of hanging the sweep. Telemetry stays disabled: the benchmark
-    measures the simulator's production fast path.
+    Assembles the run exactly as
+    :func:`repro.experiments.runner.run_experiment` does, but drives the
+    engine in event-bounded chunks with a wall-clock check between
+    chunks, so a slow configuration yields a partial-but-valid
+    throughput sample instead of hanging the sweep. Telemetry stays
+    disabled: the benchmark measures the simulator's production fast
+    path.
     """
-    policy = POLICIES[scenario.policy]
     spec = scenario.build_spec()
-    options: Dict = dict(spec.options)
-    if policy.validate is not None:
-        policy.validate(options)
-    assert spec.stack is not None
+    telemetry = TelemetryConfig(enabled=False)
     started = time.perf_counter()
-    with _Stack(
-        spec.stack,
-        estimator_kind=policy.estimator_kind(options),
-        telemetry=TelemetryConfig(enabled=False),
-    ) as stack:
-        graph = ensure_graph(spec.workload)
-        harness = policy.build(stack, spec.stack, graph, options)
-        _reject_unknown(scenario.policy, options)
-        manager = WorkflowManager(
-            stack.engine, graph, harness.submitter, recorder=stack.recorder
-        )
-        if harness.on_manager is not None:
-            harness.on_manager(manager)
-        accountant = _make_accountant(
-            stack,
-            shortage_extra=harness.shortage_extra,
-            extra_gauges=harness.gauges or None,
-        )
-        if harness.start is not None:
-            harness.start()
+    with _assembled(spec, telemetry) as (stack, graph, harness, manager, accountant):
         engine = stack.engine
-        limit = spec.stack.max_sim_time_s
+        limit = stack.config.max_sim_time_s
         accountant.start()
         manager.start()
         while not manager.done:

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 
 from repro.cluster.cloud import PreemptiblePoolConfig
 from repro.cluster.cluster import ClusterConfig
-from repro.experiments.runner import FaultProfile, StackConfig, _Stack
+from repro.experiments.runner import FaultProfile, StackConfig, _shard_plane, _Stack
 from repro.hta.inittime import InitTimeTracker
 from repro.hta.operator import HtaConfig, HtaOperator
 from repro.hta.preemption import PreemptionResponder
@@ -48,9 +48,8 @@ from repro.telemetry.session import TelemetryConfig
 from repro.workloads.synthetic import uniform_bag
 from repro.wq.faults import BLACK_HOLE_MODES, BlackHoleProfile
 from repro.wq.health import HealthConfig
-from repro.wq.master import Master
 from repro.wq.migration import CheckpointSpec, MigrationCoordinator
-from repro.wq.sharding import FailoverCoordinator, Foreman, TaskPartitioner
+from repro.wq.sharding import FailoverConfig, Foreman, TaskPartitioner
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,42 +255,14 @@ def run_soak(seed: int, config: SoakConfig = SoakConfig()) -> SoakReport:
         faults=fault_profile,
     )
     with _Stack(stack_cfg, telemetry=TelemetryConfig(enabled=True)) as stack:
-        failover: Optional[FailoverCoordinator] = None
         if config.shards > 1:
-            # Mirror the runner's sharded policy: stamp the extra shards
-            # from the same DispatchConfig, feed the shared monitor, and
-            # put the Foreman where the rest of the harness expects the
-            # master. A FailoverCoordinator rides along so shard_crash
-            # strikes (permanent ones included) are survivable.
-            shard_list = [stack.master]
-            for i in range(1, config.shards):
-                shard_list.append(
-                    Master(
-                        stack.engine,
-                        stack.link,
-                        config=stack.dispatch_config,
-                        estimator=stack._make_estimator("monitor"),
-                        monitor=stack.monitor,
-                        name=f"{stack.master.name}-{i}",
-                        tracer=stack.tracer,
-                        metrics=stack.metrics,
-                    )
-                )
-            foreman = Foreman(
-                stack.engine,
-                shard_list,
-                partitioner=TaskPartitioner(config.shards, seed=seed),
+            # The runner's sharded plane; a FailoverCoordinator rides
+            # along so shard_crash strikes (permanent ones included) are
+            # survivable.
+            _shard_plane(
+                stack, TaskPartitioner(config.shards, seed=seed), FailoverConfig()
             )
-            foreman.max_retries = shard_list[0].max_retries
-            stack.master = foreman
-            stack.runtime.master_selector = foreman.master_for_pod
-            failover = FailoverCoordinator(
-                stack.engine,
-                foreman,
-                tracer=stack.tracer,
-                metrics=stack.metrics,
-            )
-            stack.failover = failover
+        failover = stack.failover
         probe = VersionProbe(stack.cluster.api)
         graph_tasks = uniform_bag(
             config.n_tasks,

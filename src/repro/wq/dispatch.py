@@ -86,8 +86,7 @@ class MasterStats:
 class DispatchConfig:
     """The state-machine knobs of one :class:`DispatchCore`, grouped in
     a value object so shard masters can be stamped out of the same
-    configuration (and so the legacy flat-keyword :class:`Master`
-    constructor has one canonical home to assemble into)."""
+    configuration."""
 
     max_retries: int = 5
     #: Optional task-level fault injection (see :mod:`repro.wq.faults`).
@@ -294,6 +293,63 @@ class TaskQueue:
                 heappop(heap)
 
 
+#: The aggregate counters of one :class:`DispatchCore`, each with its
+#: zero (``0`` or ``0.0``). Every core starts from this table, and the
+#: sharded plane's :class:`~repro.wq.sharding.Foreman` exposes each name
+#: as the sum over its shards.
+DISPATCH_COUNTERS: Dict[str, float] = {
+    "tasks_submitted": 0,
+    "tasks_requeued": 0,
+    # ------------------------------------------------- fault tolerance
+    "tasks_failed": 0,
+    "tasks_exhausted": 0,
+    "escalations": 0,
+    "tasks_speculated": 0,
+    "speculation_wins": 0,
+    "speculation_losses": 0,
+    # ------------------------------------------------------- integrity
+    # Result deliveries rejected by content-digest verification.
+    "verify_fails": 0,
+    # Checkpoint deliveries whose snapshot failed verification.
+    "checkpoint_verify_fails": 0,
+    # Corrupted results accepted as COMPLETE (only possible with
+    # verification off — the ground-truth damage counter the integrity
+    # experiment contrasts).
+    "corrupted_completes": 0,
+    # Core-seconds of corrupt completed work, subtracted from
+    # ``goodput_core_s`` by ``clean_goodput_core_s``.
+    "corrupted_goodput_core_s": 0.0,
+    # Workers quarantined / re-admitted on probation by the ledger.
+    "quarantines": 0,
+    "unquarantines": 0,
+    # Tasks isolated by blame attribution (poison-task verdicts).
+    "tasks_poisoned": 0,
+    # Deliveries rejected because the worker was quarantined.
+    "quarantined_rejected": 0,
+    # Core-seconds burned by killed attempts and cancelled duplicates.
+    "wasted_core_s": 0.0,
+    # ------------------------------------------ outages and crash recovery
+    "outages": 0,
+    "crashes": 0,
+    # Completed tasks re-executed because recovery forgot them.
+    "tasks_rerun": 0,
+    # Result deliveries dropped by the (task_id, attempt) idempotency
+    # check or because the recovered master no longer knows the attempt.
+    "duplicate_results": 0,
+    # ----------------------------------------------- partition liveness
+    "partitions_detected": 0,
+    "workers_declared_lost": 0,
+    # In-flight runs proactively pulled off doomed (preemption-noticed)
+    # workers inside the grace window.
+    "tasks_evacuated": 0,
+    # -------------------------------------------------------- migration
+    # Checkpoints accepted (task requeued resuming from progress) and
+    # dropped as stale (attempt superseded while shipping).
+    "migrations_accepted": 0,
+    "migrations_stale": 0,
+}
+
+
 class DispatchCore:
     """The pure queue/run-table/retry state machine behind the master.
 
@@ -413,8 +469,8 @@ class DispatchCore:
         self._abandoned_callbacks: Tuple[Callable[[Task], None], ...] = ()
         self._callbacks: Tuple[CompletionCallback, ...] = ()
         self._dispatch_pending = False
-        self.tasks_submitted = 0
-        self.tasks_requeued = 0
+        #: One attribute per :data:`DISPATCH_COUNTERS` entry, at its zero.
+        vars(self).update(DISPATCH_COUNTERS)
         # ------------------------------------------ fault-tolerance state
         #: Tasks waiting out a retry backoff (not in the queue yet).
         self._backoff_pending = 0
@@ -423,39 +479,13 @@ class DispatchCore:
         self._spec: Dict[int, Task] = {}
         self._spec_origin: Dict[int, Task] = {}
         self._spec_loop: Optional[PeriodicTask] = None
-        self.tasks_failed = 0
-        self.tasks_exhausted = 0
-        self.escalations = 0
-        self.tasks_speculated = 0
-        self.speculation_wins = 0
-        self.speculation_losses = 0
         # --------------------------------------------------- integrity state
-        #: Result deliveries rejected by content-digest verification.
-        self.verify_fails = 0
-        #: Checkpoint deliveries whose snapshot failed verification.
-        self.checkpoint_verify_fails = 0
-        #: Corrupted results accepted as COMPLETE (only possible with
-        #: verification off — the ground-truth damage counter the
-        #: integrity experiment contrasts).
-        self.corrupted_completes = 0
-        #: Core-seconds of corrupt completed work, subtracted from
-        #: :meth:`goodput_core_s` by :meth:`clean_goodput_core_s`.
-        self.corrupted_goodput_core_s = 0.0
-        #: Workers quarantined / re-admitted on probation by the ledger.
-        self.quarantines = 0
-        self.unquarantines = 0
-        #: Tasks isolated by blame attribution (poison-task verdicts).
-        self.tasks_poisoned = 0
-        #: Deliveries rejected because the worker was quarantined.
-        self.quarantined_rejected = 0
         #: Monotonic token per worker name; a probation timer fires only
         #: if no newer quarantine superseded it.
         self._quarantine_seq: Dict[str, int] = {}
         #: Worker names the replayed journal says were quarantined at
         #: crash time; re-applied as those workers reconnect.
         self._recovered_quarantined: Set[str] = set()
-        #: Core-seconds burned by killed attempts and cancelled duplicates.
-        self.wasted_core_s = 0.0
         #: False while the master process is down (its pod restarting).
         #: Dispatch pauses and completions buffer at the workers until
         #: the master resumes — the paper's StatefulSet + persistent
@@ -464,7 +494,6 @@ class DispatchCore:
         #: pod that has not started yet (MasterDeployment does).
         self.available = start_available
         self._buffered_completions: List[tuple[Worker, Task]] = []
-        self.outages = 0
         # ------------------------------------------- crash-recovery state
         #: Append-only transaction log of state transitions; models the
         #: log Work Queue keeps on the master pod's persistent volume.
@@ -481,12 +510,6 @@ class DispatchCore:
         #: rather than duplicated.
         self.recovery_grace_s = config.recovery_grace_s
         self.crashed = False
-        self.crashes = 0
-        #: Completed tasks re-executed because recovery forgot them.
-        self.tasks_rerun = 0
-        #: Result deliveries dropped by the (task_id, attempt) idempotency
-        #: check or because the recovered master no longer knows the attempt.
-        self.duplicate_results = 0
         self.last_crash_at: Optional[float] = None
         self.last_recovered_at: Optional[float] = None
         self.first_completion_after_recovery_at: Optional[float] = None
@@ -519,16 +542,7 @@ class DispatchCore:
         #: reconnect (not on heal — only the worker's re-registration
         #: proves the link is back).
         self._unreachable: Dict[str, float] = {}
-        self.partitions_detected = 0
-        self.workers_declared_lost = 0
-        #: In-flight runs proactively pulled off doomed (preemption-
-        #: noticed) workers inside the grace window.
-        self.tasks_evacuated = 0
         # ------------------------------------------------------- migration
-        #: Checkpoints accepted (task requeued resuming from progress)
-        #: and dropped as stale (attempt superseded while shipping).
-        self.migrations_accepted = 0
-        self.migrations_stale = 0
         #: Tasks adopted from a dead shard by the failover coordinator
         #: (queued and unclaimed both count; zero on unsharded masters).
         self.tasks_rehomed_in = 0

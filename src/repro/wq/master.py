@@ -15,40 +15,19 @@ The master exposes the live queue statistics HTA's controller consumes
 (:class:`MasterStats`) and fires ``on_complete`` callbacks that both the
 Makeflow manager (to release dependents) and HTA (to refresh category
 estimates) subscribe to.
-
-Migration path for downstream callers: the state-machine knobs
-(``max_retries``, ``fault_model``, ``verify``, …) moved into
-:class:`~repro.wq.dispatch.DispatchConfig`; passing them as flat
-keywords still works but emits a :class:`DeprecationWarning`. Code that
-only drives the queue (submit / completion / retry) and never touches a
-connection-layer method can depend on ``DispatchCore`` directly.
 """
 
 from __future__ import annotations
 
-import warnings
 from itertools import chain
 from typing import List, Optional
 
-from repro.sim.engine import Engine
-from repro.telemetry.events import Tracer
-from repro.telemetry.metrics import MetricsRegistry
 from repro.wq.dispatch import (
     CompletionCallback,
     DispatchConfig,
     DispatchCore,
     MasterStats,
 )
-from repro.wq.estimator import AllocationEstimator
-from repro.wq.faults import (
-    RetryPolicy,
-    SpeculationConfig,
-    TaskFaultModel,
-    ValueFaultModel,
-)
-from repro.wq.health import HealthConfig
-from repro.wq.link import Link
-from repro.wq.monitor import ResourceMonitor
 from repro.wq.task import Task, TaskState
 from repro.wq.worker import Worker, WorkerState
 
@@ -60,78 +39,9 @@ __all__ = [
     "MasterStats",
 ]
 
-#: Sentinel distinguishing "keyword not passed" from any real value in
-#: the deprecated flat-keyword constructor below.
-_UNSET = object()
-
 
 class Master(DispatchCore):
     """The master process of the Work Queue framework."""
-
-    def __init__(
-        self,
-        engine: Engine,
-        link: Link,
-        *,
-        config: Optional[DispatchConfig] = None,
-        estimator: Optional[AllocationEstimator] = None,
-        monitor: Optional[ResourceMonitor] = None,
-        name: str = "wq-master",
-        start_available: bool = True,
-        max_retries: int = _UNSET,  # type: ignore[assignment]
-        fault_model: Optional[TaskFaultModel] = _UNSET,  # type: ignore[assignment]
-        value_faults: Optional[ValueFaultModel] = _UNSET,  # type: ignore[assignment]
-        verify: bool = _UNSET,  # type: ignore[assignment]
-        health: Optional[HealthConfig] = _UNSET,  # type: ignore[assignment]
-        retry_policy: Optional[RetryPolicy] = _UNSET,  # type: ignore[assignment]
-        speculation: Optional[SpeculationConfig] = _UNSET,  # type: ignore[assignment]
-        replay_journal: bool = _UNSET,  # type: ignore[assignment]
-        recovery_grace_s: float = _UNSET,  # type: ignore[assignment]
-        liveness_timeout_s: float = _UNSET,  # type: ignore[assignment]
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        legacy = {
-            key: value
-            for key, value in (
-                ("max_retries", max_retries),
-                ("fault_model", fault_model),
-                ("value_faults", value_faults),
-                ("verify", verify),
-                ("health", health),
-                ("retry_policy", retry_policy),
-                ("speculation", speculation),
-                ("replay_journal", replay_journal),
-                ("recovery_grace_s", recovery_grace_s),
-                ("liveness_timeout_s", liveness_timeout_s),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if config is not None:
-                raise TypeError(
-                    "pass either config=DispatchConfig(...) or the flat "
-                    f"keywords {sorted(legacy)}, not both"
-                )
-            warnings.warn(
-                "passing dispatch state-machine knobs "
-                f"({', '.join(sorted(legacy))}) directly to Master is "
-                "deprecated; pass config=DispatchConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = DispatchConfig(**legacy)
-        super().__init__(
-            engine,
-            link,
-            config=config,
-            estimator=estimator,
-            monitor=monitor,
-            name=name,
-            start_available=start_available,
-            tracer=tracer,
-            metrics=metrics,
-        )
 
     # -------------------------------------------------------------- workers
     def register_worker(self, worker: Worker) -> None:

@@ -51,7 +51,7 @@ from typing import (
 )
 
 from repro.sim.engine import Engine
-from repro.wq.dispatch import CompletionCallback, MasterStats
+from repro.wq.dispatch import DISPATCH_COUNTERS, CompletionCallback, MasterStats
 from repro.wq.journal import TransactionJournal
 from repro.wq.master import Master
 from repro.wq.task import Task
@@ -412,16 +412,6 @@ class Foreman:
         return all(s.crashed for s in self.shards)
 
     @property
-    def crashed(self) -> bool:
-        """Documented alias for the *conservative* reading,
-        :attr:`any_crashed`: callers that treat "crashed" as "stop
-        trusting the books" (the single-master contract) must keep doing
-        so while any partition of the queue is dark. Code that needs the
-        distinction reads :attr:`any_crashed` / :attr:`all_crashed`
-        explicitly."""
-        return self.any_crashed
-
-    @property
     def all_done(self) -> bool:
         """Every live shard drained. Retired shards (dead, failed over)
         are skipped: their recoverable work was re-homed onto survivors,
@@ -566,118 +556,13 @@ class Foreman:
         return [w for s in self.shards for w in s.idle_workers()]
 
     # --------------------------------------------------- aggregate counters
-    def _sum(self, attr: str) -> float:
-        return sum(getattr(s, attr) for s in self.shards)
-
-    @property
-    def tasks_submitted(self) -> int:
-        return int(self._sum("tasks_submitted"))
-
-    @property
-    def tasks_requeued(self) -> int:
-        return int(self._sum("tasks_requeued"))
-
-    @property
-    def tasks_failed(self) -> int:
-        return int(self._sum("tasks_failed"))
-
-    @property
-    def tasks_exhausted(self) -> int:
-        return int(self._sum("tasks_exhausted"))
-
-    @property
-    def escalations(self) -> int:
-        return int(self._sum("escalations"))
-
-    @property
-    def tasks_speculated(self) -> int:
-        return int(self._sum("tasks_speculated"))
-
-    @property
-    def speculation_wins(self) -> int:
-        return int(self._sum("speculation_wins"))
-
-    @property
-    def speculation_losses(self) -> int:
-        return int(self._sum("speculation_losses"))
-
-    @property
-    def verify_fails(self) -> int:
-        return int(self._sum("verify_fails"))
-
-    @property
-    def checkpoint_verify_fails(self) -> int:
-        return int(self._sum("checkpoint_verify_fails"))
-
-    @property
-    def corrupted_completes(self) -> int:
-        return int(self._sum("corrupted_completes"))
-
-    @property
-    def corrupted_goodput_core_s(self) -> float:
-        return self._sum("corrupted_goodput_core_s")
-
-    @property
-    def quarantines(self) -> int:
-        return int(self._sum("quarantines"))
-
-    @property
-    def unquarantines(self) -> int:
-        return int(self._sum("unquarantines"))
-
-    @property
-    def tasks_poisoned(self) -> int:
-        return int(self._sum("tasks_poisoned"))
-
-    @property
-    def quarantined_rejected(self) -> int:
-        return int(self._sum("quarantined_rejected"))
-
-    @property
-    def wasted_core_s(self) -> float:
-        return self._sum("wasted_core_s")
-
-    @property
-    def outages(self) -> int:
-        return int(self._sum("outages"))
-
-    @property
-    def crashes(self) -> int:
-        return int(self._sum("crashes"))
-
-    @property
-    def tasks_rerun(self) -> int:
-        return int(self._sum("tasks_rerun"))
-
-    @property
-    def duplicate_results(self) -> int:
-        return int(self._sum("duplicate_results"))
-
-    @property
-    def partitions_detected(self) -> int:
-        return int(self._sum("partitions_detected"))
-
-    @property
-    def workers_declared_lost(self) -> int:
-        return int(self._sum("workers_declared_lost"))
-
-    @property
-    def tasks_evacuated(self) -> int:
-        return int(self._sum("tasks_evacuated"))
-
-    @property
-    def migrations_accepted(self) -> int:
-        return int(self._sum("migrations_accepted"))
-
-    @property
-    def migrations_stale(self) -> int:
-        return int(self._sum("migrations_stale"))
-
+    # Each DISPATCH_COUNTERS name is a summing property (``_shard_sum``,
+    # installed after the class).
     @property
     def tasks_rehomed(self) -> int:
         """Tasks adopted from dead shards by failover (sum of the
         per-shard ``tasks_rehomed_in`` intake counters)."""
-        return int(self._sum("tasks_rehomed_in"))
+        return sum(s.tasks_rehomed_in for s in self.shards)
 
     # ---------------------------------------------------- recovery markers
     @property
@@ -716,6 +601,22 @@ class Foreman:
 
     def supplied_cores(self) -> float:
         return sum(s.supplied_cores() for s in self.shards if s.available)
+
+
+def _shard_sum(name: str) -> property:
+    """A Foreman property summing counter ``name`` over every shard.
+    No ``int()``: int counters stay int and float counters stay float."""
+
+    def total(self: Foreman) -> float:
+        return sum(getattr(s, name) for s in self.shards)
+
+    total.__name__ = name
+    total.__qualname__ = f"Foreman.{name}"
+    return property(total, doc=f"``{name}`` summed over the shards.")
+
+
+for _name in DISPATCH_COUNTERS:
+    setattr(Foreman, _name, _shard_sum(_name))
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,7 +10,7 @@ from repro.experiments.continuous import (
     run_continuous_predictive,
     run_continuous_queue_scaler,
 )
-from repro.experiments.runner import StackConfig, run_predictive_experiment
+from repro.experiments.runner import ExperimentSpec, StackConfig, run_experiment
 from repro.forecast.scaler import PredictiveScalerConfig
 from repro.makeflow.dag import WorkflowGraph
 from repro.workloads.arrivals import periodic_arrivals
@@ -40,9 +40,12 @@ def small_stream(n_bursts=2, tasks=6):
 
 class TestRunPredictiveExperiment:
     def test_completes_a_workload(self):
-        r = run_predictive_experiment(
-            uniform_bag(18, execute_s=40.0, declared=True),
-            stack_config=stack(),
+        r = run_experiment(
+            ExperimentSpec(
+                uniform_bag(18, execute_s=40.0, declared=True),
+                policy="predictive",
+                stack=stack(),
+            )
         )
         assert r.tasks_completed == 18
         assert r.name == "Predictive"
@@ -51,10 +54,17 @@ class TestRunPredictiveExperiment:
         assert r.extras["decisions"] > 0
 
     def test_respects_scaler_config_bounds(self):
-        r = run_predictive_experiment(
-            uniform_bag(12, execute_s=40.0, declared=True),
-            stack_config=stack(),
-            scaler_config=PredictiveScalerConfig(min_workers=2, max_workers=3),
+        r = run_experiment(
+            ExperimentSpec(
+                uniform_bag(12, execute_s=40.0, declared=True),
+                policy="predictive",
+                stack=stack(),
+                options={
+                    "scaler_config": PredictiveScalerConfig(
+                        min_workers=2, max_workers=3
+                    )
+                },
+            )
         )
         assert r.tasks_completed == 12
         t0, t1 = r.accountant.window()
@@ -62,9 +72,12 @@ class TestRunPredictiveExperiment:
 
     def test_deterministic_replay(self):
         def once():
-            r = run_predictive_experiment(
-                uniform_bag(12, execute_s=40.0, declared=True),
-                stack_config=stack(seed=4),
+            r = run_experiment(
+                ExperimentSpec(
+                    uniform_bag(12, execute_s=40.0, declared=True),
+                    policy="predictive",
+                    stack=stack(seed=4),
+                )
             )
             return (
                 r.makespan_s,

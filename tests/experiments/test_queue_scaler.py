@@ -7,11 +7,7 @@ import pytest
 from repro.baselines.queue_scaler import QueueLengthAutoscaler, QueueScalerConfig
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
-from repro.experiments.runner import (
-    StackConfig,
-    run_hta_experiment,
-    run_queue_scaler_experiment,
-)
+from repro.experiments.runner import ExperimentSpec, StackConfig, run_experiment
 from repro.sim.engine import Engine
 from repro.workloads.iobound import iobound_parallel
 from repro.workloads.synthetic import uniform_bag
@@ -141,10 +137,13 @@ class TestControlLaw:
         assert target.replicas == 10
         assert all(n == 10 for n in target.history)
     def test_completes_workload(self):
-        r = run_queue_scaler_experiment(
-            uniform_bag(24, execute_s=40.0, declared=True),
-            stack_config=stack(),
-            tasks_per_replica=3.0,
+        r = run_experiment(
+            ExperimentSpec(
+                uniform_bag(24, execute_s=40.0, declared=True),
+                policy="queue",
+                stack=stack(),
+                options={"tasks_per_replica": 3.0},
+            )
         )
         assert r.tasks_completed == 24
         assert r.name == "KEDA-queue"
@@ -152,10 +151,13 @@ class TestControlLaw:
     def test_scales_on_io_bound_unlike_hpa(self):
         """The queue scaler has no CPU blind spot: it grows the pool for
         I/O-bound backlogs where HPA stays frozen."""
-        r = run_queue_scaler_experiment(
-            iobound_parallel(30, execute_s=60.0, declared=True),
-            stack_config=stack(),
-            tasks_per_replica=3.0,
+        r = run_experiment(
+            ExperimentSpec(
+                iobound_parallel(30, execute_s=60.0, declared=True),
+                policy="queue",
+                stack=stack(),
+                options={"tasks_per_replica": 3.0},
+            )
         )
         t0, t1 = r.accountant.window()
         assert r.series("workers_connected").maximum(t0, t1) > 2.0
@@ -165,10 +167,12 @@ class TestControlLaw:
         """With undeclared resources the queue scaler counts *tasks* while
         HTA estimates *resources* — HTA packs tighter."""
         wl = lambda: uniform_bag(30, execute_s=60.0, declared=False)
-        keda = run_queue_scaler_experiment(
-            wl(), stack_config=stack(), tasks_per_replica=1.0
+        keda = run_experiment(
+            ExperimentSpec(
+                wl(), policy="queue", stack=stack(), options={"tasks_per_replica": 1.0}
+            )
         )
-        hta = run_hta_experiment(wl(), stack_config=stack())
+        hta = run_experiment(ExperimentSpec(wl(), policy="hta", stack=stack()))
         assert keda.tasks_completed == hta.tasks_completed == 30
         assert (
             hta.accounting.accumulated_waste_core_s

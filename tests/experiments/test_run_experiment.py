@@ -1,8 +1,4 @@
-"""Tests for the single-entry experiment API and its deprecated wrappers.
-
-CI runs this module with ``-W error::DeprecationWarning``: every call to
-a legacy ``run_*_experiment`` wrapper must go through ``pytest.warns``.
-"""
+"""Tests for the single-entry experiment API."""
 
 from __future__ import annotations
 
@@ -18,9 +14,6 @@ from repro.experiments.runner import (
     StackConfig,
     register_policy,
     run_experiment,
-    run_hpa_experiment,
-    run_hta_experiment,
-    run_static_experiment,
 )
 from repro.telemetry.explain import decision_events, explain_decisions
 from repro.telemetry.session import TelemetryConfig
@@ -200,48 +193,6 @@ class TestSingleShardEquivalence:
             ),
         )
         assert sharded == bare
-
-
-class TestDeprecatedWrappers:
-    def test_hta_wrapper_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="run_hta_experiment"):
-            legacy = run_hta_experiment(workload(), stack_config=small_stack())
-        new = run_experiment(
-            ExperimentSpec(workload(), policy="hta", stack=small_stack())
-        )
-        assert_same_result(legacy, new)
-
-    def test_hpa_wrapper_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="run_hpa_experiment"):
-            legacy = run_hpa_experiment(
-                workload(), target_cpu=0.5, stack_config=small_stack()
-            )
-        new = run_experiment(
-            ExperimentSpec(
-                workload(),
-                policy="hpa",
-                stack=small_stack(),
-                options={"target_cpu": 0.5},
-            )
-        )
-        assert legacy.name == "HPA-50%"
-        assert_same_result(legacy, new)
-
-    def test_static_wrapper_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="run_static_experiment"):
-            legacy = run_static_experiment(
-                workload(), n_workers=3, stack_config=small_stack()
-            )
-        new = run_experiment(
-            ExperimentSpec(
-                workload(),
-                policy="static",
-                stack=small_stack(),
-                options={"n_workers": 3},
-            )
-        )
-        assert legacy.name == "static-3"
-        assert_same_result(legacy, new)
 
 
 class TestTelemetryIntegration:

@@ -8,11 +8,11 @@ from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
 from repro.cluster.resources import ResourceVector
 from repro.experiments.runner import (
+    ExperimentSpec,
     ExperimentTimeout,
     StackConfig,
     ensure_graph,
-    run_hpa_experiment,
-    run_hta_experiment,
+    run_experiment,
 )
 from repro.makeflow.dag import WorkflowGraph
 from repro.workloads.synthetic import uniform_bag
@@ -57,8 +57,12 @@ class TestStackConfig:
 
 class TestResults:
     def test_result_fields_populated(self):
-        r = run_hta_experiment(
-            uniform_bag(8, execute_s=20.0, declared=True), stack_config=small_stack()
+        r = run_experiment(
+            ExperimentSpec(
+                uniform_bag(8, execute_s=20.0, declared=True),
+                policy="hta",
+                stack=small_stack(),
+            )
         )
         assert r.name == "HTA"
         assert r.tasks_total == 8
@@ -70,32 +74,45 @@ class TestResults:
         assert "HTA" in r.summary()
 
     def test_seed_override(self):
-        r1 = run_hta_experiment(
-            uniform_bag(8, execute_s=20.0, declared=True),
-            stack_config=small_stack(),
-            seed=99,
+        r1 = run_experiment(
+            ExperimentSpec(
+                uniform_bag(8, execute_s=20.0, declared=True),
+                policy="hta",
+                stack=small_stack(),
+                seed=99,
+            )
         )
         assert r1.tasks_completed == 8
 
     def test_hpa_result_name_from_target(self):
-        r = run_hpa_experiment(
-            uniform_bag(6, execute_s=20.0, declared=True),
-            target_cpu=0.35,
-            stack_config=small_stack(),
+        r = run_experiment(
+            ExperimentSpec(
+                uniform_bag(6, execute_s=20.0, declared=True),
+                policy="hpa",
+                stack=small_stack(),
+                options={"target_cpu": 0.35},
+            )
         )
         assert r.name == "HPA-35%"
         assert "scale_events" in r.extras
 
     def test_series_accessible(self):
-        r = run_hta_experiment(
-            uniform_bag(6, execute_s=20.0, declared=True), stack_config=small_stack()
+        r = run_experiment(
+            ExperimentSpec(
+                uniform_bag(6, execute_s=20.0, declared=True),
+                policy="hta",
+                stack=small_stack(),
+            )
         )
         for name in ("supply", "in_use", "shortage", "waste", "demand", "nodes"):
             assert r.series(name) is not None
 
     def test_timeout_raises(self):
         with pytest.raises(ExperimentTimeout):
-            run_hta_experiment(
-                uniform_bag(50, execute_s=1000.0, declared=True),
-                stack_config=small_stack(max_sim_time_s=100.0),
+            run_experiment(
+                ExperimentSpec(
+                    uniform_bag(50, execute_s=1000.0, declared=True),
+                    policy="hta",
+                    stack=small_stack(max_sim_time_s=100.0),
+                )
             )

@@ -8,7 +8,7 @@ from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
 from repro.cluster.resources import ResourceVector
 from repro.experiments.continuous import run_continuous_hta
-from repro.experiments.runner import StackConfig, run_hta_experiment
+from repro.experiments.runner import ExperimentSpec, StackConfig, run_experiment
 from repro.hta.estimator import (
     EstimatorConfig,
     ForecastArrival,
@@ -93,12 +93,17 @@ class TestHybridConfig:
 
 class TestHybridEndToEnd:
     def test_hybrid_completes_a_single_workload(self):
-        r = run_hta_experiment(
-            uniform_bag(18, execute_s=40.0, declared=True),
-            stack_config=stack(),
-            hta_config=HtaConfig(
-                initial_workers=2, max_workers=8, forecast_arrivals=True
-            ),
+        r = run_experiment(
+            ExperimentSpec(
+                uniform_bag(18, execute_s=40.0, declared=True),
+                policy="hta",
+                stack=stack(),
+                options={
+                    "hta_config": HtaConfig(
+                        initial_workers=2, max_workers=8, forecast_arrivals=True
+                    )
+                },
+            )
         )
         assert r.tasks_completed == 18
 

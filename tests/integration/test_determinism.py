@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
-from repro.experiments.runner import StackConfig, run_hpa_experiment, run_hta_experiment
+from repro.experiments.runner import ExperimentSpec, StackConfig, run_experiment
 from repro.workloads.synthetic import staged_pipeline, uniform_bag
 
 
@@ -23,6 +23,12 @@ def stack(seed):
     )
 
 
+def run(workload, seed, policy="hta", **options):
+    return run_experiment(
+        ExperimentSpec(workload, policy=policy, stack=stack(seed), options=options)
+    )
+
+
 def fingerprint(result):
     return (
         result.makespan_s,
@@ -35,29 +41,26 @@ def fingerprint(result):
 
 class TestReplay:
     def test_hta_replays_bit_identically(self):
-        a = run_hta_experiment(uniform_bag(15, execute_s=40.0, declared=False), stack_config=stack(7))
-        b = run_hta_experiment(uniform_bag(15, execute_s=40.0, declared=False), stack_config=stack(7))
+        a = run(uniform_bag(15, execute_s=40.0, declared=False), 7)
+        b = run(uniform_bag(15, execute_s=40.0, declared=False), 7)
         assert fingerprint(a) == fingerprint(b)
 
     def test_hpa_replays_bit_identically(self):
-        a = run_hpa_experiment(
-            uniform_bag(15, execute_s=40.0, declared=True), target_cpu=0.2, stack_config=stack(7)
-        )
-        b = run_hpa_experiment(
-            uniform_bag(15, execute_s=40.0, declared=True), target_cpu=0.2, stack_config=stack(7)
-        )
+        wl = lambda: uniform_bag(15, execute_s=40.0, declared=True)
+        a = run(wl(), 7, "hpa", target_cpu=0.2)
+        b = run(wl(), 7, "hpa", target_cpu=0.2)
         assert fingerprint(a) == fingerprint(b)
 
     def test_dag_replays_bit_identically(self):
         wl = lambda: staged_pipeline([8, 2, 8], execute_s=30.0, declared=True)
-        a = run_hta_experiment(wl(), stack_config=stack(3))
-        b = run_hta_experiment(wl(), stack_config=stack(3))
+        a = run(wl(), 3)
+        b = run(wl(), 3)
         assert fingerprint(a) == fingerprint(b)
 
     def test_series_replay_identical(self):
         wl = lambda: uniform_bag(10, execute_s=30.0, declared=True)
-        a = run_hta_experiment(wl(), stack_config=stack(5))
-        b = run_hta_experiment(wl(), stack_config=stack(5))
+        a = run(wl(), 5)
+        b = run(wl(), 5)
         sa, sb = a.series("supply"), b.series("supply")
         assert sa.times == sb.times
         assert sa.values == sb.values
@@ -67,12 +70,7 @@ class TestSeedSensitivity:
     def test_different_seeds_diverge(self):
         """Node-provisioning jitter must actually vary with the seed."""
         results = {
-            fingerprint(
-                run_hta_experiment(
-                    uniform_bag(30, execute_s=40.0, declared=True),
-                    stack_config=stack(seed),
-                )
-            )
+            fingerprint(run(uniform_bag(30, execute_s=40.0, declared=True), seed))
             for seed in (1, 2, 3)
         }
         assert len(results) > 1

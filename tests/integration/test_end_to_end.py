@@ -6,12 +6,7 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
-from repro.experiments.runner import (
-    StackConfig,
-    run_hpa_experiment,
-    run_hta_experiment,
-    run_static_experiment,
-)
+from repro.experiments.runner import ExperimentSpec, StackConfig, run_experiment
 from repro.makeflow.parser import parse_makeflow
 from repro.workloads.synthetic import fan_in_out, staged_pipeline, uniform_bag
 
@@ -32,32 +27,44 @@ def small_stack(seed=0, min_nodes=2, max_nodes=6):
 
 class TestHtaEndToEnd:
     def test_bag_of_tasks_completes(self):
-        r = run_hta_experiment(
-            uniform_bag(30, execute_s=50.0, declared=False),
-            stack_config=small_stack(),
+        r = run_experiment(
+            ExperimentSpec(
+                uniform_bag(30, execute_s=50.0, declared=False),
+                policy="hta",
+                stack=small_stack(),
+            )
         )
         assert r.tasks_completed == 30
         assert r.makespan_s > 0
         assert r.accounting.accumulated_shortage_core_s >= 0
 
     def test_declared_bag_skips_probing(self):
-        r = run_hta_experiment(
-            uniform_bag(20, execute_s=30.0, declared=True),
-            stack_config=small_stack(),
+        r = run_experiment(
+            ExperimentSpec(
+                uniform_bag(20, execute_s=30.0, declared=True),
+                policy="hta",
+                stack=small_stack(),
+            )
         )
         assert r.tasks_completed == 20
 
     def test_dag_workflow_completes(self):
-        r = run_hta_experiment(
-            staged_pipeline([12, 3, 12], execute_s=40.0, declared=True),
-            stack_config=small_stack(),
+        r = run_experiment(
+            ExperimentSpec(
+                staged_pipeline([12, 3, 12], execute_s=40.0, declared=True),
+                policy="hta",
+                stack=small_stack(),
+            )
         )
         assert r.tasks_completed == 27
 
     def test_fan_in_out_completes(self):
-        r = run_hta_experiment(
-            fan_in_out(8, execute_s=30.0, declared=True),
-            stack_config=small_stack(),
+        r = run_experiment(
+            ExperimentSpec(
+                fan_in_out(8, execute_s=30.0, declared=True),
+                policy="hta",
+                stack=small_stack(),
+            )
         )
         assert r.tasks_completed == 17
 
@@ -69,13 +76,16 @@ class TestHtaEndToEnd:
             + ["final: m0 m1 m2 m3\n\treduce"]
         )
         graph = parse_makeflow(text)
-        r = run_hta_experiment(graph, stack_config=small_stack())
+        r = run_experiment(ExperimentSpec(graph, policy="hta", stack=small_stack()))
         assert r.tasks_completed == 5
 
     def test_scale_up_and_back_down(self):
-        r = run_hta_experiment(
-            uniform_bag(60, execute_s=60.0, declared=True),
-            stack_config=small_stack(max_nodes=8),
+        r = run_experiment(
+            ExperimentSpec(
+                uniform_bag(60, execute_s=60.0, declared=True),
+                policy="hta",
+                stack=small_stack(max_nodes=8),
+            )
         )
         t0, t1 = r.accountant.window()
         supply = r.series("supply")
@@ -85,10 +95,13 @@ class TestHtaEndToEnd:
 
 class TestHpaEndToEnd:
     def test_cpu_bound_bag_scales_up(self):
-        r = run_hpa_experiment(
-            uniform_bag(40, execute_s=60.0, declared=True),
-            target_cpu=0.2,
-            stack_config=small_stack(max_nodes=6),
+        r = run_experiment(
+            ExperimentSpec(
+                uniform_bag(40, execute_s=60.0, declared=True),
+                policy="hpa",
+                stack=small_stack(max_nodes=6),
+                options={"target_cpu": 0.2},
+            )
         )
         assert r.tasks_completed == 40
         t0, t1 = r.accountant.window()
@@ -97,11 +110,13 @@ class TestHpaEndToEnd:
     def test_low_cpu_bag_never_scales(self):
         from repro.workloads.iobound import iobound_parallel
 
-        r = run_hpa_experiment(
-            iobound_parallel(20, execute_s=40.0, declared=True),
-            target_cpu=0.5,
-            stack_config=small_stack(),
-            min_replicas=2,
+        r = run_experiment(
+            ExperimentSpec(
+                iobound_parallel(20, execute_s=40.0, declared=True),
+                policy="hpa",
+                stack=small_stack(),
+                options={"target_cpu": 0.5, "min_replicas": 2},
+            )
         )
         assert r.tasks_completed == 20
         t0, t1 = r.accountant.window()
@@ -111,42 +126,59 @@ class TestHpaEndToEnd:
 
 class TestStaticEndToEnd:
     def test_fixed_pool_completes(self):
-        r = run_static_experiment(
-            uniform_bag(20, execute_s=30.0, declared=True),
-            n_workers=3,
-            stack_config=small_stack(min_nodes=3),
-            estimator="declared",
+        r = run_experiment(
+            ExperimentSpec(
+                uniform_bag(20, execute_s=30.0, declared=True),
+                policy="static",
+                stack=small_stack(min_nodes=3),
+                options={"n_workers": 3, "estimator": "declared"},
+            )
         )
         assert r.tasks_completed == 20
         assert "mean_bandwidth_mbps" in r.extras
 
     def test_conservative_pool_serializes(self):
-        fast = run_static_experiment(
-            uniform_bag(12, execute_s=30.0, declared=True),
-            n_workers=3,
-            stack_config=small_stack(min_nodes=3),
-            estimator="declared",
+        fast = run_experiment(
+            ExperimentSpec(
+                uniform_bag(12, execute_s=30.0, declared=True),
+                policy="static",
+                stack=small_stack(min_nodes=3),
+                options={"n_workers": 3, "estimator": "declared"},
+            )
         )
-        slow = run_static_experiment(
-            uniform_bag(12, execute_s=30.0, declared=False),
-            n_workers=3,
-            stack_config=small_stack(min_nodes=3),
-            estimator="conservative",
+        slow = run_experiment(
+            ExperimentSpec(
+                uniform_bag(12, execute_s=30.0, declared=False),
+                policy="static",
+                stack=small_stack(min_nodes=3),
+                options={"n_workers": 3, "estimator": "conservative"},
+            )
         )
         assert slow.makespan_s > fast.makespan_s * 1.5
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
-            run_static_experiment(uniform_bag(1), n_workers=0)
+            run_experiment(
+                ExperimentSpec(
+                    uniform_bag(1), policy="static", options={"n_workers": 0}
+                )
+            )
 
 
 class TestCrossPolicy:
     def test_hta_wastes_less_than_hpa_on_multistage(self):
         """The paper's core claim at small scale."""
         workload = lambda: staged_pipeline([20, 4, 16], execute_s=60.0, declared=True)
-        hta = run_hta_experiment(workload(), stack_config=small_stack(max_nodes=8))
-        hpa = run_hpa_experiment(
-            workload(), target_cpu=0.2, stack_config=small_stack(max_nodes=8)
+        hta = run_experiment(
+            ExperimentSpec(workload(), policy="hta", stack=small_stack(max_nodes=8))
+        )
+        hpa = run_experiment(
+            ExperimentSpec(
+                workload(),
+                policy="hpa",
+                stack=small_stack(max_nodes=8),
+                options={"target_cpu": 0.2},
+            )
         )
         assert hta.tasks_completed == hpa.tasks_completed == 40
         assert (
@@ -158,8 +190,15 @@ class TestCrossPolicy:
         from repro.workloads.iobound import iobound_parallel
 
         workload = lambda: iobound_parallel(40, execute_s=60.0, declared=False)
-        hta = run_hta_experiment(workload(), stack_config=small_stack(max_nodes=8))
-        hpa = run_hpa_experiment(
-            workload(), target_cpu=0.2, stack_config=small_stack(max_nodes=8)
+        hta = run_experiment(
+            ExperimentSpec(workload(), policy="hta", stack=small_stack(max_nodes=8))
+        )
+        hpa = run_experiment(
+            ExperimentSpec(
+                workload(),
+                policy="hpa",
+                stack=small_stack(max_nodes=8),
+                options={"target_cpu": 0.2},
+            )
         )
         assert hta.makespan_s < hpa.makespan_s

@@ -6,21 +6,24 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
-from repro.experiments.runner import StackConfig, run_hta_experiment
+from repro.experiments.runner import ExperimentSpec, StackConfig, run_experiment
 from repro.metrics.cost import CostBreakdown, CostModel, DEFAULT_HOURLY_PRICES
 from repro.workloads.synthetic import uniform_bag
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_hta_experiment(
-        uniform_bag(12, execute_s=30.0, declared=True),
-        stack_config=StackConfig(
-            cluster=ClusterConfig(
-                machine_type=N1_STANDARD_4_RESERVED, min_nodes=2, max_nodes=4
+    return run_experiment(
+        ExperimentSpec(
+            uniform_bag(12, execute_s=30.0, declared=True),
+            policy="hta",
+            stack=StackConfig(
+                cluster=ClusterConfig(
+                    machine_type=N1_STANDARD_4_RESERVED, min_nodes=2, max_nodes=4
+                ),
+                seed=8,
             ),
-            seed=8,
-        ),
+        )
     )
 
 

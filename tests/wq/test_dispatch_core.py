@@ -1,13 +1,12 @@
-"""DispatchCore extraction: config surface, wrapper equivalence, accounting.
+"""DispatchCore extraction: config surface and accounting.
 
 The master was split into a pure queue/run-table/retry state machine
 (:class:`~repro.wq.dispatch.DispatchCore`, configured by a frozen
 :class:`~repro.wq.dispatch.DispatchConfig`) and a session/connection
 shell (:class:`~repro.wq.master.Master`). These tests pin the refactor's
-contract: the legacy flat-keyword constructor still works (behind a
-DeprecationWarning) and produces *bit-identical* journals to the config
-style, the two styles cannot be mixed, and the one folded accounting
-rule (billable cores) matches what the historical inline copies charged.
+contract: the config surface constructs and validates without warnings,
+and the one folded accounting rule (billable cores) matches what the
+historical inline copies charged.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ import warnings
 import pytest
 
 from repro.cluster.resources import ResourceVector
-from repro.sim.engine import Engine
 from repro.wq.dispatch import DispatchConfig, DispatchCore
-from repro.wq.estimator import ConservativeEstimator, DeclaredResourceEstimator
-from repro.wq.link import Link
+from repro.wq.estimator import ConservativeEstimator
 from repro.wq.master import Master
 from repro.wq.task import Task, TaskState
 from repro.wq.worker import Worker
@@ -34,58 +31,12 @@ def make_task(execute_s=10.0, footprint=FOOT, declared=FOOT):
     return Task("c", execute_s=execute_s, footprint=footprint, declared=declared)
 
 
-def drive_workload(engine, master) -> str:
-    """A small deterministic workload exercising dispatch, queueing, a
-    mid-flight evacuation (retry path), and completion; returns the
-    journal digest (task ids are renumbered by first appearance, so
-    digests compare across processes/runs)."""
-    workers = [
-        Worker(engine, master, f"w{i}", CAP, connect_latency=1.0 + i)
-        for i in range(2)
-    ]
-    master.submit_many([make_task(execute_s=5.0 + i) for i in range(6)])
-    engine.run(until=20.0)
-    master.evacuate_worker(workers[0])
-    workers[0].drain()
-    engine.run(until=120.0)
-    assert master.all_done
-    return master.journal.digest()
-
-
 class TestConstructorStyles:
-    def test_flat_kwargs_warn_and_match_config_bit_for_bit(self):
-        digests = []
-        for style in ("config", "flat"):
-            engine = Engine()
-            link = Link(engine, 100.0)
-            if style == "config":
-                master = Master(
-                    engine,
-                    link,
-                    config=DispatchConfig(max_retries=3),
-                    estimator=DeclaredResourceEstimator(),
-                )
-            else:
-                with pytest.warns(DeprecationWarning, match="DispatchConfig"):
-                    master = Master(
-                        engine,
-                        link,
-                        max_retries=3,
-                        estimator=DeclaredResourceEstimator(),
-                    )
-            assert master.max_retries == 3
-            digests.append(drive_workload(engine, master))
-        assert digests[0] == digests[1]
-
     def test_config_style_is_warning_free(self, engine, link):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             Master(engine, link, config=DispatchConfig(max_retries=2))
-            Master(engine, link)  # defaults are not "legacy kwargs"
-
-    def test_mixing_config_and_flat_kwargs_is_an_error(self, engine, link):
-        with pytest.raises(TypeError, match="not both"):
-            Master(engine, link, config=DispatchConfig(), max_retries=3)
+            Master(engine, link)
 
     def test_config_validates(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ category statistics and completion callbacks exactly once.
 from __future__ import annotations
 
 from repro.cluster.resources import ResourceVector
+from repro.wq.dispatch import DispatchConfig
 from repro.wq.estimator import DeclaredResourceEstimator
 from repro.wq.faults import SpeculationConfig
 from repro.wq.link import Link
@@ -24,9 +25,13 @@ def make_task(execute_s=10.0, category="c"):
     return Task(category, execute_s=execute_s, footprint=FOOT, declared=FOOT)
 
 
-def make_master(engine, **kwargs):
-    kwargs.setdefault("estimator", DeclaredResourceEstimator())
-    return Master(engine, Link(engine, 200.0), **kwargs)
+def make_master(engine, **knobs):
+    return Master(
+        engine,
+        Link(engine, 200.0),
+        config=DispatchConfig(**knobs),
+        estimator=DeclaredResourceEstimator(),
+    )
 
 
 class TestDuplicateSuppression:

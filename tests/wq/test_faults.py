@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.resources import ResourceVector
 from repro.sim.rng import RngRegistry
+from repro.wq.dispatch import DispatchConfig
 from repro.wq.estimator import DeclaredResourceEstimator
 from repro.wq.faults import (
     CategoryFaultProfile,
@@ -49,9 +50,13 @@ def make_task(category="c", execute_s=10.0, declared=True):
     )
 
 
-def make_master(engine, **kwargs):
-    kwargs.setdefault("estimator", DeclaredResourceEstimator())
-    return Master(engine, Link(engine, 200.0), **kwargs)
+def make_master(engine, **knobs):
+    return Master(
+        engine,
+        Link(engine, 200.0),
+        config=DispatchConfig(**knobs),
+        estimator=DeclaredResourceEstimator(),
+    )
 
 
 class TestRetryPolicy:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.resources import ResourceVector
+from repro.wq.dispatch import DispatchConfig
 from repro.wq.estimator import DeclaredResourceEstimator
 from repro.wq.journal import TransactionJournal
 from repro.wq.link import Link
@@ -20,9 +21,13 @@ def make_task(execute_s=10.0, category="c"):
     return Task(category, execute_s=execute_s, footprint=FOOT, declared=FOOT)
 
 
-def make_master(engine, **kwargs):
-    kwargs.setdefault("estimator", DeclaredResourceEstimator())
-    return Master(engine, Link(engine, 200.0), **kwargs)
+def make_master(engine, **knobs):
+    return Master(
+        engine,
+        Link(engine, 200.0),
+        config=DispatchConfig(**knobs),
+        estimator=DeclaredResourceEstimator(),
+    )
 
 
 class TestJournalReplay:

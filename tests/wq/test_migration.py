@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.resources import ResourceVector
+from repro.wq.dispatch import DispatchConfig
 from repro.wq.estimator import DeclaredResourceEstimator
 from repro.wq.faults import SpeculationConfig
 from repro.wq.link import Link
@@ -28,9 +29,13 @@ CAP = ResourceVector(4, 4096, 4096)
 SPEC = CheckpointSpec(interval_s=10.0, cost_s=1.0, size_mb=10.0)
 
 
-def make_master(engine, **kwargs):
-    kwargs.setdefault("estimator", DeclaredResourceEstimator())
-    return Master(engine, Link(engine, 100.0), **kwargs)
+def make_master(engine, **knobs):
+    return Master(
+        engine,
+        Link(engine, 100.0),
+        config=DispatchConfig(**knobs),
+        estimator=DeclaredResourceEstimator(),
+    )
 
 
 def make_task(execute_s=100.0, checkpoint=SPEC, declared=None):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.resources import ResourceVector
+from repro.wq.dispatch import DispatchConfig
 from repro.wq.estimator import DeclaredResourceEstimator
 from repro.wq.link import Link
 from repro.wq.master import Master
@@ -17,7 +18,10 @@ FOOT = ResourceVector(1, 512, 128)
 @pytest.fixture
 def master(engine):
     return Master(
-        engine, Link(engine, 200.0), estimator=DeclaredResourceEstimator(), max_retries=2
+        engine,
+        Link(engine, 200.0),
+        config=DispatchConfig(max_retries=2),
+        estimator=DeclaredResourceEstimator(),
     )
 
 
@@ -96,7 +100,7 @@ class TestRetriesAndAbandonment:
 
     def test_invalid_max_retries_rejected(self, engine):
         with pytest.raises(ValueError):
-            Master(engine, Link(engine, 10.0), max_retries=-1)
+            Master(engine, Link(engine, 10.0), config=DispatchConfig(max_retries=-1))
 
     def test_worker_lost_accounting_at_retry_boundary(self, engine, master):
         """Losses up to max_retries requeue; the loss crossing the

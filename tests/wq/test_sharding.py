@@ -13,8 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.resources import ResourceVector
+from repro.sim.rng import RngRegistry
 from repro.soak.invariants import check_failover_protocol
+from repro.wq.dispatch import DISPATCH_COUNTERS, DispatchConfig, DispatchCore
 from repro.wq.estimator import DeclaredResourceEstimator
+from repro.wq.faults import CategoryFaultProfile, RetryPolicy, TaskFaultModel
 from repro.wq.link import Link
 from repro.wq.master import Master
 from repro.wq.migration import CheckpointSpec
@@ -136,6 +139,47 @@ class TestAggregation:
         assert foreman.all_done
         assert foreman.stats().done == len(tasks)
 
+    def test_every_table_counter_is_a_typed_sum_over_the_shards(self, engine):
+        config = DispatchConfig(
+            fault_model=TaskFaultModel(
+                RngRegistry(5), default=CategoryFaultProfile(failure_prob=0.3)
+            ),
+            retry_policy=RetryPolicy(base_backoff_s=1.0),
+        )
+        link = Link(engine, 100.0)
+        shards = [
+            Master(
+                engine,
+                link,
+                config=config,
+                estimator=DeclaredResourceEstimator(),
+                name=f"m{i}",
+            )
+            for i in range(3)
+        ]
+        foreman = Foreman(engine, shards, partitioner=TaskPartitioner(3, seed=1))
+        workers = [
+            Worker(engine, s, f"w-{s.name}", CAP, connect_latency=1.0)
+            for s in shards
+        ]
+        foreman.submit_many([make_task(execute_s=20.0) for _ in range(30)])
+        engine.run(until=15.0)
+        workers[0].kill()  # its in-flight runs requeue on shard 0
+        Worker(engine, shards[0], "w-m0-b", CAP, connect_latency=1.0)
+        engine.run(until=1000.0)
+        assert foreman.all_done
+        assert foreman.tasks_failed > 0 and foreman.tasks_requeued > 0
+        assert foreman.wasted_core_s > 0.0
+        fresh = DispatchCore(engine, link)
+        for name, zero in DISPATCH_COUNTERS.items():
+            total = sum(getattr(s, name) for s in shards)
+            value = getattr(foreman, name)
+            assert value == total, name
+            assert type(value) is type(total) is type(zero), name
+            assert isinstance(Foreman.__dict__[name], property), name
+            held = getattr(fresh, name)
+            assert held == zero and type(held) is type(zero), name
+
     def test_merged_journal_orders_by_time_and_conserves_records(self, engine):
         foreman, (a, b) = make_foreman(engine, 2)
         for shard in (a, b):
@@ -225,7 +269,7 @@ class TestDegradedMode:
         engine.run(until=10.0)
         b.crash()
         assert foreman.available  # one live shard keeps the plane up
-        assert foreman.degraded and foreman.crashed
+        assert foreman.degraded and foreman.any_crashed
         # The aggregated view now equals the live shard's ground truth —
         # the operator sizes from what is actually reachable.
         assert foreman.stats() == a.stats()
@@ -248,29 +292,22 @@ class TestDegradedMode:
         stats = foreman.stats()
         assert stats.done == 0 and stats.waiting == 0
 
-    def test_any_all_crashed_split_and_conservative_alias(self, engine):
-        """The PR 10 split: ``any_crashed`` (degraded, some partition
-        dark) vs ``all_crashed`` (logical master gone), with ``crashed``
-        pinned as the documented alias for the conservative reading —
-        single-master callers that gate on "crashed" must keep gating
-        while *any* shard is dark."""
+    def test_any_all_crashed_split(self, engine):
+        """``any_crashed`` (degraded, some partition dark) vs
+        ``all_crashed`` (logical master gone)."""
         foreman, (a, b) = make_foreman(engine, 2)
         assert not foreman.any_crashed
         assert not foreman.all_crashed
-        assert not foreman.crashed
         a.crash()
         assert foreman.any_crashed
         assert not foreman.all_crashed
-        assert foreman.crashed  # alias follows the conservative reading
         b.crash()
         assert foreman.any_crashed and foreman.all_crashed
-        assert foreman.crashed
         a.recover()
         assert foreman.any_crashed  # b is still down
         assert not foreman.all_crashed
-        assert foreman.crashed
         b.recover()
-        assert not foreman.any_crashed and not foreman.crashed
+        assert not foreman.any_crashed
 
 
 def make_coordinator(engine, foreman, grace_s=10.0):
