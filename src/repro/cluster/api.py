@@ -103,42 +103,47 @@ class NodeCounts:
                 self.ready += delta
 
 
-class NodeChangeFeed:
-    """Stored nodes changed since each subscriber last took its changes.
+class ChangeFeed:
+    """Stored objects of one kind changed since each subscriber last took
+    its changes.
 
-    The API server notes a node on ``create``, ``delete`` and
-    ``mark_modified``; a stored node notes itself when its ``ready`` or
-    ``deleted`` flag flips and when its ``requested()`` fold is dropped
-    (bind, unbind, a bound pod turning terminal). Like the node tally it
-    is fed on the write path, so outages and watch-drop windows lose
-    nothing. A subscriber holds an insertion-ordered set of nodes and
-    empties it when it has looked at them.
+    The API server attaches an object on ``create`` and detaches it on
+    ``delete`` (both note it); while attached the object notes itself
+    when something a subscriber reads changes. For nodes (the cloud
+    controller's scale-down pass) that is a ``ready`` or ``deleted`` flip,
+    a dropped ``requested()`` fold (bind, unbind, a bound pod turning
+    terminal) and ``mark_modified``. For pods (the metrics server's
+    scrape) it is a phase change and a change of the CPU reading (see
+    :meth:`Pod.usage_changed`). Like the node tally it is fed on the
+    write path, so outages and watch-drop windows lose nothing. A
+    subscriber holds an insertion-ordered set of objects and empties it
+    when it has looked at them.
     """
 
     __slots__ = ("_subscribers",)
 
     def __init__(self) -> None:
-        self._subscribers: List[Dict[Node, None]] = []
+        self._subscribers: List[Dict[KubeObject, None]] = []
 
-    def subscribe(self) -> Dict[Node, None]:
-        changed: Dict[Node, None] = {}
+    def subscribe(self) -> Dict[KubeObject, None]:
+        changed: Dict[KubeObject, None] = {}
         self._subscribers.append(changed)
         return changed
 
-    def unsubscribe(self, changed: Dict[Node, None]) -> None:
+    def unsubscribe(self, changed: Dict[KubeObject, None]) -> None:
         self._subscribers = [c for c in self._subscribers if c is not changed]
 
-    def attach(self, node: Node) -> None:
-        node._feed = self
-        self.note(node)
+    def attach(self, obj: KubeObject) -> None:
+        obj._feed = self  # type: ignore[attr-defined]
+        self.note(obj)
 
-    def detach(self, node: Node) -> None:
-        self.note(node)
-        node._feed = None
+    def detach(self, obj: KubeObject) -> None:
+        self.note(obj)
+        obj._feed = None  # type: ignore[attr-defined]
 
-    def note(self, node: Node) -> None:
+    def note(self, obj: KubeObject) -> None:
         for changed in self._subscribers:
-            changed[node] = None
+            changed[obj] = None
 
 
 class KubeApiServer:
@@ -204,7 +209,9 @@ class KubeApiServer:
         #: kept on the same write path (see :class:`NodeCounts`).
         self.node_counts = NodeCounts()
         #: Changed nodes for the cloud controller's scale-down pass.
-        self.node_feed = NodeChangeFeed()
+        self.node_feed = ChangeFeed()
+        #: Changed pods for the metrics server's scrape.
+        self.pod_feed = ChangeFeed()
         # Watchers are stored as (position, handler) so deliveries can be
         # merged with the node-keyed pod watchers below in exact
         # registration order (same-instant handler execution order is
@@ -270,6 +277,7 @@ class KubeApiServer:
                     insort(view, obj, key=list_key)
         if isinstance(obj, Pod):
             self.pending_index.update(obj)
+            self.pod_feed.attach(obj)
         elif isinstance(obj, Node):
             self.capacity_index.add(obj)
             self.node_counts.add(obj)
@@ -385,6 +393,7 @@ class KubeApiServer:
             self.pending_index.discard(obj)
             self._drop_pending(obj)
             self._teardown_pod(obj)
+            self.pod_feed.detach(obj)
         elif isinstance(obj, Node):
             self.capacity_index.discard(obj)
             self.node_counts.discard(obj)

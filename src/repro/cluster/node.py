@@ -17,7 +17,7 @@ from repro.cluster.pod import Pod, PodPhase
 from repro.cluster.resources import ResourceVector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.api import NodeChangeFeed, NodeCounts
+    from repro.cluster.api import ChangeFeed, NodeCounts
     from repro.cluster.sched_index import FreeCapacityIndex
 
 
@@ -112,7 +112,7 @@ class Node(KubeObject):
         #: The API server's node change feed while the node is stored
         #: there; told whenever ``ready``, ``deleted`` or the
         #: ``requested()`` fold changes.
-        self._feed: Optional["NodeChangeFeed"] = None
+        self._feed: Optional["ChangeFeed"] = None
         self._ready = False
         self.ready_time: Optional[float] = None
         self.pods: List[Pod] = []

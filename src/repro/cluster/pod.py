@@ -27,6 +27,7 @@ from repro.cluster.objects import KubeObject
 from repro.cluster.resources import ResourceVector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cluster.api import ChangeFeed
     from repro.cluster.node import Node
 
 
@@ -87,18 +88,21 @@ class PodSpec:
 class Pod(KubeObject):
     """A pod object with phase, node binding, and event log.
 
-    ``cpu_usage_fn`` is attached by the container's workload (the Work
-    Queue worker) and polled by the metrics server; it returns the current
-    CPU usage in cores. ``on_stop`` is invoked when the pod is deleted
-    while running, letting the container react (a deleted worker-pod kills
-    its worker and the tasks on it — the behaviour the paper avoids by
-    draining through Work Queue instead).
+    ``cpu_usage_fn`` is attached by the container's workload and read by
+    the metrics server; it returns the current CPU usage in cores. A plain
+    assignment makes the metrics server poll it on every scrape. A Work
+    Queue worker attaches through :meth:`feed_usage` instead and calls
+    :meth:`usage_changed` whenever its reading may have moved, so a scrape
+    reads only the pods that changed. ``on_stop`` is invoked when the pod
+    is deleted while running, letting the container react (a deleted
+    worker-pod kills its worker and the tasks on it — the behaviour the
+    paper avoids by draining through Work Queue instead).
     """
 
     __slots__ = (
         "spec", "phase", "node", "events", "scheduled_time", "started_time",
-        "finished_time", "deletion_requested", "cpu_usage_fn", "on_stop",
-        "failed_scheduling",
+        "finished_time", "deletion_requested", "_usage_fn", "usage_fed",
+        "on_stop", "failed_scheduling", "_feed",
     )
 
     kind = "Pod"
@@ -116,8 +120,38 @@ class Pod(KubeObject):
         self.started_time: Optional[float] = None
         self.finished_time: Optional[float] = None
         self.deletion_requested = False
-        self.cpu_usage_fn: Optional[Callable[[], float]] = None
+        self._usage_fn: Optional[Callable[[], float]] = None
+        #: True when the usage source announces its changes through
+        #: :meth:`usage_changed` (see :meth:`feed_usage`).
+        self.usage_fed = False
         self.on_stop: Optional[Callable[["Pod"], None]] = None
+        #: The API server's pod change feed while stored (see
+        #: :class:`~repro.cluster.api.ChangeFeed`).
+        self._feed: Optional["ChangeFeed"] = None
+
+    # --------------------------------------------------------------- usage
+    @property
+    def cpu_usage_fn(self) -> Optional[Callable[[], float]]:
+        return self._usage_fn
+
+    @cpu_usage_fn.setter
+    def cpu_usage_fn(self, fn: Optional[Callable[[], float]]) -> None:
+        """Attach a usage source the metrics server polls every scrape."""
+        self._usage_fn = fn
+        self.usage_fed = False
+        self.usage_changed()
+
+    def feed_usage(self, fn: Callable[[], float]) -> None:
+        """Attach a usage source that calls :meth:`usage_changed` every
+        time its reading may have moved."""
+        self._usage_fn = fn
+        self.usage_fed = True
+        self.usage_changed()
+
+    def usage_changed(self) -> None:
+        """This pod's CPU reading, or whether it is read at all, changed."""
+        if self._feed is not None:
+            self._feed.note(self)
 
     # -------------------------------------------------------------- events
     def add_event(self, time: float, reason: str, message: str = "") -> PodEvent:
@@ -149,12 +183,14 @@ class Pod(KubeObject):
             raise RuntimeError(f"pod {self.name}: cannot start in phase {self.phase}")
         self.phase = PodPhase.RUNNING
         self.started_time = time
+        self.usage_changed()
         self.add_event(time, REASON_STARTED, "container started")
 
     def mark_finished(self, time: float, succeeded: bool = True) -> None:
         if self.phase.terminal:
             return
         self.phase = PodPhase.SUCCEEDED if succeeded else PodPhase.FAILED
+        self.usage_changed()
         if self.node is not None:
             # Terminal pods drop out of the node's requested() fold.
             self.node.invalidate_requested()
@@ -168,9 +204,9 @@ class Pod(KubeObject):
 
     def current_cpu_usage(self) -> float:
         """Instantaneous CPU usage in cores (0 when no workload attached)."""
-        if self.phase is not PodPhase.RUNNING or self.cpu_usage_fn is None:
+        if self.phase is not PodPhase.RUNNING or self._usage_fn is None:
             return 0.0
-        return self.cpu_usage_fn()
+        return self._usage_fn()
 
     def initialization_interval(self) -> Optional[float]:
         """Creation-to-ready duration, or None if never started.

@@ -86,7 +86,7 @@ from repro.wq.faults import (
 )
 from repro.wq.health import HealthConfig
 from repro.wq.link import Link
-from repro.wq.dispatch import DispatchConfig
+from repro.wq.dispatch import DispatchConfig, MasterStats
 from repro.wq.master import Master
 from repro.wq.migration import MigrationConfig, MigrationCoordinator
 from repro.wq.monitor import ResourceMonitor
@@ -606,10 +606,17 @@ def _make_accountant(
         nodes=lambda: float(stack.cluster.node_count()),
         period=stack.config.accounting_period_s,
     )
-    acc.sampler.add_gauge(
-        "workers_connected", lambda: float(master.stats().workers_connected)
-    )
-    acc.sampler.add_gauge("workers_idle", lambda: float(master.stats().workers_idle))
+    # One stats() per sample (a foreman sums it over its shards): the
+    # sampler polls in registration order, so "workers_connected" takes
+    # it and "workers_idle" reads what it took, as "supply" does above.
+    taken: List[MasterStats] = []
+
+    def workers_connected() -> float:
+        taken[:] = [master.stats()]
+        return float(taken[0].workers_connected)
+
+    acc.sampler.add_gauge("workers_connected", workers_connected)
+    acc.sampler.add_gauge("workers_idle", lambda: float(taken[0].workers_idle))
     # Preemptible subset of the node count — CostModel.cost_of_mixed
     # bills it at the spot rate (flat zero without a spot pool).
     acc.sampler.add_gauge(

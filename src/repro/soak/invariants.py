@@ -18,8 +18,9 @@ expose:
 * **scheduler indexes** — the API server's pending-pod and free-capacity
   indexes equal what the store says, so no mutation bypassed the write
   path that keeps them (checked after every strike and at the end);
-* **accounting aggregates** — RS and RIU memoized by each dispatch
-  core, the API server's node counts and its kept selector snapshots
+* **accounting aggregates** — RS and RIU kept by each dispatch core,
+  each worker's in-use cores and CPU usage, the metrics server's scrape
+  windows, the API server's node counts and its kept selector snapshots
   equal a rescan of the state they summarize (checked after every strike
   and at the end);
 * **eventual quiescence** — the run actually reached a terminal state
@@ -33,10 +34,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.cluster.api import KubeApiServer, WatchEvent
-from repro.cluster.pod import PodPhase
+from repro.cluster.pod import Pod, PodPhase
 from repro.cluster.sched_index import placement_signature, unschedulable_recorded
 from repro.wq.task import TaskState
-from repro.wq.worker import WorkerState
+from repro.wq.worker import Worker, WorkerState
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,9 +244,13 @@ def check_scheduler_indexes(api: KubeApiServer) -> List[Violation]:
 def check_accounting_aggregates(stack) -> List[Violation]:
     """The accounting gauges' maintained values equal their rescans.
 
-    ``stack`` carries ``master`` (a master or a foreman) and ``cluster``.
-    Every dispatch core's memoized ``supplied_cores`` / ``cores_in_use``
-    must equal the fold over its worker table with float ``==``; the API
+    ``stack`` carries ``master`` (a master or a foreman) and ``cluster``,
+    and optionally ``runtime``. Every dispatch core's ``supplied_cores``
+    / ``cores_in_use`` must equal the fold over its worker table with
+    float ``==``, reading each run's own state; every worker's
+    maintained ``cores_in_use`` / ``cpu_usage`` must be ``repr``-equal to
+    the fold over its runs; every metrics-server window the next scrape
+    would not touch must end in the reading a scrape would take now; the API
     server's node counts, as the cluster and the cloud controller serve
     them, must equal a filter over the stored nodes; and every kept
     ``list(kind, selector)`` snapshot must equal the selector filter over
@@ -268,8 +273,10 @@ def check_accounting_aggregates(stack) -> List[Violation]:
             )
 
     master = stack.master
+    seen: Dict[int, Worker] = {}
     for core in getattr(master, "shards", None) or [master]:
         workers = core.workers.values()
+        seen.update((id(w), w) for w in workers)
         differs(
             f"{core.name}.supplied_cores",
             core.supplied_cores(),
@@ -287,7 +294,7 @@ def check_accounting_aggregates(stack) -> List[Violation]:
                 sum(
                     min(run.task.footprint.cores, run.allocation.cores)
                     for run in w.runs.values()
-                    if run.task.state is TaskState.RUNNING
+                    if run.state is TaskState.RUNNING
                 )
                 for w in workers
             ),
@@ -297,8 +304,43 @@ def check_accounting_aggregates(stack) -> List[Violation]:
             repr(core.cores_waiting()),
             repr(sum(t.footprint.cores for t in core.queue)),
         )
+    runtime = getattr(stack, "runtime", None)
+    if runtime is not None:
+        seen.update((id(w), w) for w in runtime.workers.values())
+    for w in seen.values():
+        runs = w.runs.values()
+        differs(
+            f"{w.name}.cores_in_use",
+            repr(w.cores_in_use()),
+            repr(
+                sum(
+                    min(run.task.footprint.cores, run.allocation.cores)
+                    for run in runs
+                    if run.state is TaskState.RUNNING
+                )
+            ),
+        )
+        differs(
+            f"{w.name}.cpu_usage",
+            repr(w.cpu_usage()),
+            repr(
+                sum(
+                    min(run.task.footprint.cores, run.allocation.cores)
+                    * run.task.cpu_fraction
+                    if run.state is TaskState.RUNNING
+                    else 0.0
+                    for run in runs
+                )
+            ),
+        )
     cluster = stack.cluster
     api = cluster.api
+    metrics = getattr(cluster, "metrics", None)
+    if metrics is not None:
+        violations.extend(
+            Violation("accounting-aggregates", detail)
+            for detail in _stale_scrape_windows(metrics, api)
+        )
     live = [n for n in api.nodes() if not n.deleted]
     ready = [n for n in live if n.ready]
     differs("cluster.node_count", cluster.node_count(), len(ready))
@@ -341,6 +383,49 @@ def check_accounting_aggregates(stack) -> List[Violation]:
                 )
             )
     return violations
+
+
+def _stale_scrape_windows(metrics, api: KubeApiServer) -> List[str]:
+    """Where the metrics server's windows disagree with the store.
+
+    A pod the feed noted since the last scrape, or whose plain usage
+    callable is polled, is read by the next scrape and skipped here.
+    Every other stored pod must have a window iff it is running, ending
+    in the reading a scrape would take now; every window must belong to
+    a stored pod, and its runs must start at increasing scrape numbers.
+    """
+    if metrics._changed is None:
+        return []  # the next scrape walks the whole store
+    out: List[str] = []
+    pending = {p.name for p in metrics._changed}
+    pending.update(metrics._polled)
+    windows = metrics._windows
+    for pod in api.stored("Pod"):
+        name = pod.name
+        if name in pending or not isinstance(pod, Pod):
+            continue
+        runs = windows.get(name)
+        if pod.phase is not PodPhase.RUNNING:
+            if runs is not None:
+                out.append(f"window of {name} outlived its {pod.phase.value} pod")
+            continue
+        reading = pod.current_cpu_usage()
+        if runs is None:
+            out.append(f"running pod {name} has no window")
+        elif repr(runs[-1]) != repr(reading):
+            out.append(f"window of {name} ends at {runs[-1]!r}, pod reads {reading!r}")
+    for name, runs in windows.items():
+        if name not in pending and api.try_get("Pod", name) is None:
+            out.append(f"window of {name} outlived its deleted pod")
+        starts = runs[0::2]
+        if starts != sorted(set(starts)) or starts[-1] >= metrics._next:
+            out.append(f"window of {name} has runs starting at {starts}")
+    if len(metrics._times) != metrics._next - metrics._first:
+        out.append(
+            f"{len(metrics._times)} scrape times kept for scrapes "
+            f"{metrics._first}..{metrics._next - 1}"
+        )
+    return out
 
 
 def check_journal_replay(master) -> List[Violation]:

@@ -143,6 +143,40 @@ def dyadic_cores(cores: object) -> bool:
     )
 
 
+class DyadicTotal:
+    """A running sum that equals the literal left fold of its terms to the
+    bit while every term is dyadic (see :func:`dyadic_cores`).
+
+    ``add(value, +1)`` enters a term and ``add(value, -1)`` retires it. A
+    dyadic term goes into ``total`` exactly, in any order; ``n_float``
+    counts the float-typed ones, so :meth:`value` can return the fold's
+    type (``int`` when every term is an ``int``, ``0`` when empty).
+    ``n_odd`` counts the terms that are not dyadic; while it is nonzero
+    the total is not exact and the caller folds instead.
+    """
+
+    __slots__ = ("total", "n_float", "n_odd")
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.total = 0.0
+        self.n_float = 0
+        self.n_odd = 0
+
+    def add(self, value: float, sign: int) -> None:
+        if dyadic_cores(value):
+            self.total += sign * value
+            if type(value) is float:
+                self.n_float += sign
+        else:
+            self.n_odd += sign
+
+    def value(self) -> float:
+        return self.total if self.n_float else int(self.total)
+
+
 class TaskQueue:
     """The master's wait queue: FIFO with retry-to-front, bucketed by
     placement signature.
@@ -447,18 +481,29 @@ class DispatchCore:
         self._accepting: Dict[
             Tuple[ResourceVector, ResourceVector], Dict[str, Worker]
         ] = {}
-        #: Last-seen (accepting group or None, idle, busy, draining) per
-        #: worker; the deltas keep the index and counters below exact.
-        self._worker_flags: Dict[str, Tuple[Optional[Tuple], bool, bool, bool]] = {}
+        #: Last-seen (worker, accepting group or None, idle, busy,
+        #: draining, supplied cores or None, cores in use) per registered
+        #: name; the deltas keep the index, counters and totals below
+        #: exact.
+        self._worker_flags: Dict[str, Tuple] = {}
         self._n_idle = 0
         self._n_busy = 0
         self._n_draining = 0
         #: ``(queue.rev, value)`` memo of :meth:`cores_waiting`.
         self._cores_waiting_cache: Tuple[int, float] = (-1, 0.0)
+        #: RS and RIU as running totals of the per-worker terms recorded
+        #: in ``_worker_flags``: O(1) per sample while every term is
+        #: dyadic (see :meth:`supplied_cores`).
+        self._supplied = DyadicTotal()
+        self._in_use = DyadicTotal()
+        #: Names whose RIU term may be stale, re-read at the next
+        #: :meth:`cores_in_use` (see :meth:`run_states_changed`).
+        self._in_use_dirty: Dict[str, None] = {}
         #: Revision of the worker-side gauge inputs: bumped whenever the
-        #: worker table, a worker's flags or runs set, or a run's task
-        #: entering or leaving RUNNING could change :meth:`cores_in_use`
-        #: or :meth:`supplied_cores`, each memoized as ``(rev, value)``.
+        #: worker table, a worker's flags or runs set, or a run entering
+        #: or leaving RUNNING could change :meth:`cores_in_use` or
+        #: :meth:`supplied_cores`. Their non-dyadic fallback folds are
+        #: memoized against it as ``(rev, value)``.
         self._gauge_rev = 0
         self._in_use_cache: Tuple[int, float] = (-1, 0.0)
         self._supplied_cache: Tuple[int, float] = (-1, 0.0)
@@ -612,15 +657,24 @@ class DispatchCore:
 
     # ------------------------------------------------------- worker caches
     def _refresh_worker_cache(self, worker: Worker) -> None:
-        """Reconcile the accepting index and stat counters with one
-        worker's live flags. Exact by construction: the old contribution
-        is retired, the new one recomputed from the worker itself, and a
-        worker no longer registered under its name contributes nothing."""
+        """Reconcile the accepting index, stat counters and gauge totals
+        with one worker's live flags. Exact by construction: the old
+        contribution is retired, the new one recomputed from the worker
+        itself, and a worker no longer registered under its name
+        contributes nothing. The entry under the name is retired when it
+        is this worker's or its worker has left the table, so a stale
+        worker sharing a recycled name cannot retire the live one's.
+        A worker that stays registered keeps its RS term unless it
+        changed, and its RIU term until :meth:`cores_in_use` re-reads it."""
         self._gauge_rev += 1
         name = worker.name
-        old = self._worker_flags.pop(name, None)
-        if old is not None:
-            old_group, was_idle, was_busy, was_draining = old
+        registered = self.workers.get(name)
+        flags = self._worker_flags
+        old = flags.get(name)
+        kept = None
+        if old is not None and (old[0] is worker or old[0] is not registered):
+            del flags[name]
+            _, old_group, was_idle, was_busy, was_draining, supplied, in_use = old
             if old_group is not None:
                 members = self._accepting[old_group]
                 del members[name]
@@ -632,7 +686,13 @@ class DispatchCore:
                 self._n_busy -= 1
             if was_draining:
                 self._n_draining -= 1
-        if self.workers.get(name) is not worker:
+            if old[0] is registered:
+                kept = old
+            else:
+                if supplied is not None:
+                    self._supplied.add(supplied, -1)
+                self._in_use.add(in_use, -1)
+        if registered is not worker:
             return
         group = (
             (worker.capacity, worker.available()) if worker.accepting else None
@@ -642,7 +702,26 @@ class DispatchCore:
         busy = bool(worker.runs) and (
             worker.state is WorkerState.READY or draining
         )
-        self._worker_flags[name] = (group, idle, busy, draining)
+        supplied = (
+            worker.capacity.cores
+            if (worker.state is WorkerState.READY or draining)
+            and not worker.quarantined
+            else None
+        )
+        if kept is None:
+            # A new entry counts nothing for RIU until it is re-read.
+            in_use = 0
+            if supplied is not None:
+                self._supplied.add(supplied, 1)
+        else:
+            in_use = kept[6]
+            if supplied is not kept[5]:
+                if kept[5] is not None:
+                    self._supplied.add(kept[5], -1)
+                if supplied is not None:
+                    self._supplied.add(supplied, 1)
+        flags[name] = (worker, group, idle, busy, draining, supplied, in_use)
+        self._in_use_dirty[name] = None
         if group is not None:
             members = self._accepting.get(group)
             if members is None:
@@ -663,6 +742,9 @@ class DispatchCore:
         self._n_idle = 0
         self._n_busy = 0
         self._n_draining = 0
+        self._supplied.clear()
+        self._in_use.clear()
+        self._in_use_dirty.clear()
 
     # ------------------------------------------------------------ preemption
     def evacuate_worker(
@@ -1575,10 +1657,10 @@ class DispatchCore:
         self.running.pop(task.id, None)
         self._unclaimed.pop(task.id, None)
         self._dequeue(task)
-        task.state = TaskState.DONE
         # A copy of the task may still execute on another worker (a held
-        # result from across a partition won the race).
-        self.run_states_changed()
+        # result from across a partition won the race); that run's own
+        # state, which the gauges read, is left to its worker.
+        task.state = TaskState.DONE
         task.finish_time = self.engine.now
         assert task.submit_time is not None
         assert task.dispatch_time is not None
@@ -1645,7 +1727,6 @@ class DispatchCore:
             self.tasks_rerun += 1
             self._charge_waste(task)
             task.state = TaskState.DONE
-            self.run_states_changed()
         self._schedule_dispatch()
 
     def _finalize_speculative_win(self, worker: Worker, clone: Task) -> None:
@@ -1671,7 +1752,6 @@ class DispatchCore:
             host.cancel_run(original)
         clone.state = TaskState.DONE
         original.state = TaskState.DONE
-        self.run_states_changed()
         original.finish_time = self.engine.now
         assert original.submit_time is not None
         assert clone.dispatch_time is not None
@@ -1760,20 +1840,47 @@ class DispatchCore:
             if t.result is not None
         )
 
-    def run_states_changed(self) -> None:
-        """A run's task entered or left RUNNING outside a runs-set change
-        (which :meth:`_refresh_worker_cache` already covers): the gauge
-        memos of :meth:`cores_in_use` and :meth:`supplied_cores` are stale."""
+    def run_states_changed(self, worker: Worker) -> None:
+        """Worker hook: one of ``worker``'s runs entered or left RUNNING
+        outside a runs-set change (which :meth:`_refresh_worker_cache`
+        covers), so its :meth:`Worker.cores_in_use` may have moved. The
+        name's RIU term is re-read at the next :meth:`cores_in_use`: a
+        worker changing many times between two samples is read once."""
         self._gauge_rev += 1
+        self._in_use_dirty[worker.name] = None
+
+    def _settle_in_use(self) -> None:
+        """Swap every dirty name's RIU term for its worker's current
+        value. A name no longer registered has no entry; its term was
+        retired when it left (an orphan behind a partition counts
+        nowhere)."""
+        flags = self._worker_flags
+        total = self._in_use
+        for name in self._in_use_dirty:
+            entry = flags.get(name)
+            if entry is None:
+                continue
+            old = entry[6]
+            new = entry[0].cores_in_use()
+            if new != old or type(new) is not type(old):
+                total.add(old, -1)
+                total.add(new, 1)
+                flags[name] = entry[:6] + (new,)
+        self._in_use_dirty.clear()
 
     def cores_in_use(self) -> float:
-        """RIU in cores: footprint cores of currently executing tasks.
+        """RIU in cores: footprint cores of currently executing runs.
 
-        Memoized against the gauge revision (see :meth:`run_states_changed`).
-        A stale memo is refolded over the workers in table order rather
-        than patched with a running ``+=``/``-=`` sum, so the value stays
-        bit-identical to the unmemoized fold even for fractional cores.
+        The sum over the registered workers of :meth:`Worker.cores_in_use`
+        in table order. While every worker's term is dyadic the running
+        total is that fold to the bit; otherwise the fold runs, memoized
+        against the gauge revision (see :meth:`run_states_changed`).
         """
+        if self._in_use_dirty:
+            self._settle_in_use()
+        total = self._in_use
+        if not total.n_odd:
+            return total.value()
         rev, value = self._in_use_cache
         if rev != self._gauge_rev:
             value = sum(w.cores_in_use() for w in self.workers.values())
@@ -1811,8 +1918,12 @@ class DispatchCore:
         """RS in cores: capacity of connected, accepting workers.
         Quarantined workers are excluded — their capacity is untrusted,
         and counting it would let HTA's estimator see supply the
-        dispatcher refuses to use. Memoized like :meth:`cores_in_use`:
-        every input changes through :meth:`_refresh_worker_cache`."""
+        dispatcher refuses to use. A running total like
+        :meth:`cores_in_use`: every input changes through
+        :meth:`_refresh_worker_cache`."""
+        total = self._supplied
+        if not total.n_odd:
+            return total.value()
         rev, value = self._supplied_cache
         if rev != self._gauge_rev:
             value = sum(

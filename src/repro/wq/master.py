@@ -389,6 +389,10 @@ class Master(DispatchCore):
                 self._unclaimed.pop(task.id, None)
                 self._dequeue(task)
                 self.running[task.id] = task
+                # The adopted run is the canonical attempt again: its
+                # next transitions reach the task (a requeue had
+                # released it).
+                task.holder = run
             else:
                 self._charge_waste(task)
                 worker.cancel_run(task)

@@ -8,7 +8,7 @@ inside it:
 
 * the worker's capacity is the pod's resource request;
 * its transfer rate is capped by the node's NIC;
-* the pod's ``cpu_usage_fn`` is wired to the worker (so metrics-server →
+* the pod's ``cpu_usage_fn`` is fed by the worker (so metrics-server →
   HPA observe real usage);
 * deleting the pod **kills** the worker (tasks requeued) — HPA's path;
 * a drained worker exiting gracefully completes its pod — HTA's path.
@@ -139,7 +139,7 @@ class WorkerPodRuntime:
         )
         self.workers[pod.name] = worker
         self.workers_started += 1
-        pod.cpu_usage_fn = worker.cpu_usage
+        pod.feed_usage(worker.cpu_usage)
         pod.on_stop = lambda _pod, w=worker: self._pod_stopped(w)
         if self.on_worker_started is not None:
             self.on_worker_started(worker)

@@ -92,7 +92,7 @@ class Task:
         "state", "attempts", "submit_time", "dispatch_time", "start_time",
         "finish_time", "allocation", "min_allocation", "speculation_of",
         "result", "checkpoint", "progress_s", "payload_corrupt",
-        "checkpoint_corrupt",
+        "checkpoint_corrupt", "holder",
     )
 
     def __init__(
@@ -165,6 +165,13 @@ class Task:
         #: Ground truth for the checkpoint currently in flight: the
         #: shipped snapshot is corrupted and must not be resumed from.
         self.checkpoint_corrupt = False
+        #: The worker run that holds the current attempt: set when a
+        #: worker takes the task or the master adopts its run, cleared
+        #: by :meth:`reset_for_retry` and when the run leaves its
+        #: worker. Only the holder mirrors its run-local execution state
+        #: into :attr:`state`; an orphaned run (its worker was declared
+        #: lost and the task requeued) must not clobber the next holder's.
+        self.holder: Optional[object] = None
 
     # ---------------------------------------------------------------- sizes
     def input_bytes_mb(self, cached: bool = False) -> float:
@@ -193,6 +200,7 @@ class Task:
         durable master-side state, so the next attempt resumes from it.
         """
         self.state = TaskState.WAITING
+        self.holder = None
         self.dispatch_time = None
         self.start_time = None
         self.allocation = None

@@ -40,13 +40,24 @@ class WorkerState(enum.Enum):
 
 
 class _TaskRun:
-    """Book-keeping for one task in flight on this worker."""
+    """Book-keeping for one task in flight on this worker.
 
-    __slots__ = ("task", "allocation", "transfers", "pending_inputs", "exec_event")
+    ``state`` is this run's own execution state. The :class:`Task` object
+    is shared with whichever run holds the task next (a requeue behind a
+    partition hands it to a new worker while the old one still executes
+    its copy), so the worker's gauges read ``state``, never
+    ``task.state``; the run mirrors ``state`` into the task only while
+    it is the task's :attr:`~repro.wq.task.Task.holder`.
+    """
+
+    __slots__ = (
+        "task", "allocation", "transfers", "pending_inputs", "exec_event", "state",
+    )
 
     def __init__(self, task: Task, allocation: ResourceVector):
         self.task = task
         self.allocation = allocation
+        self.state = TaskState.FETCHING
         #: Transfers owned by this run (its own inputs + its outputs).
         self.transfers: List[Transfer] = []
         #: Input files (own or joined single-flight) still in flight.
@@ -112,6 +123,14 @@ class Worker:
         #: cached floats are bit-identical to the on-demand values.
         self._allocated = ResourceVector.zero()
         self._available = (capacity - self._allocated).clamp_floor(0.0)
+        #: :meth:`cores_in_use` and :meth:`cpu_usage` as last folded over
+        #: the runs. Every runs-set or run-state change marks them stale
+        #: (and tells the master and the pod); the first read after it
+        #: refolds, so a worker that changes many times between two
+        #: accounting samples or scrapes folds once (see :meth:`_fold_gauges`).
+        self._in_use = 0
+        self._cpu = 0
+        self._gauges_stale = False
         self.tasks_completed = 0
         self.tasks_failed = 0
         #: True while the master connection is down (its pod crashed);
@@ -261,7 +280,8 @@ class Worker:
                     self.master.link.cancel(transfer)
             if run.exec_event is not None:
                 run.exec_event.cancel()
-            run.task.state = TaskState.FAILED
+            self._set_state(run, TaskState.FAILED)
+            self._release(run)
             lost.append(run.task)
         self.runs.clear()
         self._runs_changed()
@@ -298,14 +318,69 @@ class Worker:
 
     # ------------------------------------------------------------- capacity
     def _runs_changed(self) -> None:
-        """The runs set mutated: refold the allocation cache and tell the
-        master its dispatch-side caches for this worker are stale."""
+        """The runs set mutated: refold the allocation cache, mark the
+        gauges stale, and tell the master its dispatch-side caches for
+        this worker are stale."""
         total = ResourceVector.zero()
         for run in self.runs.values():
             total = total + run.allocation
         self._allocated = total
         self._available = (self.capacity - total).clamp_floor(0.0)
+        self._gauges_changed()
         self.master.worker_status_changed(self)
+
+    def _set_state(self, run: _TaskRun, state: TaskState) -> None:
+        """Move ``run`` to ``state``; the task sees it only if ``run``
+        still holds it."""
+        run.state = state
+        task = run.task
+        if task.holder is run:
+            task.state = state
+
+    @staticmethod
+    def _release(run: _TaskRun) -> None:
+        """``run`` left the worker: it no longer holds its task (and a
+        finished task does not keep its run alive)."""
+        if run.task.holder is run:
+            run.task.holder = None
+
+    def _run_state_changed(self, run: _TaskRun, state: TaskState) -> None:
+        """A live run entered or left RUNNING: its gauges are stale, and
+        the master's RIU total reads ours."""
+        self._set_state(run, state)
+        if not self._gauges_stale:
+            self._gauges_changed()
+            self.master.run_states_changed(self)
+
+    def _gauges_changed(self) -> None:
+        """Mark the gauges stale and note the pod. Already stale means
+        nobody read them since the last note: it is still pending, or a
+        reader took it without reading this worker (its pod stopped
+        running, its name left the master's table; registering again
+        re-marks the name), so there is nothing to tell."""
+        if not self._gauges_stale:
+            self._gauges_stale = True
+            if self.pod is not None:
+                self.pod.usage_changed()
+
+    def _fold_gauges(self) -> None:
+        """Refold :meth:`cores_in_use` and :meth:`cpu_usage` over the runs'
+        own states, in runs order, as the on-demand folds did."""
+        self._gauges_stale = False
+        runs = self.runs.values()
+        in_use = sum(
+            min(run.task.footprint.cores, run.allocation.cores)
+            for run in runs
+            if run.state is TaskState.RUNNING
+        )
+        cpu = sum(
+            min(run.task.footprint.cores, run.allocation.cores) * run.task.cpu_fraction
+            if run.state is TaskState.RUNNING
+            else 0.0
+            for run in runs
+        )
+        self._in_use = in_use
+        self._cpu = cpu
 
     def allocated(self) -> ResourceVector:
         return self._allocated
@@ -345,6 +420,7 @@ class Worker:
         self._runs_changed()
         task.allocation = allocation
         task.dispatch_time = self.engine.now
+        task.holder = run
         task.state = TaskState.FETCHING
         self._start_fetches(run)
         if run.pending_inputs == 0:
@@ -414,8 +490,7 @@ class Worker:
 
     def _begin_execution(self, run: _TaskRun) -> None:
         task = run.task
-        task.state = TaskState.RUNNING
-        self.master.run_states_changed()
+        self._run_state_changed(run, TaskState.RUNNING)
         task.start_time = self.engine.now
         task.payload_corrupt = False
         run.transfers.clear()
@@ -468,7 +543,8 @@ class Worker:
         run.exec_event = None
         del self.runs[task.id]
         self._runs_changed()
-        task.state = TaskState.FAILED
+        self._set_state(run, TaskState.FAILED)
+        self._release(run)
         self.tasks_failed += 1
         if self._detached:
             # Nobody to report to; the recovered master's grace requeue
@@ -483,8 +559,7 @@ class Worker:
         if run.task.id not in self.runs:
             return
         task = run.task
-        task.state = TaskState.RETURNING
-        self.master.run_states_changed()
+        self._run_state_changed(run, TaskState.RETURNING)
         run.exec_event = None
         t = self.master.link.start_transfer(
             f"{self.name}:out:{task.id}",
@@ -506,7 +581,7 @@ class Worker:
         task falls back to the plain worker-lost requeue at whatever
         progress the master last accepted."""
         run = self.runs.get(task.id)
-        if run is None or task.state is not TaskState.RUNNING:
+        if run is None or run.state is not TaskState.RUNNING:
             return False
         spec = task.checkpoint
         if spec is None:
@@ -518,8 +593,7 @@ class Worker:
         lost_s = max(0.0, elapsed - banked)
         if run.exec_event is not None:
             run.exec_event.cancel()
-        task.state = TaskState.MIGRATING  # paused: burns no CPU
-        self.master.run_states_changed()
+        self._run_state_changed(run, TaskState.MIGRATING)  # paused: burns no CPU
         run.exec_event = self.engine.call_in(
             spec.cost_s, self._checkpoint_cut, run, new_progress, lost_s, started_at
         )
@@ -555,6 +629,7 @@ class Worker:
         if task.id not in self.runs:
             return
         del self.runs[task.id]
+        self._release(run)
         self._runs_changed()
         if self._detached:
             # No master to deliver to; hold the checkpoint like a held
@@ -575,6 +650,7 @@ class Worker:
         run = self.runs.pop(task.id, None)
         if run is None:
             return False
+        self._release(run)
         self._runs_changed()
         if run.exec_event is not None:
             run.exec_event.cancel()
@@ -601,6 +677,7 @@ class Worker:
             return
         task = run.task
         del self.runs[task.id]
+        self._release(run)
         self._runs_changed()
         self.tasks_completed += 1
         if self._detached:
@@ -613,17 +690,18 @@ class Worker:
 
     # --------------------------------------------------------------- gauges
     def cpu_usage(self) -> float:
-        """Instantaneous CPU (cores) — what the pod reports to metrics."""
-        return sum(run.task.current_cpu_cores() for run in self.runs.values())
+        """Instantaneous CPU (cores) of the executing runs, footprint
+        modulated by ``cpu_fraction`` — what the pod reports to metrics."""
+        if self._gauges_stale:
+            self._fold_gauges()
+        return self._cpu
 
     def cores_in_use(self) -> float:
-        """Cores consumed by *executing* tasks (footprint, not allocation);
+        """Cores consumed by *executing* runs (footprint, not allocation);
         the RIU ingredient for the evaluation accounting."""
-        return sum(
-            min(run.task.footprint.cores, run.allocation.cores)
-            for run in self.runs.values()
-            if run.task.state is TaskState.RUNNING
-        )
+        if self._gauges_stale:
+            self._fold_gauges()
+        return self._in_use
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Worker {self.name!r} {self.state.value} tasks={len(self.runs)}>"

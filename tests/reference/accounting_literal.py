@@ -8,7 +8,12 @@ that each maintained value equals its rescan with float ``==``:
 
 * :func:`supplied_cores` / :func:`cores_in_use` — ``DispatchCore``'s
   folds over ``workers``, with ``Worker.cores_in_use``'s fold inlined
-  (summed over available shards for a foreman);
+  (summed over available shards for a foreman). A run counts by its own
+  execution state (``run.state``), not by the ``Task`` it shares with a
+  later holder after a requeue;
+* :func:`worker_cores_in_use` / :func:`worker_cpu_usage` — the
+  per-worker folds ``Worker.cores_in_use`` / ``Worker.cpu_usage`` served
+  before they were kept on the worker;
 * :func:`ready_node_count` / :func:`ready_spot_node_count` — the
   ``Cluster.node_count`` / ``spot_node_count`` relists;
 * :func:`node_count` / :func:`ondemand_node_count` /
@@ -40,16 +45,25 @@ def _core_supplied_cores(core) -> float:
     )
 
 
-def _worker_cores_in_use(worker) -> float:
+def worker_cores_in_use(worker) -> float:
     return sum(
         min(run.task.footprint.cores, run.allocation.cores)
         for run in worker.runs.values()
-        if run.task.state is TaskState.RUNNING
+        if run.state is TaskState.RUNNING
+    )
+
+
+def worker_cpu_usage(worker) -> float:
+    return sum(
+        min(run.task.footprint.cores, run.allocation.cores) * run.task.cpu_fraction
+        if run.state is TaskState.RUNNING
+        else 0.0
+        for run in worker.runs.values()
     )
 
 
 def _core_cores_in_use(core) -> float:
-    return sum(_worker_cores_in_use(w) for w in core.workers.values())
+    return sum(worker_cores_in_use(w) for w in core.workers.values())
 
 
 def _shards(master) -> List:

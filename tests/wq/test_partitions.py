@@ -287,3 +287,53 @@ class TestStaleRunSuppression:
         engine.run(until=1000.0)
         assert task.state is TaskState.DONE
         assert sum(1 for t in master.done if t.id == task.id) == 1
+
+
+class TestOrphanedRun:
+    """A worker declared lost behind a partition still executes its copy
+    of the task, but the requeue handed the shared ``Task`` to a new
+    holder: the orphan's transitions must stay on its own run."""
+
+    def orphan_and_holder(self, engine, master):
+        a = add_worker(engine, master, "a")
+        task = make_task(execute_s=2000.0)
+        master.submit(task)
+        engine.run(until=5.0)
+        assert task.id in a.runs
+        begin_partition(engine, master, a, duration_s=5000.0)
+        b = add_worker(engine, master, "b")
+        engine.run(until=5.0 + master.liveness_timeout_s + 5.0)
+        assert master.workers_declared_lost == 1
+        assert task.id in a.runs and task.id in b.runs
+        assert task.state is TaskState.RUNNING
+        assert master.cores_in_use() == 1
+        return a, b, task
+
+    def assert_held_by(self, master, b, task):
+        assert task.state is TaskState.RUNNING
+        assert master.cores_in_use() == 1
+        assert b.cpu_usage() == 1.0
+
+    def assert_completes_once_on(self, engine, master, b, task):
+        engine.run(until=6000.0)
+        assert task.state is TaskState.DONE
+        assert [t.id for t in master.done].count(task.id) == 1
+        assert task.attempts == 1
+        assert task.result.worker_name == b.name
+
+    def test_orphan_kill_leaves_the_new_holder_running(self, engine, master):
+        a, b, task = self.orphan_and_holder(engine, master)
+        a.kill()
+        self.assert_held_by(master, b, task)
+        self.assert_completes_once_on(engine, master, b, task)
+
+    def test_orphan_finishing_its_copy_leaves_the_new_holder_running(
+        self, engine, master
+    ):
+        a, b, task = self.orphan_and_holder(engine, master)
+        # The orphan's copy started first and ends first; it holds the
+        # result behind the partition.
+        engine.run(until=2050.0)
+        assert task.id not in a.runs and a.tasks_completed == 1
+        self.assert_held_by(master, b, task)
+        self.assert_completes_once_on(engine, master, b, task)
