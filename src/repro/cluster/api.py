@@ -13,8 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from bisect import bisect_left, insort
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Type
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple, Type
 
 from repro.cluster.node import Node
 from repro.cluster.objects import KubeObject, Service, StatefulSet
@@ -31,8 +30,7 @@ class WatchEventType(enum.Enum):
     DELETED = "DELETED"
 
 
-@dataclass(frozen=True, slots=True)
-class WatchEvent:
+class WatchEvent(NamedTuple):
     """A change notification delivered to watchers of a kind."""
 
     type: WatchEventType

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional
 
 from repro.cluster.images import ContainerImage
 from repro.cluster.objects import KubeObject
@@ -54,8 +54,7 @@ REASON_COMPLETED = "Completed"
 REASON_KILLED = "Killing"
 
 
-@dataclass(frozen=True, slots=True)
-class PodEvent:
+class PodEvent(NamedTuple):
     """A timestamped lifecycle event, as the informer would observe it."""
 
     time: float

@@ -9,40 +9,47 @@ same component-wise *fits* partial order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from collections import namedtuple
+from typing import NoReturn
+
+_new = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class ResourceVector:
+def _unordered(self: "ResourceVector", other: object) -> NoReturn:
+    raise TypeError("resource vectors are partially ordered: use fits_in()")
+
+
+class ResourceVector(
+    namedtuple("ResourceVector", ("cores", "memory_mb", "disk_mb"), defaults=(0.0, 0.0, 0.0))
+):
     """An immutable (cores, memory_mb, disk_mb) triple.
 
     Arithmetic is component-wise; comparisons use the *fits* partial order
     (``a.fits_in(b)`` iff every component of ``a`` is ≤ the corresponding
     component of ``b``). Python's rich comparisons are deliberately not
     overloaded with the partial order, since ``not (a <= b)`` does not
-    imply ``b <= a`` for vectors.
+    imply ``b <= a`` for vectors: ``<``, ``<=``, ``>`` and ``>=`` raise
+    :class:`TypeError`.
+
+    The vector is a tuple, so construction, hashing and equality run in
+    C; it also iterates, indexes and compares equal like the plain tuple
+    of its components.
     """
 
-    cores: float = 0.0
-    memory_mb: float = 0.0
-    disk_mb: float = 0.0
-    #: Lazily memoized hash — vectors key the placement memo tables on
-    #: the dispatch hot path, where the generated hash (a fresh tuple per
-    #: call) showed up as a top cost. Excluded from eq/repr.
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.cores, self.memory_mb, self.disk_mb))
-            object.__setattr__(self, "_hash", h)
-        return h
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __mul__(self, other: object) -> object:
+        # A tuple would repeat itself; a vector only scales, via scale().
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     # ---------------------------------------------------------- constructors
     @staticmethod
     def zero() -> "ResourceVector":
-        return ResourceVector(0.0, 0.0, 0.0)
+        return _new(ResourceVector, (0.0, 0.0, 0.0))
 
     @staticmethod
     def of_cores(cores: float) -> "ResourceVector":
@@ -51,45 +58,33 @@ class ResourceVector:
 
     # ------------------------------------------------------------ arithmetic
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
-            self.cores + other.cores,
-            self.memory_mb + other.memory_mb,
-            self.disk_mb + other.disk_mb,
-        )
+        c, m, d = self
+        oc, om, od = other
+        return _new(ResourceVector, (c + oc, m + om, d + od))
 
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
-            self.cores - other.cores,
-            self.memory_mb - other.memory_mb,
-            self.disk_mb - other.disk_mb,
-        )
+        c, m, d = self
+        oc, om, od = other
+        return _new(ResourceVector, (c - oc, m - om, d - od))
 
     def scale(self, factor: float) -> "ResourceVector":
-        return ResourceVector(
-            self.cores * factor, self.memory_mb * factor, self.disk_mb * factor
-        )
+        c, m, d = self
+        return _new(ResourceVector, (c * factor, m * factor, d * factor))
 
     def clamp_floor(self, floor: float = 0.0) -> "ResourceVector":
         """Component-wise max with ``floor`` (used after subtraction)."""
-        return ResourceVector(
-            max(self.cores, floor),
-            max(self.memory_mb, floor),
-            max(self.disk_mb, floor),
-        )
+        c, m, d = self
+        return _new(ResourceVector, (max(c, floor), max(m, floor), max(d, floor)))
 
     def max_with(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
-            max(self.cores, other.cores),
-            max(self.memory_mb, other.memory_mb),
-            max(self.disk_mb, other.disk_mb),
-        )
+        c, m, d = self
+        oc, om, od = other
+        return _new(ResourceVector, (max(c, oc), max(m, om), max(d, od)))
 
     def min_with(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
-            min(self.cores, other.cores),
-            min(self.memory_mb, other.memory_mb),
-            min(self.disk_mb, other.disk_mb),
-        )
+        c, m, d = self
+        oc, om, od = other
+        return _new(ResourceVector, (min(c, oc), min(m, om), min(d, od)))
 
     # ------------------------------------------------------------ predicates
     def fits_in(self, capacity: "ResourceVector", epsilon: float = 1e-9) -> bool:
@@ -148,11 +143,6 @@ class ResourceVector:
         if frac == float("inf"):
             return 0
         return int(1.0 / frac + 1e-9)
-
-    def __iter__(self) -> Iterator[float]:
-        yield self.cores
-        yield self.memory_mb
-        yield self.disk_mb
 
     def __str__(self) -> str:
         return f"(cores={self.cores:g}, mem={self.memory_mb:g}MB, disk={self.disk_mb:g}MB)"

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cluster.resources import ResourceVector
 
@@ -48,8 +48,12 @@ from repro.cluster.resources import ResourceVector
 Run = Tuple[ResourceVector, int]
 
 
-@dataclass(frozen=True, slots=True)
-class SimulatedTask:
+class _SimulatedTaskFields(NamedTuple):
+    resources: ResourceVector
+    remaining_s: float
+
+
+class SimulatedTask(_SimulatedTaskFields):
     """A task as the estimator sees it: an allocation and a runtime guess.
 
     For running tasks ``remaining_s`` is the *predicted remaining* time
@@ -57,16 +61,16 @@ class SimulatedTask:
     is the full predicted runtime.
     """
 
-    resources: ResourceVector
-    remaining_s: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.remaining_s < 0:
-            raise ValueError(f"remaining_s must be non-negative, got {self.remaining_s}")
+    # A NamedTuple body cannot override __new__, hence this subclass.
+    def __new__(cls, resources: ResourceVector, remaining_s: float) -> "SimulatedTask":
+        if remaining_s < 0:
+            raise ValueError(f"remaining_s must be non-negative, got {remaining_s}")
+        return tuple.__new__(cls, (resources, remaining_s))
 
 
-@dataclass(frozen=True, slots=True)
-class PendingWorker:
+class PendingWorker(NamedTuple):
     """A worker pod requested but not ready; joins capacity at ``eta_s``."""
 
     capacity: ResourceVector

@@ -27,8 +27,9 @@ class SimulationError(RuntimeError):
 class ScheduledEvent:
     """Handle for a pending callback; supports O(1) cancellation.
 
-    Instances are returned by :meth:`Engine.call_at` / :meth:`Engine.call_in`
-    and compare by ``(time, seq)`` so they can live directly in the heap.
+    Instances are returned by :meth:`Engine.call_at` / :meth:`Engine.call_in`.
+    The engine's heap orders ``(time, seq, event)`` tuples, so events are
+    never compared with each other.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired")
@@ -53,9 +54,6 @@ class ScheduledEvent:
     def pending(self) -> bool:
         """True while the event is armed and not yet fired or cancelled."""
         return not self.cancelled and not self.fired
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
@@ -132,7 +130,14 @@ class Engine:
             heapq.heappop(self._heap)
 
     def step(self) -> bool:
-        """Fire the single next event. Returns False if none remained."""
+        """Fire the single next event. Returns False if none remained.
+
+        Like :meth:`run`, not reentrant: a nested call from a callback
+        would fire a later event inside an earlier one and move ``now``
+        under the outer callback's feet.
+        """
+        if self._running:
+            raise SimulationError("engine is not reentrant: step() called from a callback")
         self._drop_cancelled()
         if not self._heap:
             return False
@@ -143,7 +148,11 @@ class Engine:
         ev.fn, ev.args = None, ()  # release references promptly
         self._fired_count += 1
         assert fn is not None
-        fn(*args)
+        self._running = True
+        try:
+            fn(*args)
+        finally:
+            self._running = False
         return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:

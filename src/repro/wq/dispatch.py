@@ -40,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
 from itertools import chain
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.cluster.resources import ResourceVector
 from repro.sim.engine import Engine, PeriodicTask
@@ -64,8 +64,7 @@ from repro.wq.worker import Worker, WorkerState
 CompletionCallback = Callable[[Task, TaskResult], None]
 
 
-@dataclass(frozen=True, slots=True)
-class MasterStats:
+class MasterStats(NamedTuple):
     """A point-in-time snapshot of queue state (HTA's reference input)."""
 
     time: float

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.cluster.resources import ResourceVector
 from repro.wq.task import Task, TaskResult
@@ -43,8 +43,7 @@ OPS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class JournalRecord:
+class JournalRecord(NamedTuple):
     """One appended state transition."""
 
     op: str

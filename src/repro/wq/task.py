@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Tuple
 
 from repro.cluster.resources import ResourceVector
 
@@ -55,8 +55,7 @@ class TaskState(enum.Enum):
     FAILED = "failed"        # worker killed mid-run; will be resubmitted
 
 
-@dataclass(frozen=True, slots=True)
-class TaskResult:
+class TaskResult(NamedTuple):
     """Completion record, as Work Queue would report to the manager."""
 
     task_id: int

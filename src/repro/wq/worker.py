@@ -52,6 +52,7 @@ class _TaskRun:
 
     __slots__ = (
         "task", "allocation", "transfers", "pending_inputs", "exec_event", "state",
+        "start_time",
     )
 
     def __init__(self, task: Task, allocation: ResourceVector):
@@ -63,6 +64,9 @@ class _TaskRun:
         #: Input files (own or joined single-flight) still in flight.
         self.pending_inputs = 0
         self.exec_event: Optional[ScheduledEvent] = None
+        #: When this run began executing. The task's own ``start_time``
+        #: belongs to its current attempt, which a requeue resets.
+        self.start_time: Optional[float] = None
 
 
 class Worker:
@@ -491,7 +495,7 @@ class Worker:
     def _begin_execution(self, run: _TaskRun) -> None:
         task = run.task
         self._run_state_changed(run, TaskState.RUNNING)
-        task.start_time = self.engine.now
+        run.start_time = task.start_time = self.engine.now
         task.payload_corrupt = False
         run.transfers.clear()
         # Resume from banked checkpoint progress: only the remaining
@@ -587,7 +591,7 @@ class Worker:
         if spec is None:
             return False
         started_at = self.engine.now
-        elapsed = started_at - task.start_time
+        elapsed = started_at - run.start_time
         banked = spec.banked_progress(elapsed)
         new_progress = min(task.execute_s, task.progress_s + banked)
         lost_s = max(0.0, elapsed - banked)

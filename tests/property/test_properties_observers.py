@@ -33,7 +33,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Dict, List
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.chaos import ChaosInjector
@@ -337,6 +337,14 @@ class History:
     pods=st.lists(st.integers(0, len(POD_CORES) - 1), min_size=1, max_size=4),
     first=submit_st,
     ops=st.lists(op_st, min_size=1, max_size=40),
+)
+# The first worker is orphaned, its copy killed, the task's next worker
+# orphaned too (the requeue clears the task's start time), then that
+# orphan migrates: it must bank progress from its own run's start.
+@example(
+    pods=[0, 0],
+    first=("submit", 0, 3, 40.0, 0, True),
+    ops=[("orphan", 0, False), ("orphan_kill", 0), ("orphan", 0, False), ("migrate", 0)],
 )
 def test_change_fed_observers_equal_literal_folds_and_scans(pods, first, ops):
     h = History()

@@ -157,6 +157,45 @@ class TestRun:
         engine.run()
         assert len(errors) == 1
 
+    def test_step_refused_inside_run(self, engine):
+        # A nested step() at t=1 would fire the t=5 event early and leave
+        # the outer callback at now == 5.0, its call_in(1.0) at 6.0.
+        errors, seen = [], []
+
+        def outer():
+            try:
+                engine.step()
+            except SimulationError as exc:
+                errors.append(exc)
+            seen.append(engine.now)
+            engine.call_in(1.0, seen.append, "late")
+
+        engine.call_in(1.0, outer)
+        later = engine.call_in(5.0, lambda: None)
+        engine.run(until=2.0)
+        assert len(errors) == 1
+        assert seen == [1.0, "late"]
+        assert later.pending
+
+    def test_run_and_step_refused_inside_step(self, engine):
+        errors = []
+
+        def reenter():
+            for nested in (engine.run, engine.step):
+                try:
+                    nested()
+                except SimulationError as exc:
+                    errors.append(exc)
+
+        engine.call_in(1.0, reenter)
+        engine.call_in(5.0, lambda: None)
+        assert engine.step()
+        assert len(errors) == 2
+        assert engine.now == 1.0
+        # The engine is usable again once the stepped callback returns.
+        assert engine.step()
+        assert engine.now == 5.0
+
     def test_events_can_schedule_more_events(self, engine):
         fired = []
 
