@@ -18,8 +18,7 @@ from benchmarks.conftest import run_once
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
-from repro.experiments.continuous import run_continuous_hpa, run_continuous_hta
-from repro.experiments.runner import StackConfig
+from repro.experiments.runner import ExperimentSpec, StackConfig, run_experiment
 from repro.makeflow.dag import WorkflowGraph
 from repro.sim.rng import RngRegistry
 from repro.workloads.arrivals import poisson_arrivals, total_tasks
@@ -56,10 +55,19 @@ def stack(seed=0):
 
 def test_facility_stream(benchmark, capsys):
     def run_both():
-        hta = run_continuous_hta(make_arrivals(0), stack_config=stack(0))
-        hpa = run_continuous_hpa(
-            make_arrivals(0), target_cpu=0.2, stack_config=stack(0),
-            min_replicas=3, max_replicas=12,
+        hta = run_experiment(
+            ExperimentSpec(
+                make_arrivals(0), policy="hta", stack=stack(0), name="HTA-stream"
+            )
+        )
+        hpa = run_experiment(
+            ExperimentSpec(
+                make_arrivals(0),
+                policy="hpa",
+                stack=stack(0),
+                name="HPA-20%-stream",
+                options={"target_cpu": 0.2, "min_replicas": 3, "max_replicas": 12},
+            )
         )
         return hta, hpa
 
@@ -70,8 +78,8 @@ def test_facility_stream(benchmark, capsys):
         print(f"  HPA : {hpa.summary()}")
 
     expected = total_tasks(make_arrivals(0))
-    assert hta.result.tasks_completed == expected
-    assert hpa.result.tasks_completed == expected
+    assert hta.tasks_completed == expected
+    assert hpa.tasks_completed == expected
     assert hta.workflows == hpa.workflows >= 10
 
     # Only the first instance probes: later workflows are faster.
@@ -80,7 +88,7 @@ def test_facility_stream(benchmark, capsys):
 
     # Facility-level efficiency: HTA wastes less over the whole day.
     assert (
-        hta.result.accounting.accumulated_waste_core_s
-        < hpa.result.accounting.accumulated_waste_core_s
+        hta.accounting.accumulated_waste_core_s
+        < hpa.accounting.accumulated_waste_core_s
     )
-    assert hta.result.accounting.utilization > hpa.result.accounting.utilization
+    assert hta.accounting.utilization > hpa.accounting.utilization

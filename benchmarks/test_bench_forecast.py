@@ -29,11 +29,11 @@ def _fingerprint(results):
     """Everything that must be bit-for-bit stable across reruns."""
     return {
         name: (
-            r.result.accounting.runtime_s,
-            r.result.accounting.accumulated_waste_core_s,
-            r.result.accounting.accumulated_shortage_core_s,
-            r.last_finish_s,
-            r.result.tasks_completed,
+            r.accounting.runtime_s,
+            r.accounting.accumulated_waste_core_s,
+            r.accounting.accumulated_shortage_core_s,
+            r.makespan_s,
+            r.tasks_completed,
             tuple(r.workflow_makespans),
         )
         for name, r in results.items()
@@ -48,7 +48,7 @@ def test_forecast_burst_stream(benchmark, capsys):
 
     total = forecast_cmp.BURSTS * forecast_cmp.BURST_TASKS
     for name, r in results.items():
-        assert r.result.tasks_completed == total, name
+        assert r.tasks_completed == total, name
 
     keda = results["KEDA-queue"]
     predictive = results["Predictive"]
@@ -58,21 +58,21 @@ def test_forecast_burst_stream(benchmark, capsys):
     # the accounting runtime (coarse gauge grid) and the exact finish
     # time of the last task.
     assert (
-        predictive.result.accounting.runtime_s
-        <= keda.result.accounting.runtime_s
+        predictive.accounting.runtime_s
+        <= keda.accounting.runtime_s
     )
-    assert predictive.last_finish_s <= keda.last_finish_s
+    assert predictive.makespan_s <= keda.makespan_s
 
     # ... while wasting strictly less. The queue scaler's cooldown pins
     # the pool at the burst peak through every inter-burst gap; the
     # forecast policies release it (drains are free) and re-provision
     # ahead of the next burst.
-    keda_waste = keda.result.accounting.accumulated_waste_core_s
-    assert predictive.result.accounting.accumulated_waste_core_s < 0.7 * keda_waste
-    assert hybrid.result.accounting.accumulated_waste_core_s < 0.7 * keda_waste
+    keda_waste = keda.accounting.accumulated_waste_core_s
+    assert predictive.accounting.accumulated_waste_core_s < 0.7 * keda_waste
+    assert hybrid.accounting.accumulated_waste_core_s < 0.7 * keda_waste
 
     # The hybrid also must not regress the stream's completion:
-    assert hybrid.last_finish_s <= keda.last_finish_s * 1.01
+    assert hybrid.makespan_s <= keda.makespan_s * 1.01
 
     # Bit-for-bit determinism: the same seed reproduces every integral
     # and every per-burst makespan exactly.

@@ -12,8 +12,7 @@ day-scale waste).
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
-from repro.experiments.continuous import run_continuous_hpa, run_continuous_hta
-from repro.experiments.runner import StackConfig
+from repro.experiments.runner import ExperimentSpec, StackConfig, run_experiment
 from repro.makeflow.dag import WorkflowGraph
 from repro.sim.rng import RngRegistry
 from repro.workloads.arrivals import poisson_arrivals
@@ -53,11 +52,18 @@ def main() -> None:
     print(f"{len(arrivals)} workflow instances over 4 simulated hours\n")
 
     print("Running the stream under HTA ...")
-    hta = run_continuous_hta(make_arrivals(2), stack_config=stack())
+    hta = run_experiment(
+        ExperimentSpec(make_arrivals(2), policy="hta", stack=stack(), name="HTA-stream")
+    )
     print("Running the same stream under HPA-20% ...")
-    hpa = run_continuous_hpa(
-        make_arrivals(2), target_cpu=0.2, stack_config=stack(),
-        min_replicas=3, max_replicas=10,
+    hpa = run_experiment(
+        ExperimentSpec(
+            make_arrivals(2),
+            policy="hpa",
+            stack=stack(),
+            name="HPA-20%-stream",
+            options={"target_cpu": 0.2, "min_replicas": 3, "max_replicas": 10},
+        )
     )
 
     print()
@@ -73,8 +79,8 @@ def main() -> None:
         f"instances were faster."
     )
     waste_cut = (
-        hpa.result.accounting.accumulated_waste_core_s
-        / max(1.0, hta.result.accounting.accumulated_waste_core_s)
+        hpa.accounting.accumulated_waste_core_s
+        / max(1.0, hta.accounting.accumulated_waste_core_s)
     )
     print(f"Facility-level waste cut by HTA over the stream: {waste_cut:.1f}x")
 

@@ -16,10 +16,6 @@ switch to it once its rolling error undercuts the reactive models.
     python examples/predictive_autoscaling.py
 """
 
-from repro.experiments.continuous import (
-    run_continuous_predictive,
-    run_continuous_queue_scaler,
-)
 from repro.experiments.forecast_cmp import (
     BURSTS,
     BURST_TASKS,
@@ -28,6 +24,7 @@ from repro.experiments.forecast_cmp import (
     arrivals,
     stack_config,
 )
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.forecast.models import ArLeastSquaresForecaster, default_forecasters
 from repro.forecast.selector import OnlineModelSelector
 
@@ -47,14 +44,24 @@ def main() -> None:
     selector = OnlineModelSelector(pool)
 
     print("Running the stream under the PredictiveScaler ...")
-    predictive = run_continuous_predictive(
-        arrivals(), stack_config=stack_config(0), selector=selector,
-        name="Predictive",
+    predictive = run_experiment(
+        ExperimentSpec(
+            arrivals(),
+            policy="predictive",
+            name="Predictive",
+            stack=stack_config(0),
+            options={"selector": selector},
+        )
     )
     print("Running the same stream under the KEDA-style queue scaler ...")
-    keda = run_continuous_queue_scaler(
-        arrivals(), stack_config=stack_config(0), tasks_per_replica=3.0,
-        name="KEDA-queue",
+    keda = run_experiment(
+        ExperimentSpec(
+            arrivals(),
+            policy="queue",
+            name="KEDA-queue",
+            stack=stack_config(0),
+            options={"tasks_per_replica": 3.0},
+        )
     )
 
     print()
@@ -70,15 +77,15 @@ def main() -> None:
         mae_s = f"{mae:8.2f}" if mae != float("inf") else "     n/a"
         print(f"  {f.name:<12} mae {mae_s}   selected {picks:4d}x")
 
-    p_acc = predictive.result.accounting
-    k_acc = keda.result.accounting
+    p_acc = predictive.accounting
+    k_acc = keda.accounting
     print()
     print(
         f"Waste: predictive {p_acc.accumulated_waste_core_s:.0f} core*s "
         f"vs queue baseline {k_acc.accumulated_waste_core_s:.0f} core*s "
         f"({p_acc.accumulated_waste_core_s / k_acc.accumulated_waste_core_s:.0%}) "
-        f"at last finish {predictive.last_finish_s:.0f}s vs "
-        f"{keda.last_finish_s:.0f}s."
+        f"at last finish {predictive.makespan_s:.0f}s vs "
+        f"{keda.makespan_s:.0f}s."
     )
     print(
         "The queue scaler's cooldown pins the pool at the burst peak "

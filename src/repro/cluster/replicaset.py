@@ -2,10 +2,11 @@
 
 The HPA baseline needs "a deployment of worker pods" whose replica count
 it adjusts. :class:`WorkerReplicaSet` maintains ``replicas`` pods from a
-spec factory; scaling down **deletes** pods (newest first), which kills
-the worker container and interrupts its running tasks — precisely the
-disruption (§II-C) that motivates HTA's drain-through-Work-Queue design.
-HTA does *not* use this controller; it creates and drains pods directly.
+spec factory; scaling down **deletes** pods (not-yet-ready first, then
+newest first), which kills the worker container and interrupts its
+running tasks — precisely the disruption (§II-C) that motivates HTA's
+drain-through-Work-Queue design. HTA does *not* use this controller; it
+creates and drains pods directly.
 """
 
 from __future__ import annotations
@@ -80,11 +81,11 @@ class WorkerReplicaSet:
             for _ in range(delta):
                 self._create_pod()
         elif delta < 0:
-            # Delete newest first (Kubernetes' default victim ordering
-            # prefers not-yet-ready and most-recent pods).
+            # Kubernetes' default victim ordering: not-yet-ready pods
+            # first, then the most recent.
             victims = sorted(
                 current,
-                key=lambda p: (p.phase is PodPhase.RUNNING, p.meta.creation_time),
+                key=lambda p: (p.phase is not PodPhase.RUNNING, p.meta.creation_time),
                 reverse=True,
             )[: -delta]
             for pod in victims:

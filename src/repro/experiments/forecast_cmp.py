@@ -30,13 +30,12 @@ from typing import Dict
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
-from repro.experiments.continuous import (
-    ContinuousResult,
-    run_continuous_hta,
-    run_continuous_predictive,
-    run_continuous_queue_scaler,
+from repro.experiments.runner import (
+    ExperimentResult,
+    ExperimentSpec,
+    StackConfig,
+    run_experiment,
 )
-from repro.experiments.runner import StackConfig
 from repro.hta.operator import HtaConfig
 from repro.makeflow.dag import WorkflowGraph
 from repro.metrics.summary import format_summary_table
@@ -75,22 +74,25 @@ def arrivals():
     return periodic_arrivals(factory, interval_s=INTERVAL_S, count=BURSTS)
 
 
-def run_hta(seed: int = 0, *, hybrid: bool = False) -> ContinuousResult:
+def run_hta(seed: int = 0, *, hybrid: bool = False) -> ExperimentResult:
     config = HtaConfig(
         initial_workers=MIN_NODES,
         max_workers=MAX_NODES,
         min_workers=MIN_NODES,
         forecast_arrivals=hybrid,
     )
-    return run_continuous_hta(
-        arrivals(),
-        stack_config=stack_config(seed),
-        hta_config=config,
-        name="HTA-hybrid" if hybrid else "HTA",
+    return run_experiment(
+        ExperimentSpec(
+            arrivals(),
+            policy="hta",
+            name="HTA-hybrid" if hybrid else "HTA",
+            stack=stack_config(seed),
+            options={"hta_config": config},
+        )
     )
 
 
-def run_predictive(seed: int = 0) -> ContinuousResult:
+def run_predictive(seed: int = 0) -> ExperimentResult:
     # The default pool plus an AR model whose order spans one arrival
     # period (420 s / 15 s sampling = 28 lags): the only model that can
     # learn the burst cycle and provision *before* each burst lands. The
@@ -101,24 +103,31 @@ def run_predictive(seed: int = 0) -> ContinuousResult:
     pool = default_forecasters() + [
         ArLeastSquaresForecaster(window=96, order=30, name="ar-period")
     ]
-    return run_continuous_predictive(
-        arrivals(),
-        stack_config=stack_config(seed),
-        selector=OnlineModelSelector(pool),
-        name="Predictive",
+    return run_experiment(
+        ExperimentSpec(
+            arrivals(),
+            policy="predictive",
+            name="Predictive",
+            stack=stack_config(seed),
+            options={"selector": OnlineModelSelector(pool)},
+        )
     )
 
 
-def run_queue_scaler(seed: int = 0) -> ContinuousResult:
-    return run_continuous_queue_scaler(
-        arrivals(),
-        stack_config=stack_config(seed),
-        tasks_per_replica=3.0,  # one worker absorbs 3 one-core tasks
-        name="KEDA-queue",
+def run_queue_scaler(seed: int = 0) -> ExperimentResult:
+    return run_experiment(
+        ExperimentSpec(
+            arrivals(),
+            policy="queue",
+            name="KEDA-queue",
+            stack=stack_config(seed),
+            # One worker absorbs 3 one-core tasks.
+            options={"tasks_per_replica": 3.0},
+        )
     )
 
 
-def run(seed: int = 0) -> Dict[str, ContinuousResult]:
+def run(seed: int = 0) -> Dict[str, ExperimentResult]:
     return {
         "HTA": run_hta(seed),
         "HTA-hybrid": run_hta(seed, hybrid=True),
@@ -127,7 +136,7 @@ def run(seed: int = 0) -> Dict[str, ContinuousResult]:
     }
 
 
-def report(results: Dict[str, ContinuousResult]) -> str:
+def report(results: Dict[str, ExperimentResult]) -> str:
     sections = []
     sections.append(
         f"Burst stream: {BURSTS} bursts x {BURST_TASKS} tasks "
@@ -136,24 +145,24 @@ def report(results: Dict[str, ContinuousResult]) -> str:
     )
     sections.append(
         format_summary_table(
-            {name: r.result.accounting for name, r in results.items()},
+            {name: r.accounting for name, r in results.items()},
             title="Forecast comparison: accumulated waste / shortage per policy",
         )
     )
     lines = ["Stream statistics:"]
     for name, r in results.items():
         lines.append(
-            f"  {name:<11} last finish {r.last_finish_s:7.0f}s, "
+            f"  {name:<11} last finish {r.makespan_s:7.0f}s, "
             f"mean burst makespan {r.mean_workflow_makespan_s:6.0f}s, "
             f"throughput {r.throughput_tasks_per_hour:5.0f} tasks/h"
         )
     sections.append("\n".join(lines))
-    keda = results["KEDA-queue"].result.accounting.accumulated_waste_core_s
+    keda = results["KEDA-queue"].accounting.accumulated_waste_core_s
     best_name = min(
         ("HTA-hybrid", "Predictive"),
-        key=lambda n: results[n].result.accounting.accumulated_waste_core_s,
+        key=lambda n: results[n].accounting.accumulated_waste_core_s,
     )
-    best = results[best_name].result.accounting.accumulated_waste_core_s
+    best = results[best_name].accounting.accumulated_waste_core_s
     if keda > 0:
         sections.append(
             f"Best forecast-fed policy ({best_name}) wastes "

@@ -58,7 +58,7 @@ from repro.hta.operator import HtaConfig, HtaOperator
 from repro.hta.preemption import PreemptionResponder
 from repro.hta.provisioner import ProvisionerFaultConfig, WorkerProvisioner
 from repro.makeflow.dag import WorkflowGraph
-from repro.makeflow.manager import WorkflowManager
+from repro.makeflow.manager import WorkflowManager, WorkflowStream
 from repro.metrics.accounting import AccountingSummary, ResourceAccountant
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
@@ -99,8 +99,11 @@ from repro.wq.sharding import (
 )
 from repro.wq.task import Task
 from repro.wq.worker import WorkerState
+from repro.workloads.arrivals import WorkflowArrival
 
-Workload = Union[WorkflowGraph, Sequence[Task]]
+#: One workflow (a DAG or a bag of independent tasks) or a stream of
+#: workflow arrivals sharing the stack (the long-running facility).
+Workload = Union[WorkflowGraph, Sequence[Task], Sequence[WorkflowArrival]]
 
 #: The worker container image (the paper pulls from a private registry).
 DEFAULT_WORKER_IMAGE = ContainerImage("wq-worker", 500.0)
@@ -111,6 +114,19 @@ def ensure_graph(workload: Workload) -> WorkflowGraph:
     if isinstance(workload, WorkflowGraph):
         return workload
     return WorkflowGraph(list(workload))
+
+
+def _arrivals(workload: Workload) -> Optional[List[WorkflowArrival]]:
+    """The arrivals of a stream workload; None for one workflow."""
+    if isinstance(workload, WorkflowGraph):
+        return None
+    items = list(workload)
+    arrivals = [item for item in items if isinstance(item, WorkflowArrival)]
+    if not arrivals:
+        return None
+    if len(arrivals) != len(items):
+        raise TypeError("a workload mixes tasks and workflow arrivals")
+    return arrivals
 
 
 @dataclass(frozen=True, slots=True)
@@ -439,15 +455,42 @@ class ExperimentResult:
     #: The run's tracer + metrics registry (None for results built by
     #: code paths predating telemetry).
     telemetry: Optional[TelemetrySession] = None
+    #: Each workflow's own makespan, in arrival order, for an arrival
+    #: stream (None for one workflow). A stream's ``makespan_s`` is its
+    #: last finish time.
+    workflow_makespans: Optional[List[float]] = None
+
+    @property
+    def workflows(self) -> int:
+        spans = self.workflow_makespans
+        return 1 if spans is None else len(spans)
+
+    @property
+    def mean_workflow_makespan_s(self) -> float:
+        spans = self.workflow_makespans
+        return self.makespan_s if spans is None else sum(spans) / len(spans)
+
+    @property
+    def throughput_tasks_per_hour(self) -> float:
+        if self.makespan_s <= 0:
+            return 0.0
+        return self.tasks_completed / (self.makespan_s / 3600.0)
 
     def summary(self) -> str:
         a = self.accounting
-        return (
+        line = (
             f"{self.name}: runtime {self.makespan_s:.0f}s, "
             f"waste {a.accumulated_waste_core_s:.0f} core*s, "
             f"shortage {a.accumulated_shortage_core_s:.0f} core*s, "
             f"utilization {a.utilization:.1%}, "
             f"tasks {self.tasks_completed}/{self.tasks_total}"
+        )
+        if self.workflow_makespans is None:
+            return line
+        return (
+            f"{line} | {self.workflows} workflows, "
+            f"mean makespan {self.mean_workflow_makespan_s:.0f}s, "
+            f"{self.throughput_tasks_per_hour:.0f} tasks/h"
         )
 
     def series(self, name: str):
@@ -469,8 +512,13 @@ class WorkflowFailed(RuntimeError):
     """A task was permanently abandoned; the DAG can never complete."""
 
 
-def _drive(stack: _Stack, manager: WorkflowManager, accountant: ResourceAccountant) -> None:
-    """Advance the simulation until the workflow completes."""
+def _drive(
+    stack: _Stack,
+    manager: Union[WorkflowManager, WorkflowStream],
+    accountant: ResourceAccountant,
+) -> None:
+    """Advance the simulation until the workflow (or every workflow of
+    a stream) completes."""
     engine = stack.engine
     limit = stack.config.max_sim_time_s
     chunk = 60.0
@@ -499,9 +547,9 @@ def _drive(stack: _Stack, manager: WorkflowManager, accountant: ResourceAccounta
 def _collect(
     name: str,
     stack: _Stack,
-    manager: WorkflowManager,
+    manager: Union[WorkflowManager, WorkflowStream],
     accountant: ResourceAccountant,
-    graph: WorkflowGraph,
+    graph: Union[WorkflowGraph, WorkflowStream],
     **extras: float,
 ) -> ExperimentResult:
     t0, t1 = accountant.window()
@@ -584,6 +632,11 @@ def _collect(
         workers_started=stack.runtime.workers_started,
         extras=fault_extras,
         telemetry=stack.telemetry,
+        workflow_makespans=(
+            manager.workflow_makespans
+            if isinstance(manager, WorkflowStream)
+            else None
+        ),
     )
 
 
@@ -633,6 +686,9 @@ def _make_accountant(
 class ExperimentSpec:
     """One experiment run, fully described.
 
+    ``workload`` is one workflow (a DAG or a task bag) or a sequence of
+    :class:`~repro.workloads.arrivals.WorkflowArrival` — a stream of
+    workflows sharing one stack, each started at its arrival time.
     ``policy`` names an entry in the policy registry (``hta``,
     ``predictive``, ``hpa``, ``queue``, ``static``, or anything added
     via :func:`register_policy`); ``options`` carries the policy's own
@@ -665,7 +721,8 @@ class _PolicyHarness:
     name: str
     #: What the WorkflowManager submits ready jobs to (operator/master).
     submitter: object
-    #: Called with the freshly built manager (e.g. done-signal wiring).
+    #: Called with the freshly built manager, or the stream for an
+    #: arrival stream (e.g. done-signal wiring).
     on_manager: Optional[Callable[[WorkflowManager], None]] = None
     #: Extra cores counted as shortage (HTA's warm-up-held tasks).
     shortage_extra: Optional[Callable[[], float]] = None
@@ -684,7 +741,10 @@ class PolicyDefinition:
     """A registry entry: how to validate, size, and build one policy."""
 
     key: str
-    build: Callable[["_Stack", StackConfig, WorkflowGraph, Dict], _PolicyHarness]
+    #: Builds the policy on the stack; the graph is None for a stream.
+    build: Callable[
+        ["_Stack", StackConfig, Optional[WorkflowGraph], Dict], _PolicyHarness
+    ]
     #: Dispatch-estimator kind the master should use (resolved from the
     #: options *before* the stack is built).
     estimator_kind: Callable[[Dict], str] = lambda options: "monitor"
@@ -717,11 +777,19 @@ def _reject_unknown(policy: str, options: Dict) -> None:
 def _assembled(
     spec: ExperimentSpec, telemetry: Optional[TelemetryConfig]
 ) -> Iterator[
-    Tuple[_Stack, WorkflowGraph, _PolicyHarness, WorkflowManager, ResourceAccountant]
+    Tuple[
+        _Stack,
+        Union[WorkflowGraph, WorkflowStream],
+        _PolicyHarness,
+        Union[WorkflowManager, WorkflowStream],
+        ResourceAccountant,
+    ]
 ]:
     """Build ``spec``'s stack, policy, workflow manager and accountant,
     and start the policy, ready for a drive loop; the stack closes when
-    the block exits."""
+    the block exits. An arrival stream yields its
+    :class:`~repro.makeflow.manager.WorkflowStream` as both the workload
+    (its length is the task count) and the manager."""
     try:
         policy = POLICIES[spec.policy]
     except KeyError:
@@ -731,18 +799,24 @@ def _assembled(
     options: Dict = dict(spec.options)
     if policy.validate is not None:
         policy.validate(options)
+    arrivals = _arrivals(spec.workload)
     cfg = spec.stack if spec.stack is not None else StackConfig()
     if spec.seed is not None:
         cfg = replace(cfg, seed=spec.seed)
     with _Stack(
         cfg, estimator_kind=policy.estimator_kind(options), telemetry=telemetry
     ) as stack:
-        graph = ensure_graph(spec.workload)
+        graph = ensure_graph(spec.workload) if arrivals is None else None
         harness = policy.build(stack, cfg, graph, options)
         _reject_unknown(spec.policy, options)
-        manager = WorkflowManager(
-            stack.engine, graph, harness.submitter, recorder=stack.recorder
-        )
+        if arrivals is None:
+            manager = WorkflowManager(
+                stack.engine, graph, harness.submitter, recorder=stack.recorder
+            )
+        else:
+            manager = graph = WorkflowStream(
+                stack.engine, arrivals, harness.submitter, recorder=stack.recorder
+            )
         if harness.on_manager is not None:
             harness.on_manager(manager)
         accountant = _make_accountant(
@@ -1048,6 +1122,9 @@ def _build_predictive(
 
     scaler_config = _take(options, "scaler_config")
     fixed_init_time_s = _take(options, "fixed_init_time_s")
+    #: Optional OnlineModelSelector shaping the forecaster pool (e.g. an
+    #: AR order spanning a recurring arrival period).
+    selector = _take(options, "selector")
     if scaler_config is None:
         scaler_config = PredictiveScalerConfig(
             min_workers=cfg.cluster.min_nodes,
@@ -1066,7 +1143,13 @@ def _build_predictive(
     # resync plumbing and its runs are calibrated without it.
     tracker = _hta_tracker(stack, cfg, fixed_init_time_s, resync=False)
     scaler = PredictiveScaler(
-        stack.engine, stack.master, provisioner, tracker, scaler_config, stack.recorder
+        stack.engine,
+        stack.master,
+        provisioner,
+        tracker,
+        scaler_config,
+        stack.recorder,
+        selector=selector,
     )
 
     def finish() -> None:

@@ -14,12 +14,13 @@ underlying execution framework" (§II-A). This package provides:
 * :mod:`~repro.makeflow.manager` — the workflow manager: submits ready
   tasks to any submitter (the Work Queue master directly, or HTA's
   operator in between), releases dependents as inputs are produced, and
-  reports progress.
+  reports progress; :class:`~repro.makeflow.manager.WorkflowStream`
+  does the same for a stream of workflow arrivals.
 """
 
 from repro.makeflow.dag import WorkflowGraph, CycleError
 from repro.makeflow.parser import MakeflowParseError, parse_makeflow, parse_makeflow_file
-from repro.makeflow.manager import WorkflowManager, Submitter
+from repro.makeflow.manager import WorkflowManager, WorkflowStream, Submitter
 from repro.makeflow.render import render_makeflow, write_makeflow_file
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "parse_makeflow",
     "parse_makeflow_file",
     "WorkflowManager",
+    "WorkflowStream",
     "Submitter",
     "render_makeflow",
     "write_makeflow_file",

@@ -5,18 +5,23 @@ manager is agnostic to *what* it submits to — anything satisfying
 :class:`Submitter` works: the Work Queue :class:`~repro.wq.master.Master`
 directly, or HTA's operator sitting in between (the paper's architecture,
 fig 8, where Makeflow talks to HTA's TCP server and HTA forwards to the
-master).
+master). :class:`WorkflowStream` drives a stream of workflow arrivals
+through one submitter the same way.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol, Set
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Set
 
 from repro.makeflow.dag import WorkflowGraph
 from repro.sim.engine import Engine
 from repro.sim.process import Signal
 from repro.sim.tracing import MetricRecorder
 from repro.wq.task import Task, TaskResult
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.workloads.arrivals import WorkflowArrival
 
 
 class Submitter(Protocol):
@@ -126,3 +131,77 @@ class WorkflowManager:
         self.recorder.set("workflow.submitted", len(self._submitted))
         for category, count in self.completed_by_category.items():
             self.recorder.set(f"workflow.completed.{category}", count)
+
+
+class WorkflowStream:
+    """Workflows arriving over time through one submitter — the paper's
+    long-running facility. One :class:`WorkflowManager` per arrival,
+    each started at its arrival time; the stream presents the manager
+    surface the experiment drive loop reads.
+
+    Arrivals are scheduled when the stream is built, so their start
+    events queue ahead of anything the policy and the accountant
+    schedule afterwards; :meth:`start` is therefore a no-op.
+    """
+
+    def __init__(
+        self,
+        engine: Engine,
+        arrivals: List["WorkflowArrival"],
+        submitter: Submitter,
+        *,
+        recorder: Optional[MetricRecorder] = None,
+    ) -> None:
+        if not arrivals:
+            raise ValueError("need at least one arrival")
+        self.managers: List[WorkflowManager] = []
+        self.remaining = len(arrivals)
+        # The done signal's waiters run synchronously from the last
+        # workflow's own done waiter: finishing the stream costs no event.
+        self._waiters: List[Callable[["WorkflowStream"], None]] = []
+        self.done_signal = SimpleNamespace(add_waiter=self._waiters.append)
+        for arrival in sorted(arrivals, key=lambda a: a.time_s):
+            manager = WorkflowManager(engine, arrival.graph, submitter, recorder=recorder)
+            manager.done_signal.add_waiter(self._one_done)
+            self.managers.append(manager)
+            engine.call_at(arrival.time_s, manager.start)
+        self._tasks = sum(len(m.graph) for m in self.managers)
+
+    def start(self) -> None:
+        """Nothing to do: each workflow starts at its arrival time."""
+
+    def _one_done(self, _manager: WorkflowManager) -> None:
+        self.remaining -= 1
+        if self.remaining == 0:
+            for callback in self._waiters:
+                callback(self)
+
+    @property
+    def done(self) -> bool:
+        return self.remaining == 0
+
+    @property
+    def failed(self) -> bool:
+        return any(m.failed for m in self.managers)
+
+    @property
+    def failed_task_ids(self) -> Set[int]:
+        return set().union(*(m.failed_task_ids for m in self.managers))
+
+    @property
+    def makespan(self) -> Optional[float]:
+        """The last workflow's finish time (the stream starts at t=0)."""
+        finishes = [m.finish_time for m in self.managers if m.finish_time is not None]
+        return max(finishes) if finishes else None
+
+    @property
+    def workflow_makespans(self) -> List[float]:
+        """Each finished workflow's own makespan, in arrival order."""
+        return [m.makespan for m in self.managers if m.makespan is not None]
+
+    def progress(self) -> float:
+        return sum(len(m._completed) for m in self.managers) / self._tasks
+
+    def __len__(self) -> int:
+        """Tasks across every workflow, as ``len(graph)`` is for one."""
+        return self._tasks

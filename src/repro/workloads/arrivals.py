@@ -3,8 +3,10 @@
 The paper opens with facilities that "seek to complete as many jobs as
 possible over a long period of time" — not one workflow, but a stream of
 them. This module generates deterministic arrival schedules (Poisson or
-fixed-interval) of workflow instances for the continuous-operation
-experiments in :mod:`repro.experiments.continuous`.
+fixed-interval) of workflow instances. A list of arrivals is an
+``ExperimentSpec`` workload like any workflow:
+``run_experiment(ExperimentSpec(arrivals, policy="hta"))`` runs the
+stream on one shared stack.
 """
 
 from __future__ import annotations

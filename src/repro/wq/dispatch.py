@@ -1005,24 +1005,7 @@ class DispatchCore:
                 # silently; the original is still in flight.
                 self._drop_speculation_entry(task)
                 continue
-            task.attempts += 1
-            if task.attempts > self.max_retries:
-                self._abandon(task)
-                continue
-            self.tasks_requeued += 1
-            task.reset_for_retry()
-            self.journal.record_retry(self.engine.now, task)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "wq",
-                    "task.retry",
-                    task.category,
-                    task_id=task.id,
-                    reason="worker_lost",
-                    attempt=task.attempts,
-                    worker=worker.name,
-                )
-            self._enqueue_front(task)
+            self._retry(task, "worker_lost", backoff=False, worker=worker)
         if lost_tasks:
             self._schedule_dispatch()
 
@@ -1089,31 +1072,8 @@ class DispatchCore:
             self.journal.record_escalate(self.engine.now, task, fault.escalate_to)
         if self._health_failure(worker, task, runtime_s=runtime_s):
             return  # ruled poison and isolated; no retry
-        task.attempts += 1
-        if task.attempts > self.max_retries:
-            self._abandon(task)
-            return
-        self.tasks_requeued += 1
-        delay = self.retry_policy.backoff_s(task.attempts)
-        task.reset_for_retry()
-        if delay <= 0:
-            self.journal.record_retry(self.engine.now, task)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "wq",
-                    "task.retry",
-                    task.category,
-                    task_id=task.id,
-                    reason=fault.kind,
-                    attempt=task.attempts,
-                )
-            self._enqueue_front(task)
+        if self._retry(task, fault.kind, backoff=True):
             self._schedule_dispatch()
-        else:
-            self._backoff_pending += 1
-            self.engine.call_in(
-                delay, self._requeue_after_backoff, task, self._incarnation
-            )
 
     def _requeue_after_backoff(self, task: Task, incarnation: Optional[int] = None) -> None:
         if incarnation is not None and incarnation != self._incarnation:
@@ -1282,31 +1242,8 @@ class DispatchCore:
         task.payload_corrupt = False
         if poisoned:
             return
-        task.attempts += 1
-        if task.attempts > self.max_retries:
-            self._abandon(task)
-            return
-        self.tasks_requeued += 1
-        delay = self.retry_policy.backoff_s(task.attempts)
-        task.reset_for_retry()
-        if delay <= 0:
-            self.journal.record_retry(self.engine.now, task)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "wq",
-                    "task.retry",
-                    task.category,
-                    task_id=task.id,
-                    reason="verify_fail",
-                    attempt=task.attempts,
-                )
-            self._enqueue_front(task)
+        if self._retry(task, "verify_fail", backoff=True):
             self._schedule_dispatch()
-        else:
-            self._backoff_pending += 1
-            self.engine.call_in(
-                delay, self._requeue_after_backoff, task, self._incarnation
-            )
 
     def _speculative_verify_failed(self, worker: Worker, clone: Task) -> None:
         """A speculative clone's result failed verification. Clones are
@@ -1332,6 +1269,43 @@ class DispatchCore:
         self._drop_speculation_entry(clone)
         clone.state = TaskState.FAILED
         self._health_failure(worker, clone, runtime_s=runtime_s)
+
+    def _retry(
+        self,
+        task: Task,
+        reason: str,
+        *,
+        backoff: bool,
+        worker: Optional[Worker] = None,
+    ) -> bool:
+        """The one retry path: charge ``task`` an attempt and abandon it
+        past ``max_retries``; otherwise reset it and put it back at the
+        queue front — at once, or after the retry policy's backoff when
+        ``backoff`` is set. Returns True when the task was requeued at
+        once; the caller then schedules the dispatch pass (a batch of
+        losses schedules one for all)."""
+        task.attempts += 1
+        if task.attempts > self.max_retries:
+            self._abandon(task)
+            return False
+        self.tasks_requeued += 1
+        # Read before the reset: the backoff grows with the attempts.
+        delay = self.retry_policy.backoff_s(task.attempts) if backoff else 0.0
+        task.reset_for_retry()
+        if delay > 0:
+            self._backoff_pending += 1
+            self.engine.call_in(
+                delay, self._requeue_after_backoff, task, self._incarnation
+            )
+            return False
+        self.journal.record_retry(self.engine.now, task)
+        if self.tracer.enabled:
+            attrs = dict(task_id=task.id, reason=reason, attempt=task.attempts)
+            if worker is not None:
+                attrs["worker"] = worker.name
+            self.tracer.emit("wq", "task.retry", task.category, **attrs)
+        self._enqueue_front(task)
+        return True
 
     def _abandon(self, task: Task) -> None:
         self._cancel_speculation_for(task)

@@ -307,23 +307,7 @@ class Master(DispatchCore):
         self._unclaimed.clear()
         for task in reversed(leftovers):
             self._charge_waste(task)
-            task.attempts += 1
-            if task.attempts > self.max_retries:
-                self._abandon(task)
-                continue
-            self.tasks_requeued += 1
-            task.reset_for_retry()
-            self.journal.record_retry(self.engine.now, task)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "wq",
-                    "task.retry",
-                    task.category,
-                    task_id=task.id,
-                    reason="unclaimed",
-                    attempt=task.attempts,
-                )
-            self._enqueue_front(task)
+            self._retry(task, "unclaimed", backoff=False)
         if leftovers:
             self._schedule_dispatch()
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.api import KubeApiServer
 from repro.cluster.images import ContainerImage
+from repro.cluster.node import Node
 from repro.cluster.pod import PodPhase, PodSpec
 from repro.cluster.replicaset import WorkerReplicaSet
 from repro.cluster.resources import ResourceVector
@@ -39,6 +40,25 @@ class TestScaling:
         rs.scale_to(2)
         remaining = {p.name for p in rs.pods()}
         assert remaining == {"ws-0001", "ws-0002"}
+
+    def test_scale_down_deletes_pending_then_newest(self, engine, api):
+        """Kubernetes' victim order: a not-yet-ready pod goes before any
+        Running one, then the newest Running pods."""
+        rs = WorkerReplicaSet(engine, api, "ws", spec_factory)
+        for at, count in ((1.0, 1), (2.0, 2), (3.0, 3)):
+            engine.call_at(at, rs.scale_to, count)
+        engine.run(until=3.0)
+        node = Node("n1")
+        node.ready = True
+        api.create(node)
+        # ws-0002 and ws-0003 run; the oldest, ws-0001, is still Pending.
+        for name in ("ws-0002", "ws-0003"):
+            pod = api.get("Pod", name)
+            pod.mark_scheduled(engine.now, node)
+            node.bind(pod)
+            pod.mark_running(engine.now)
+        rs.scale_to(1)
+        assert {p.name for p in rs.pods()} == {"ws-0002"}
 
     def test_scale_to_zero(self, engine, api):
         rs = WorkerReplicaSet(engine, api, "ws", spec_factory, replicas=3)

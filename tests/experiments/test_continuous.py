@@ -1,4 +1,4 @@
-"""Tests for arrival streams and continuous-operation experiments."""
+"""Tests for arrival streams and stream workloads run through the registry."""
 
 from __future__ import annotations
 
@@ -6,8 +6,13 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
-from repro.experiments.continuous import run_continuous_hpa, run_continuous_hta
-from repro.experiments.runner import StackConfig
+from repro.experiments.runner import (
+    ExperimentSpec,
+    FaultProfile,
+    StackConfig,
+    WorkflowFailed,
+    run_experiment,
+)
 from repro.makeflow.dag import WorkflowGraph
 from repro.sim.rng import RngRegistry
 from repro.workloads.arrivals import (
@@ -23,7 +28,7 @@ def factory(i: int) -> WorkflowGraph:
     return WorkflowGraph(uniform_bag(8, execute_s=60.0, declared=False, category="job"))
 
 
-def stack(seed=0):
+def stack(seed=0, faults=None):
     return StackConfig(
         cluster=ClusterConfig(
             machine_type=N1_STANDARD_4_RESERVED,
@@ -33,6 +38,25 @@ def stack(seed=0):
             node_reservation_std_s=0.0,
         ),
         seed=seed,
+        faults=faults,
+    )
+
+
+def run_hta(arrivals):
+    return run_experiment(
+        ExperimentSpec(arrivals, policy="hta", stack=stack(), name="HTA-stream")
+    )
+
+
+def run_hpa(arrivals):
+    return run_experiment(
+        ExperimentSpec(
+            arrivals,
+            policy="hpa",
+            stack=stack(),
+            name="HPA-20%-stream",
+            options={"target_cpu": 0.2},
+        )
     )
 
 
@@ -71,9 +95,9 @@ class TestArrivalGenerators:
 class TestContinuousHta:
     def test_stream_completes_all_workflows(self):
         arrivals = periodic_arrivals(factory, interval_s=200.0, count=4)
-        res = run_continuous_hta(arrivals, stack_config=stack())
+        res = run_hta(arrivals)
         assert res.workflows == 4
-        assert res.result.tasks_completed == 32
+        assert res.tasks_completed == 32
         assert len(res.workflow_makespans) == 4
         assert res.throughput_tasks_per_hour > 0
         assert "workflows" in res.summary()
@@ -82,20 +106,40 @@ class TestContinuousHta:
         """The first workflow pays the probe; later identical workflows
         reuse its category estimate and finish faster."""
         arrivals = periodic_arrivals(factory, interval_s=600.0, count=3)
-        res = run_continuous_hta(arrivals, stack_config=stack())
+        res = run_hta(arrivals)
         first, *rest = res.workflow_makespans
         assert all(m < first for m in rest)
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
-            run_continuous_hta([], stack_config=stack())
+            run_hta([])
+
+    def test_mixed_tasks_and_arrivals_rejected(self):
+        mixed = uniform_bag(2, execute_s=10.0) + periodic_arrivals(
+            factory, interval_s=100.0, count=1
+        )
+        with pytest.raises(TypeError):
+            run_hta(mixed)
+
+    def test_failed_workflow_raises_workflow_failed(self):
+        arrivals = periodic_arrivals(factory, interval_s=200.0, count=2)
+        with pytest.raises(WorkflowFailed):
+            run_experiment(
+                ExperimentSpec(
+                    arrivals,
+                    policy="hta",
+                    stack=stack(
+                        faults=FaultProfile(task_failure_prob=1.0, max_retries=0)
+                    ),
+                )
+            )
 
 
 class TestContinuousHpa:
     def test_stream_completes(self):
         arrivals = periodic_arrivals(factory, interval_s=200.0, count=3)
-        res = run_continuous_hpa(arrivals, target_cpu=0.2, stack_config=stack())
-        assert res.result.tasks_completed == 24
+        res = run_hpa(arrivals)
+        assert res.tasks_completed == 24
         assert res.workflows == 3
 
     def test_hta_wastes_less_on_streams_too(self):
@@ -103,9 +147,9 @@ class TestContinuousHpa:
             return WorkflowGraph(uniform_bag(8, execute_s=60.0, declared=True))
 
         arrivals = lambda: periodic_arrivals(declared_factory, interval_s=300.0, count=4)
-        hta = run_continuous_hta(arrivals(), stack_config=stack())
-        hpa = run_continuous_hpa(arrivals(), target_cpu=0.2, stack_config=stack())
+        hta = run_hta(arrivals())
+        hpa = run_hpa(arrivals())
         assert (
-            hta.result.accounting.accumulated_waste_core_s
-            <= hpa.result.accounting.accumulated_waste_core_s
+            hta.accounting.accumulated_waste_core_s
+            <= hpa.accounting.accumulated_waste_core_s
         )

@@ -6,10 +6,6 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
-from repro.experiments.continuous import (
-    run_continuous_predictive,
-    run_continuous_queue_scaler,
-)
 from repro.experiments.runner import ExperimentSpec, StackConfig, run_experiment
 from repro.forecast.scaler import PredictiveScalerConfig
 from repro.makeflow.dag import WorkflowGraph
@@ -88,19 +84,25 @@ class TestRunPredictiveExperiment:
         assert once() == once()
 
 
+def run_stream(policy, name, **options):
+    return run_experiment(
+        ExperimentSpec(
+            small_stream(), policy=policy, name=name, stack=stack(), options=options
+        )
+    )
+
+
 class TestContinuousRunners:
     def test_predictive_stream_completes(self):
-        r = run_continuous_predictive(small_stream(), stack_config=stack())
+        r = run_stream("predictive", "Predictive-stream")
         assert r.workflows == 2
-        assert r.result.tasks_completed == 12
-        assert r.last_finish_s > 0
+        assert r.tasks_completed == 12
+        assert r.makespan_s > 0
 
     def test_queue_scaler_stream_completes(self):
-        r = run_continuous_queue_scaler(
-            small_stream(), stack_config=stack(), tasks_per_replica=3.0
-        )
+        r = run_stream("queue", "KEDA-stream", tasks_per_replica=3.0)
         assert r.workflows == 2
-        assert r.result.tasks_completed == 12
+        assert r.tasks_completed == 12
 
 
 class TestForecastCmpHarness:
@@ -117,18 +119,10 @@ class TestForecastCmpHarness:
         from repro.experiments import forecast_cmp
 
         results = {
-            "HTA": run_continuous_predictive(
-                small_stream(), stack_config=stack(), name="HTA"
-            ),
-            "HTA-hybrid": run_continuous_predictive(
-                small_stream(), stack_config=stack(), name="HTA-hybrid"
-            ),
-            "Predictive": run_continuous_predictive(
-                small_stream(), stack_config=stack(), name="Predictive"
-            ),
-            "KEDA-queue": run_continuous_queue_scaler(
-                small_stream(), stack_config=stack(), name="KEDA-queue"
-            ),
+            "HTA": run_stream("predictive", "HTA"),
+            "HTA-hybrid": run_stream("predictive", "HTA-hybrid"),
+            "Predictive": run_stream("predictive", "Predictive"),
+            "KEDA-queue": run_stream("queue", "KEDA-queue"),
         }
         out = forecast_cmp.report(results)
         assert "Forecast comparison" in out

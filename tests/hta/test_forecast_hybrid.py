@@ -7,7 +7,6 @@ import pytest
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
 from repro.cluster.resources import ResourceVector
-from repro.experiments.continuous import run_continuous_hta
 from repro.experiments.runner import ExperimentSpec, StackConfig, run_experiment
 from repro.hta.estimator import (
     EstimatorConfig,
@@ -109,23 +108,28 @@ class TestHybridEndToEnd:
 
     def test_hybrid_is_deterministic(self):
         def once():
-            r = run_continuous_hta(
-                periodic_arrivals(
-                    lambda i: WorkflowGraph(
-                        uniform_bag(9, execute_s=40.0, declared=True)
+            r = run_experiment(
+                ExperimentSpec(
+                    periodic_arrivals(
+                        lambda i: WorkflowGraph(
+                            uniform_bag(9, execute_s=40.0, declared=True)
+                        ),
+                        interval_s=300.0,
+                        count=3,
                     ),
-                    interval_s=300.0,
-                    count=3,
-                ),
-                stack_config=stack(),
-                hta_config=HtaConfig(
-                    initial_workers=2, max_workers=8, forecast_arrivals=True
-                ),
+                    policy="hta",
+                    stack=stack(),
+                    options={
+                        "hta_config": HtaConfig(
+                            initial_workers=2, max_workers=8, forecast_arrivals=True
+                        )
+                    },
+                )
             )
             return (
-                r.last_finish_s,
+                r.makespan_s,
                 tuple(r.workflow_makespans),
-                r.result.accounting.accumulated_waste_core_s,
+                r.accounting.accumulated_waste_core_s,
             )
 
         assert once() == once()
