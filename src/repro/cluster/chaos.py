@@ -333,68 +333,6 @@ class ChaosInjector:
         self.begin_partition(master, worker, duration_s=duration_s)
         return worker
 
-    def schedule_partition(
-        self,
-        master: "Master",
-        *,
-        at_s: float,
-        duration_s: float,
-        worker_name: Optional[str] = None,
-    ) -> None:
-        """At ``at_s``, partition one worker (``worker_name`` or a seeded
-        random pick among those connected) for ``duration_s``."""
-
-        def strike() -> None:
-            if worker_name is not None:
-                worker = master.workers.get(worker_name)
-                if worker is not None and not worker.partitioned:
-                    self.begin_partition(master, worker, duration_s=duration_s)
-                return
-            self.partition_random_worker(master, duration_s=duration_s)
-
-        self.engine.call_at(at_s, strike)
-
-    def schedule_partitions(
-        self,
-        master: "Master",
-        mean_interval_s: float,
-        *,
-        duration_s: float = 45.0,
-        start_after: Optional[float] = None,
-    ) -> PeriodicTask:
-        """Partition a random worker roughly every ``mean_interval_s``
-        seconds (exponential gaps, seeded), healing each after
-        ``duration_s``."""
-        if mean_interval_s <= 0:
-            raise ValueError("mean_interval_s must be positive")
-
-        def strike() -> float:
-            self.partition_random_worker(master, duration_s=duration_s)
-            gap = float(
-                self.rng.stream("chaos.partition.schedule").exponential(
-                    mean_interval_s
-                )
-            )
-            return max(1.0, gap)
-
-        first = (
-            start_after
-            if start_after is not None
-            else max(
-                1.0,
-                float(
-                    self.rng.stream("chaos.partition.schedule").exponential(
-                        mean_interval_s
-                    )
-                ),
-            )
-        )
-        task = PeriodicTask(
-            self.engine, mean_interval_s, strike, start_after=first, use_return_delay=True
-        )
-        self._schedules.append(task)
-        return task
-
     # ------------------------------------------------ control-plane faults
     def crash_master(
         self, master: "Master", *, restart_delay_s: Optional[float] = 60.0
@@ -475,13 +413,6 @@ class ChaosInjector:
 
     def end_watch_drop(self, kind: Optional[str] = None) -> None:
         self.api.end_watch_drop(kind)
-
-    def schedule_watch_drop(
-        self, *, at_s: float, duration_s: float, kind: str = "Pod"
-    ) -> None:
-        self.engine.call_at(
-            at_s, lambda: self.begin_watch_drop(kind, duration_s=duration_s)
-        )
 
     # ------------------------------------------------- provisioning faults
     def begin_boot_failures(

@@ -10,7 +10,7 @@ only to the Kubernetes API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.cluster.api import KubeApiServer
@@ -19,7 +19,7 @@ from repro.cluster.cloud import (
     CloudControllerConfig,
     PreemptiblePoolConfig,
 )
-from repro.cluster.images import ContainerImage, ImageRegistry
+from repro.cluster.images import ImageRegistry
 from repro.cluster.kubelet import Kubelet, KubeletManager
 from repro.cluster.metrics_server import MetricsServer
 from repro.cluster.node import MachineType, N1_STANDARD_4
@@ -46,7 +46,6 @@ class ClusterConfig:
     max_concurrent_reservations: int | None = None
     node_boot_failure_prob: float = 0.0
     scheduler_sync_period_s: float = 1.0
-    scheduler_strategy: str = "least-requested"
     registry_pull_bandwidth_mbps: float = 100.0
     registry_fixed_overhead_s: float = 2.0
     registry_jitter_cv: float = 0.02
@@ -103,7 +102,6 @@ class Cluster:
             engine,
             self.api,
             sync_period=config.scheduler_sync_period_s,
-            strategy=config.scheduler_strategy,
             tracer=self.tracer,
         )
         self.cloud = CloudController(

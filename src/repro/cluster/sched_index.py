@@ -5,9 +5,9 @@ O(pending x nodes). Two indexes make it O(binds + newly-pending pods +
 signatures):
 
 * :class:`FreeCapacityIndex` orders the nodes by ``(free().cores, name)``.
-  ``least-requested`` takes the first fitting node from the top (most
-  free cores, ties to the larger name), ``binpack`` from the bottom. A
-  node whose free cores cannot hold the request is never looked at.
+  The scheduler takes the first fitting node from the top (most free
+  cores, ties to the larger name). A node whose free cores cannot hold
+  the request is never looked at.
 * :class:`PendingPodIndex` holds the pending, unbound pods in
   ``(creation_time, name)`` order, bucketed by placement signature, and
   tracks which of them still owe a ``FailedScheduling`` event.
@@ -141,13 +141,6 @@ class FreeCapacityIndex:
         self._refresh()
         nodes = self._nodes
         for i in range(len(nodes) - 1, self._first_seat(cores) - 1, -1):
-            yield nodes[i]
-
-    def ascending(self, cores: float) -> Iterator["Node"]:
-        """Nodes that might seat ``cores``, fewest free cores first."""
-        self._refresh()
-        nodes = self._nodes
-        for i in range(self._first_seat(cores), len(nodes)):
             yield nodes[i]
 
     def entries(self) -> List[Tuple[Tuple[float, str], "Node"]]:

@@ -21,21 +21,12 @@ from repro.telemetry.events import NULL_TRACER, Tracer
 
 
 class KubeScheduler:
-    """Binds pending pods to the ready node with the most or fewest free
-    cores.
+    """Binds each pending pod to the fitting ready node with the most free
+    cores (kube-scheduler's least-requested spreading).
 
-    ``strategy`` selects the node-scoring policy among nodes that fit the
-    pod's request and node selector:
-
-    * ``"least-requested"`` (default, mirrors kube-scheduler's spreading):
-      pick the node with the most free CPU;
-    * ``"binpack"``: pick the node with the least free CPU (used by the
-      ablation benchmarks to show HTA is policy-agnostic).
-
-    Ties on free cores go to the larger name (least-requested) or the
-    smaller one (binpack). Both choices are walks of the API server's
-    free-capacity index, and a pass takes the pending pods from its
-    pending-pod index (:mod:`repro.cluster.sched_index`).
+    Ties on free cores go to the larger name. The choice is a walk of the
+    API server's free-capacity index, and a pass takes the pending pods
+    from its pending-pod index (:mod:`repro.cluster.sched_index`).
     """
 
     def __init__(
@@ -44,14 +35,10 @@ class KubeScheduler:
         api: KubeApiServer,
         *,
         sync_period: float = 1.0,
-        strategy: str = "least-requested",
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if strategy not in ("least-requested", "binpack"):
-            raise ValueError(f"unknown scheduling strategy {strategy!r}")
         self.engine = engine
         self.api = api
-        self.strategy = strategy
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.binds = 0
         #: (Pod, Node) kind versions as of the end of the last pass. Every
@@ -144,16 +131,11 @@ class KubeScheduler:
         return bound
 
     def _select_node(self, pod: Pod) -> Optional[Node]:
-        """The fitting node with the most (least-requested) or fewest
-        (binpack) free cores, ties broken by name the same way."""
+        """The fitting node with the most free cores, ties to the larger
+        name."""
         request = pod.spec.request
         selector = pod.spec.node_selector
-        index = self.api.capacity_index
-        if self.strategy == "least-requested":
-            candidates = index.descending(request.cores)
-        else:
-            candidates = index.ascending(request.cores)
-        for node in candidates:
+        for node in self.api.capacity_index.descending(request.cores):
             if selector:
                 labels = node.meta.labels
                 if not all(labels.get(k) == v for k, v in selector.items()):

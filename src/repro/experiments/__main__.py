@@ -236,7 +236,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help=(
             "perf/shards/failover only: result directory "
-            "(default: benchmarks/results[/<name>])"
+            "(default: bench-results for perf, benchmarks/results/<name> "
+            "for shards and failover)"
         ),
     )
     parser.add_argument(

@@ -35,7 +35,9 @@ BASELINE_PATH = _ROOT / "benchmarks" / "baselines" / "BENCH_PERF_BASELINE.json"
 PRE_OPTIMIZATION_PATH = (
     _ROOT / "benchmarks" / "baselines" / "PRE_OPTIMIZATION.json"
 )
-DEFAULT_OUT_DIR = _ROOT / "benchmarks" / "results"
+#: Gitignored, so a sweep never rewrites the committed result files
+#: under ``benchmarks/results``; pass ``--bench-out`` to write elsewhere.
+DEFAULT_OUT_DIR = _ROOT / "bench-results"
 
 
 def main(

@@ -133,7 +133,6 @@ def fault_profile(
             if outage_duration_s is not None
             else OUTAGE_DURATION_FRAC * m
         ),
-        informer_resync_period_s=60.0,
     )
 
 

@@ -52,7 +52,6 @@ from repro.cluster.images import ContainerImage
 from repro.cluster.pod import PodSpec
 from repro.cluster.replicaset import WorkerReplicaSet
 from repro.cluster.resources import ResourceVector
-from repro.hta.estimator import EstimatorConfig
 from repro.hta.inittime import FixedInitTime, InitTimeTracker
 from repro.hta.operator import HtaConfig, HtaOperator
 from repro.hta.preemption import PreemptionResponder
@@ -98,7 +97,6 @@ from repro.wq.sharding import (
     TaskPartitioner,
 )
 from repro.wq.task import Task
-from repro.wq.worker import WorkerState
 from repro.workloads.arrivals import WorkflowArrival
 
 #: One workflow (a DAG or a bag of independent tasks) or a stream of
@@ -107,6 +105,10 @@ Workload = Union[WorkflowGraph, Sequence[Task], Sequence[WorkflowArrival]]
 
 #: The worker container image (the paper pulls from a private registry).
 DEFAULT_WORKER_IMAGE = ContainerImage("wq-worker", 500.0)
+
+#: Informer relist-and-resync cadence under a fault profile: a pod whose
+#: watch event died in an API outage is picked up at the next relist.
+_RESYNC_PERIOD_S = 60.0
 
 
 def ensure_graph(workload: Workload) -> WorkflowGraph:
@@ -133,18 +135,19 @@ def _arrivals(workload: Workload) -> Optional[List[WorkflowArrival]]:
 class FaultProfile:
     """Fault injection for one run — every layer at once, all seeded.
 
-    Zero probabilities / None intervals disable the corresponding fault;
-    the default instance injects nothing, so ``StackConfig(faults=None)``
-    and ``StackConfig(faults=FaultProfile())`` behave identically except
-    for the fault plumbing being armed.
+    Zero probabilities / None intervals disable the corresponding fault,
+    so the default instance injects nothing. It is not the same run as
+    ``StackConfig(faults=None)``, though: any profile also arms the
+    defences a hostile substrate needs — straggler speculation (unless
+    ``speculation=None``), retry backoff, the defended worker
+    provisioner, the robust (median-of-5) init-time tracker, and a 60 s
+    informer relist for the pod runtime and HTA's tracker.
     """
 
     # -- task-level faults (per execution attempt, per-category stream)
     task_failure_prob: float = 0.0
     task_exhaustion_prob: float = 0.0
     exhaustion_factor: float = 1.5
-    retry_backoff_base_s: float = 2.0
-    retry_backoff_max_s: float = 120.0
     max_retries: Optional[int] = None
     #: Straggler speculation (None disables it).
     speculation: Optional[SpeculationConfig] = field(
@@ -170,32 +173,15 @@ class FaultProfile:
     black_hole_latency_s: float = 1.0
     # -- infrastructure chaos
     node_crash_interval_s: Optional[float] = None
-    pod_eviction_interval_s: Optional[float] = None
-    #: Pod-eviction selector (None = any non-terminal pod).
-    pod_eviction_selector: Optional[dict] = None
     #: One-shot preemption wave: reclaim ``preemption_wave_size`` spot
     #: nodes at this simulated time (requires a preemptible pool).
     preemption_wave_at_s: Optional[float] = None
     preemption_wave_size: int = 1
-    #: Recurring worker⇄master network partitions (None = never).
-    partition_interval_s: Optional[float] = None
-    partition_duration_s: float = 45.0
-    #: Escape hatch for bespoke chaos (the soak harness): called with
-    #: the built stack after the declarative faults are armed.
-    chaos_script: Optional[Callable[["_Stack"], None]] = None
     # -- provisioning faults
     boot_failure_prob: float = 0.0
     boot_failure_duration_s: Optional[float] = None
     pull_stall_factor: float = 1.0
     pull_stall_duration_s: Optional[float] = None
-    #: Defensive provisioning for the drain-based policies (HTA /
-    #: predictive); None keeps the provisioner undefended.
-    provisioner: Optional[ProvisionerFaultConfig] = field(
-        default_factory=ProvisionerFaultConfig
-    )
-    #: Robust (median) init-time estimation window; 0 keeps the paper's
-    #: latest-sample estimate.
-    robust_init_window: int = 5
     # -- control-plane faults
     #: Kill the master at this simulated time (None = never).
     master_crash_at_s: Optional[float] = None
@@ -207,13 +193,6 @@ class FaultProfile:
     #: API-server outage window (None = never).
     api_outage_at_s: Optional[float] = None
     api_outage_duration_s: float = 300.0
-    #: Watch-stream disconnect window — events silently dropped.
-    watch_drop_at_s: Optional[float] = None
-    watch_drop_duration_s: float = 300.0
-    watch_drop_kind: str = "Pod"
-    #: Informer relist-and-resync cadence (None disables resync; the
-    #: informer then only heals via live watch events).
-    informer_resync_period_s: Optional[float] = 60.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,10 +267,7 @@ class _Stack:
                     exhaustion_factor=faults.exhaustion_factor,
                 ),
             )
-            retry_policy = RetryPolicy(
-                base_backoff_s=faults.retry_backoff_base_s,
-                max_backoff_s=faults.retry_backoff_max_s,
-            )
+            retry_policy = RetryPolicy()
             if (
                 faults.result_corruption_prob > 0
                 or faults.checkpoint_corruption_prob > 0
@@ -335,9 +311,7 @@ class _Stack:
             # Under control-plane faults the runtime must relist like any
             # informer: a pod whose Running event died in an API outage
             # would otherwise never get a worker (and leak forever).
-            resync_period_s=(
-                faults.informer_resync_period_s if faults is not None else None
-            ),
+            resync_period_s=_RESYNC_PERIOD_S if faults is not None else None,
         )
         self.worker_request = config.resolved_worker_request()
         self.chaos: Optional[ChaosInjector] = None
@@ -356,11 +330,6 @@ class _Stack:
             )
             if faults.node_crash_interval_s is not None:
                 self.chaos.schedule_node_failures(faults.node_crash_interval_s)
-            if faults.pod_eviction_interval_s is not None:
-                self.chaos.schedule_pod_evictions(
-                    faults.pod_eviction_interval_s,
-                    selector=faults.pod_eviction_selector,
-                )
             if faults.boot_failure_prob > 0:
                 self.chaos.begin_boot_failures(
                     faults.boot_failure_prob,
@@ -382,22 +351,10 @@ class _Stack:
                     at_s=faults.api_outage_at_s,
                     duration_s=faults.api_outage_duration_s,
                 )
-            if faults.watch_drop_at_s is not None:
-                self.chaos.schedule_watch_drop(
-                    at_s=faults.watch_drop_at_s,
-                    duration_s=faults.watch_drop_duration_s,
-                    kind=faults.watch_drop_kind,
-                )
             if faults.preemption_wave_at_s is not None:
                 self.chaos.schedule_preemption_wave(
                     at_s=faults.preemption_wave_at_s,
                     count=faults.preemption_wave_size,
-                )
-            if faults.partition_interval_s is not None:
-                self.chaos.schedule_partitions(
-                    self.master,
-                    faults.partition_interval_s,
-                    duration_s=faults.partition_duration_s,
                 )
             if faults.black_hole_at_s is not None:
                 self.chaos.schedule_black_holes(
@@ -409,8 +366,6 @@ class _Stack:
                         latency_s=faults.black_hole_latency_s,
                     ),
                 )
-            if faults.chaos_script is not None:
-                faults.chaos_script(self)
 
     def _make_estimator(self, kind: str) -> AllocationEstimator:
         if kind == "monitor":
@@ -851,23 +806,24 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
 # --------------------------------------------------------------------- HTA
 def _hta_tracker(stack: _Stack, cfg: StackConfig, fixed_init_time_s, *, resync: bool):
-    """The init-time source HTA-style policies plan with."""
+    """The init-time source HTA-style policies plan with: under faults,
+    the median of the last 5 cold starts, else the latest one."""
     if fixed_init_time_s is not None:
         return FixedInitTime(fixed_init_time_s)
-    robust_window = cfg.faults.robust_init_window if cfg.faults is not None else 0
-    resync_period = (
-        cfg.faults.informer_resync_period_s
-        if resync and cfg.faults is not None
-        else None
-    )
+    faulty = cfg.faults is not None
     return InitTimeTracker(
         stack.cluster.api,
         prior_s=160.0,
         selector_label="wq-worker",
-        robust=robust_window > 0,
-        window=max(robust_window, 1),
-        resync_period_s=resync_period,
+        robust=faulty,
+        resync_period_s=_RESYNC_PERIOD_S if resync and faulty else None,
     )
+
+
+def _provisioner_faults(cfg: StackConfig) -> Optional[ProvisionerFaultConfig]:
+    """Defensive provisioning for the drain-based policies (HTA /
+    predictive), armed with any fault profile."""
+    return ProvisionerFaultConfig() if cfg.faults is not None else None
 
 
 def _build_hta(
@@ -896,7 +852,7 @@ def _build_hta(
         stack.runtime,
         image=cfg.image,
         worker_request=stack.worker_request,
-        fault_config=cfg.faults.provisioner if cfg.faults is not None else None,
+        fault_config=_provisioner_faults(cfg),
         spot_policy=spot_policy,
     )
     migration = None
@@ -1137,7 +1093,7 @@ def _build_predictive(
         image=cfg.image,
         worker_request=stack.worker_request,
         name_prefix="pred-worker",
-        fault_config=cfg.faults.provisioner if cfg.faults is not None else None,
+        fault_config=_provisioner_faults(cfg),
     )
     # Note: no informer resync here — the predictive scaler predates the
     # resync plumbing and its runs are calibrated without it.

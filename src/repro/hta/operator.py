@@ -60,16 +60,6 @@ class HtaConfig:
     #: Worker pool floor during the run (the 3-node base pool, §V-A);
     #: the clean-up stage still drains everything at the end.
     min_workers: int = 3
-    #: Gate unknown categories behind a single probe task (§V-C warm-up).
-    warmup_probing: bool = True
-    #: Count warm-up-held tasks as waiting when estimating. The paper
-    #: provisions for jobs it has *submitted* — held jobs have unknown
-    #: sizes by definition (that is why they are held), so including
-    #: them forces worst-case whole-worker guesses and defeats the
-    #: warm-up stage. Off by default; the ablation bench flips it.
-    count_held_tasks: bool = False
-    #: Feed in-flight worker pods into the estimator (see estimator doc).
-    count_pending_workers: bool = True
     #: Delay before the first resizing decision.
     first_cycle_s: float = 5.0
     #: Hybrid mode: inject forecast task arrivals as synthetic waiting
@@ -173,8 +163,6 @@ class HtaOperator:
         self.master.on_abandoned(fn)
 
     def _should_hold(self, task: Task) -> bool:
-        if not self.config.warmup_probing:
-            return False
         if task.declared is not None:
             return False
         if self.master.monitor.has_estimate(task.category):
@@ -183,10 +171,8 @@ class HtaOperator:
         return self._probes_in_flight.get(task.category, 0) > 0
 
     def _forward(self, task: Task) -> None:
-        if (
-            self.config.warmup_probing
-            and task.declared is None
-            and not self.master.monitor.has_estimate(task.category)
+        if task.declared is None and not self.master.monitor.has_estimate(
+            task.category
         ):
             self._probes_in_flight[task.category] = (
                 self._probes_in_flight.get(task.category, 0) + 1
@@ -383,9 +369,8 @@ class HtaOperator:
         waiting = [
             self._simulated_waiting(t, resources) for t in self.master.waiting_tasks()
         ]
-        if self.config.count_held_tasks:
-            for held_tasks in self._held.values():
-                waiting.extend(self._simulated_waiting(t, resources) for t in held_tasks)
+        # Warm-up-held tasks stay out: the paper provisions for jobs it
+        # has *submitted*, and a held job's size is unknown by definition.
 
         # Quarantined workers are dead supply: the dispatcher refuses
         # them, so counting them would understate the workers Algorithm 1
@@ -397,11 +382,10 @@ class HtaOperator:
         ]
         idle = sum(1 for w in live if w.idle)
         pending: List[PendingWorker] = []
-        if self.config.count_pending_workers:
-            for pod in self.provisioner.pending_pods():
-                age = self.engine.now - pod.meta.creation_time
-                eta = max(1.0, init_time - age)
-                pending.append(PendingWorker(pod.spec.request, eta))
+        for pod in self.provisioner.pending_pods():
+            age = self.engine.now - pod.meta.creation_time
+            eta = max(1.0, init_time - age)
+            pending.append(PendingWorker(pod.spec.request, eta))
         spot_workers = 0
         spot_survival = 1.0
         if self.preemption is not None:

@@ -22,11 +22,15 @@ from typing import Dict, List, Optional
 
 from repro.cluster.cloud import PreemptiblePoolConfig
 from repro.cluster.cluster import ClusterConfig
-from repro.experiments.runner import FaultProfile, StackConfig, _shard_plane, _Stack
-from repro.hta.inittime import InitTimeTracker
-from repro.hta.operator import HtaConfig, HtaOperator
-from repro.hta.preemption import PreemptionResponder
-from repro.hta.provisioner import SpotPolicy, WorkerProvisioner
+from repro.experiments.runner import (
+    POLICIES,
+    FaultProfile,
+    StackConfig,
+    _shard_plane,
+    _Stack,
+)
+from repro.hta.provisioner import SpotPolicy
+from repro.makeflow.dag import WorkflowGraph
 from repro.makeflow.manager import WorkflowManager
 from repro.sim.rng import RngRegistry
 from repro.soak.invariants import (
@@ -48,7 +52,7 @@ from repro.telemetry.session import TelemetryConfig
 from repro.workloads.synthetic import uniform_bag
 from repro.wq.faults import BLACK_HOLE_MODES, BlackHoleProfile
 from repro.wq.health import HealthConfig
-from repro.wq.migration import CheckpointSpec, MigrationCoordinator
+from repro.wq.migration import CheckpointSpec, MigrationConfig, MigrationCoordinator
 from repro.wq.sharding import FailoverConfig, Foreman, TaskPartitioner
 
 
@@ -271,59 +275,26 @@ def run_soak(seed: int, config: SoakConfig = SoakConfig()) -> SoakReport:
             rng=RngRegistry(seed + 4099),
             runtime_cv=config.runtime_cv,
         )
-        migration: Optional[MigrationCoordinator] = None
         if config.migrate:
             for task in graph_tasks:
                 task.checkpoint = CheckpointSpec()
-            migration = MigrationCoordinator(
-                stack.engine,
-                stack.master,
-                tracer=stack.tracer,
-                metrics=stack.metrics,
-            )
-        provisioner = WorkerProvisioner(
-            stack.engine,
-            stack.cluster.api,
-            stack.runtime,
-            image=stack_cfg.image,
-            worker_request=stack.worker_request,
-            fault_config=stack_cfg.faults.provisioner,
-            spot_policy=SpotPolicy(config.spot_fraction),
+        harness = POLICIES["hta"].build(
+            stack,
+            stack_cfg,
+            None,
+            {
+                "spot_policy": SpotPolicy(config.spot_fraction),
+                "spot_aware": True,
+                "migration": MigrationConfig() if config.migrate else None,
+            },
         )
-        responder = PreemptionResponder(
-            stack.engine,
-            stack.cluster.api,
-            stack.master,
-            stack.runtime,
-            provisioner,
-            tracer=stack.tracer,
-            migration=migration,
-        )
-        tracker = InitTimeTracker(
-            stack.cluster.api,
-            prior_s=160.0,
-            selector_label="wq-worker",
-            robust=True,
-            window=5,
-            resync_period_s=stack_cfg.faults.informer_resync_period_s,
-        )
-        operator = HtaOperator(
-            stack.engine,
-            stack.master,
-            provisioner,
-            tracker,
-            HtaConfig(
-                initial_workers=stack_cfg.cluster.min_nodes,
-                max_workers=stack_cfg.cluster.max_nodes,
-            ),
-            tracer=stack.tracer,
-            preemption=responder,
-        )
-        from repro.makeflow.dag import WorkflowGraph
-
+        operator = harness.submitter
+        provisioner = operator.provisioner
+        responder = operator.preemption
+        migration = responder.migration
         graph = WorkflowGraph(graph_tasks)
         manager = WorkflowManager(stack.engine, graph, operator)
-        manager.done_signal.add_waiter(lambda _mgr: operator.notify_no_more_jobs())
+        harness.on_manager(manager)
         api = stack.cluster.api
         index_violations: List[Violation] = []
         accounting_violations: List[Violation] = []

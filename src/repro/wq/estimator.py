@@ -56,15 +56,12 @@ class DeclaredResourceEstimator:
 class MonitorEstimator:
     """Declaration → monitor category estimate → whole-worker probe.
 
-    ``probe_unknown`` keeps the §IV-A semantics: the first task of a
-    category runs alone so the monitor gets a clean measurement. With it
-    disabled the estimator degrades to :class:`DeclaredResourceEstimator`
-    plus monitor feedback (useful in ablations).
+    The §IV-A semantics: the first task of a category runs alone on a
+    whole worker so the monitor gets a clean measurement.
     """
 
-    def __init__(self, monitor: ResourceMonitor, *, probe_unknown: bool = True):
+    def __init__(self, monitor: ResourceMonitor):
         self.monitor = monitor
-        self.probe_unknown = probe_unknown
 
     def allocation_for(
         self, task: Task, worker_capacity: ResourceVector
@@ -78,6 +75,4 @@ class MonitorEstimator:
             if not estimate.fits_in(worker_capacity):
                 return None
             return estimate
-        if self.probe_unknown:
-            return None  # whole-worker probe for a first-of-category task
-        return None
+        return None  # whole-worker probe for a first-of-category task

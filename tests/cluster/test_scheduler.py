@@ -7,7 +7,7 @@ import pytest
 from repro.cluster.api import KubeApiServer
 from repro.cluster.images import ContainerImage
 from repro.cluster.node import N1_STANDARD_4, Node
-from repro.cluster.pod import Pod, PodPhase, PodSpec, REASON_FAILED_SCHEDULING
+from repro.cluster.pod import Pod, PodSpec, REASON_FAILED_SCHEDULING
 from repro.cluster.resources import ResourceVector
 from repro.cluster.scheduler import KubeScheduler
 
@@ -100,7 +100,7 @@ class TestPassOrder:
         assert late.last_event(REASON_FAILED_SCHEDULING) is not None
 
     def test_freed_capacity_reused_next_pass(self, engine, api):
-        KubeScheduler(engine, api, strategy="binpack")
+        KubeScheduler(engine, api)
         node = add_node(api, "n1")
         first, second = make_pod("a", cores=4), make_pod("b", cores=4)
         api.create(first)
@@ -117,7 +117,7 @@ class TestPassOrder:
 
 class TestStrategies:
     def test_least_requested_spreads(self, engine, api):
-        KubeScheduler(engine, api, strategy="least-requested")
+        KubeScheduler(engine, api)
         add_node(api, "n1")
         add_node(api, "n2")
         pods = [make_pod(f"p{i}") for i in range(2)]
@@ -126,34 +126,20 @@ class TestStrategies:
         engine.run(until=5.0)
         assert {p.node.name for p in pods} == {"n1", "n2"}
 
-    def test_binpack_concentrates(self, engine, api):
-        KubeScheduler(engine, api, strategy="binpack")
-        add_node(api, "n1")
-        add_node(api, "n2")
-        pods = [make_pod(f"p{i}") for i in range(2)]
-        for p in pods:
-            api.create(p)
-        engine.run(until=5.0)
-        assert len({p.node.name for p in pods}) == 1
-
-    @pytest.mark.parametrize(
-        "strategy, expected", [("least-requested", "n2"), ("binpack", "n1")]
-    )
-    def test_equal_free_cores_tie_broken_by_name(self, engine, api, strategy, expected):
-        KubeScheduler(engine, api, strategy=strategy)
+    def test_equal_free_cores_tie_broken_by_name(self, engine, api):
+        KubeScheduler(engine, api)
         add_node(api, "n2")
         add_node(api, "n1")
         pod = make_pod("p")
         api.create(pod)
         engine.run(until=5.0)
-        assert pod.node.name == expected
+        assert pod.node.name == "n2"
 
-    @pytest.mark.parametrize("strategy", ["least-requested", "binpack"])
-    def test_float_drift_absorbed_like_fits_in(self, engine, api, strategy):
+    def test_float_drift_absorbed_like_fits_in(self, engine, api):
         # Three 0.9-core pods leave 1.2999999999999998 free cores: a
         # 1.3-core pod fits only through fits_in's epsilon, and the
         # index's cores cutoff must not drop the node first.
-        KubeScheduler(engine, api, strategy=strategy)
+        KubeScheduler(engine, api)
         node = add_node(api, "n1")
         for name in ["a", "b", "c"]:
             api.create(make_pod(name, cores=0.9))
@@ -163,10 +149,6 @@ class TestStrategies:
         api.create(big)
         engine.run(until=engine.now + 2.0)
         assert big.node is node
-
-    def test_unknown_strategy_rejected(self, engine, api):
-        with pytest.raises(ValueError):
-            KubeScheduler(engine, api, strategy="chaos")
 
     def test_stop_halts_loop(self, engine, api):
         scheduler = KubeScheduler(engine, api)

@@ -119,13 +119,15 @@ history_st = st.builds(
 class World:
     """One engine + API server + scheduler + cloud controller + chaos."""
 
-    def __init__(self, scheduler_cls, strategy: str, seed: int) -> None:
+    def __init__(self, scheduler_cls, seed: int) -> None:
         self.engine = engine = Engine()
         self.tracer = Tracer(lambda: engine.now)
         self.api = KubeApiServer(engine)
-        self.scheduler = scheduler_cls(
-            engine, self.api, strategy=strategy, tracer=self.tracer
-        )
+        self.scheduler = scheduler_cls(engine, self.api, tracer=self.tracer)
+        if scheduler_cls is LiteralScheduler:
+            # The literal still reads the strategy switch the scheduler
+            # no longer has; least-requested is the only strategy left.
+            self.scheduler.strategy = "least-requested"
         self.cloud = CloudController(
             engine,
             self.api,
@@ -261,16 +263,11 @@ DRIFT_AT_EPSILON = [
 
 
 @settings(max_examples=150, deadline=None)
-@example(history=DRIFT_AT_EPSILON, strategy="least-requested", seed=0)
-@example(history=DRIFT_AT_EPSILON, strategy="binpack", seed=0)
-@given(
-    history=history_st,
-    strategy=st.sampled_from(["least-requested", "binpack"]),
-    seed=st.integers(0, 50),
-)
-def test_indexed_scheduler_matches_literal(history, strategy, seed):
-    indexed = World(KubeScheduler, strategy, seed)
-    literal = World(LiteralScheduler, strategy, seed)
+@example(history=DRIFT_AT_EPSILON, seed=0)
+@given(history=history_st, seed=st.integers(0, 50))
+def test_indexed_scheduler_matches_literal(history, seed):
+    indexed = World(KubeScheduler, seed)
+    literal = World(LiteralScheduler, seed)
     indexed.run(history)
     literal.run(history)
     got, want = indexed.observed(), literal.observed()
@@ -289,12 +286,11 @@ def test_literal_world_binds_something():
         (1.0, ("finish", 3)),
         (2.5, ("pods", 1, 2, 2)),
     ]
-    for strategy in ("least-requested", "binpack"):
-        indexed = World(KubeScheduler, strategy, 7)
-        literal = World(LiteralScheduler, strategy, 7)
-        indexed.run(history)
-        literal.run(history)
-        got = indexed.observed()
-        assert got == literal.observed()
-        names = {name for _, name, _ in got["decisions"]}
-        assert names == {"scheduler.bind", "scheduler.unschedulable"}
+    indexed = World(KubeScheduler, 7)
+    literal = World(LiteralScheduler, 7)
+    indexed.run(history)
+    literal.run(history)
+    got = indexed.observed()
+    assert got == literal.observed()
+    names = {name for _, name, _ in got["decisions"]}
+    assert names == {"scheduler.bind", "scheduler.unschedulable"}
