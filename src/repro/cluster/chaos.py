@@ -83,14 +83,6 @@ class ChaosInjector:
         return int(self._c_injections.value(kind="master_crash"))
 
     @property
-    def api_outage_windows(self) -> int:
-        return int(self._c_injections.value(kind="api_outage"))
-
-    @property
-    def watch_drop_windows(self) -> int:
-        return int(self._c_injections.value(kind="watch_drop"))
-
-    @property
     def preemptions_total(self) -> int:
         """Spot-node reclamations fired (distinct from ``pod_evict`` —
         a preemption is a provider reclaim with a grace notice)."""
@@ -400,19 +392,6 @@ class ChaosInjector:
         self.engine.call_at(
             at_s, lambda: self.begin_api_outage(duration_s=duration_s)
         )
-
-    def begin_watch_drop(
-        self, kind: str = "Pod", *, duration_s: Optional[float] = None
-    ) -> None:
-        """Silently break one kind's watch streams (events vanish, no
-        error — the informer only notices via staleness/resync)."""
-        self.api.begin_watch_drop(kind)
-        self._c_injections.inc(kind="watch_drop")
-        if duration_s is not None:
-            self.engine.call_in(duration_s, self.end_watch_drop, kind)
-
-    def end_watch_drop(self, kind: Optional[str] = None) -> None:
-        self.api.end_watch_drop(kind)
 
     # ------------------------------------------------- provisioning faults
     def begin_boot_failures(

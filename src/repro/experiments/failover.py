@@ -48,33 +48,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.cluster.resources import ResourceVector
-from repro.experiments.runner import run_experiment
-from repro.experiments.shards import HtaFidelity
+from repro.experiments.runner import drive, run_experiment
+from repro.experiments.shards import HtaFidelity, dispatch_plane, lognormal_bag
 from repro.perf.scenarios import PerfScenario
-from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.soak.invariants import check_failover_protocol, check_journal_replay
-from repro.wq.dispatch import DispatchConfig
-from repro.wq.estimator import DeclaredResourceEstimator
-from repro.wq.link import Link
-from repro.wq.master import Master
-from repro.wq.sharding import (
-    FailoverConfig,
-    FailoverCoordinator,
-    Foreman,
-    TaskPartitioner,
-)
+from repro.wq.sharding import FailoverConfig, TaskPartitioner
 from repro.wq.task import Task
-from repro.wq.worker import Worker
 
 #: Repository root (src/repro/experiments/failover.py -> three parents up).
 _ROOT = Path(__file__).resolve().parents[3]
 DEFAULT_OUT_DIR = _ROOT / "benchmarks" / "results" / "failover"
 
-#: One task's true/declared resources; workers are sized in whole
-#: multiples so the fleet stays saturated until the tail.
-FOOT = ResourceVector(cores=1, memory_mb=512, disk_mb=128)
+#: Cores per worker, in whole one-core tasks (the shards experiment's
+#: footprint), so the fleet stays saturated until the tail.
 CORES_PER_WORKER = 16
 
 #: The contrast's fixed shard count and the (permanent) victim.
@@ -128,22 +115,6 @@ class FailoverMeasurement:
         }
 
 
-def _bag(n_tasks: int, *, execute_s: float, seed: int) -> List[Task]:
-    """Independent CPU tasks with lognormal runtime spread and no files
-    (transfers would serialize on the shared link and blur the contrast
-    this experiment wants to attribute to the dispatch plane)."""
-    rng = RngRegistry(seed + 5557)
-    return [
-        Task(
-            "failover",
-            execute_s=rng.lognormal_around("failover.exec", execute_s, 0.25),
-            footprint=FOOT,
-            declared=FOOT,
-        )
-        for _ in range(n_tasks)
-    ]
-
-
 def run_shard_loss(
     *,
     failover: bool,
@@ -163,29 +134,13 @@ def run_shard_loss(
     :class:`FailoverCoordinator` (grace :data:`GRACE_S`) re-homes the
     dead shard's work; without it the run shows what permanent loss
     costs a plane that only has the PR 3 restart-and-replay story."""
-    engine = Engine()
-    link = Link(engine, 10_000.0)
-    config = DispatchConfig()
-    shards = [
-        Master(
-            engine,
-            link,
-            config=config,
-            estimator=DeclaredResourceEstimator(),
-            name=f"shard-{i}",
-        )
-        for i in range(N_SHARDS)
-    ]
-    foreman = Foreman(
-        engine,
-        shards,
-        partitioner=TaskPartitioner(N_SHARDS, seed=seed),
+    foreman, coordinator = dispatch_plane(
+        TaskPartitioner(N_SHARDS, seed=seed),
+        n_workers=n_workers,
+        cores_per_worker=CORES_PER_WORKER,
+        failover=FailoverConfig(grace_s=GRACE_S) if failover else None,
     )
-    coordinator: Optional[FailoverCoordinator] = None
-    if failover:
-        coordinator = FailoverCoordinator(
-            engine, foreman, FailoverConfig(grace_s=GRACE_S)
-        )
+    engine = foreman.engine
     completed = 0
 
     def _done(_task: Task, _result) -> None:
@@ -193,28 +148,20 @@ def run_shard_loss(
         completed += 1
 
     foreman.on_complete(_done)
-    capacity = ResourceVector(
-        cores=CORES_PER_WORKER,
-        memory_mb=CORES_PER_WORKER * FOOT.memory_mb,
-        disk_mb=CORES_PER_WORKER * FOOT.disk_mb,
-    )
-    for i in range(n_workers):
-        Worker(
-            engine,
-            shards[i % N_SHARDS],
-            f"w{i}",
-            capacity,
-            connect_latency=1.0,
+    foreman.submit_many(
+        lognormal_bag(
+            "failover", n_tasks, execute_s=execute_s, rng=RngRegistry(seed + 5557)
         )
-    foreman.submit_many(_bag(n_tasks, execute_s=execute_s, seed=seed))
+    )
     engine.call_at(CRASH_AT_S, foreman.crash_shard, VICTIM)
     started = time.perf_counter()
-    while engine.peek() is not None and engine.now < horizon_s:
-        if completed >= n_tasks:
-            break
-        if time.perf_counter() - started > max_wall_s:
-            break
-        engine.run(until=min(horizon_s, engine.now + 50.0))
+    drive(
+        engine,
+        lambda: completed >= n_tasks,
+        until=horizon_s,
+        chunk_s=50.0,
+        deadline=started + max_wall_s,
+    )
     wall = time.perf_counter() - started
     protocol = check_failover_protocol(foreman)
     replay = check_journal_replay(foreman) if completed >= n_tasks else []

@@ -31,6 +31,7 @@ early-returning call per instrumented site.
 from __future__ import annotations
 
 import math
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -467,36 +468,47 @@ class WorkflowFailed(RuntimeError):
     """A task was permanently abandoned; the DAG can never complete."""
 
 
-def _drive(
-    stack: _Stack,
-    manager: Union[WorkflowManager, WorkflowStream],
-    accountant: ResourceAccountant,
-) -> None:
-    """Advance the simulation until the workflow (or every workflow of
-    a stream) completes."""
-    engine = stack.engine
-    limit = stack.config.max_sim_time_s
-    chunk = 60.0
-    accountant.start()
-    manager.start()
-    while not manager.done:
-        if manager.failed:
-            raise WorkflowFailed(
-                f"task(s) {sorted(manager.failed_task_ids)} permanently "
-                f"abandoned at t={engine.now:.0f}s"
-            )
-        if engine.now >= limit:
-            raise ExperimentTimeout(
-                f"workflow incomplete at t={engine.now:.0f}s "
-                f"({manager.progress():.0%} done)"
-            )
+#: Why :func:`drive` returned.
+FINISHED = "finished"
+SIM_LIMIT = "sim limit"
+DRAINED = "queue drained"
+DEADLINE = "wall deadline"
+
+
+def drive(
+    engine: Engine,
+    finished: Callable[[], bool],
+    *,
+    until: float,
+    chunk_s: Optional[float] = None,
+    max_events: Optional[int] = None,
+    deadline: Optional[float] = None,
+) -> str:
+    """Advance ``engine`` in chunks until ``finished()`` holds, the clock
+    reaches ``until``, the event queue drains, or ``time.perf_counter()``
+    passes ``deadline``; return which of :data:`FINISHED`,
+    :data:`SIM_LIMIT`, :data:`DRAINED` or :data:`DEADLINE` stopped it,
+    checked in that order before every chunk.
+
+    A chunk runs to ``min(until, now + chunk_s)`` (to ``until`` when
+    ``chunk_s`` is None) and at most ``max_events`` events. Chunking
+    never changes the simulation, only where the checks land: the clock
+    a caller reads after a stop, and so any accounting window it closes
+    there, sits on a chunk boundary.
+    """
+    while True:
+        if finished():
+            return FINISHED
+        if engine.now >= until:
+            return SIM_LIMIT
         if engine.peek() is None:
-            raise ExperimentTimeout(
-                f"event queue drained at t={engine.now:.0f}s with workflow "
-                f"{manager.progress():.0%} done — a control loop stopped early"
-            )
-        engine.run(until=min(limit, engine.now + chunk))
-    accountant.stop()
+            return DRAINED
+        if deadline is not None and time.perf_counter() > deadline:
+            return DEADLINE
+        engine.run(
+            until=until if chunk_s is None else min(until, engine.now + chunk_s),
+            max_events=max_events,
+        )
 
 
 def _collect(
@@ -791,7 +803,31 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         spec.telemetry if spec.telemetry is not None else default_telemetry()
     )
     with _assembled(spec, telemetry) as (stack, graph, harness, manager, accountant):
-        _drive(stack, manager, accountant)
+        engine = stack.engine
+        accountant.start()
+        manager.start()
+        stop = drive(
+            engine,
+            lambda: manager.done or manager.failed,
+            until=stack.config.max_sim_time_s,
+            chunk_s=60.0,
+        )
+        if stop == FINISHED and not manager.done:
+            raise WorkflowFailed(
+                f"task(s) {sorted(manager.failed_task_ids)} permanently "
+                f"abandoned at t={engine.now:.0f}s"
+            )
+        if stop == SIM_LIMIT:
+            raise ExperimentTimeout(
+                f"workflow incomplete at t={engine.now:.0f}s "
+                f"({manager.progress():.0%} done)"
+            )
+        if stop == DRAINED:
+            raise ExperimentTimeout(
+                f"event queue drained at t={engine.now:.0f}s with workflow "
+                f"{manager.progress():.0%} done — a control loop stopped early"
+            )
+        accountant.stop()
         if harness.finish is not None:
             harness.finish()
         extras = harness.extras(accountant) if harness.extras is not None else {}
@@ -945,9 +981,6 @@ def _validate_sharded(options: Dict) -> None:
     shards = options.get("shards", 4)
     if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
         raise ValueError("shards must be a positive integer")
-    mode = options.get("partition_mode", "hash")
-    if mode not in ("hash", "range"):
-        raise ValueError(f"unknown partition mode {mode!r}")
     crash_at = options.get("shard_crash_at_s")
     if crash_at is not None:
         if not isinstance(crash_at, (int, float)) or crash_at < 0:
@@ -961,18 +994,21 @@ def _validate_sharded(options: Dict) -> None:
         raise ValueError("shard_crash_index out of range")
 
 
-def _shard_plane(
-    stack: _Stack,
-    partitioner: TaskPartitioner,
-    failover: Optional[FailoverConfig] = None,
-) -> Foreman:
-    """Put ``partitioner.n_shards`` dispatch shards behind a Foreman in
-    place of ``stack.master`` and return the foreman. With a
-    ``failover`` config a FailoverCoordinator rides along as
-    ``stack.failover``."""
+def _build_sharded(
+    stack: _Stack, cfg: StackConfig, graph: WorkflowGraph, options: Dict
+) -> _PolicyHarness:
+    """HTA over the sharded data plane: N dispatch masters behind a
+    Foreman, partitioned by seeded hash, with HTA consuming the
+    foreman's aggregate view exactly as it would one master."""
+    n_shards = int(_take(options, "shards", 4))
+    failover = bool(_take(options, "failover", False))
+    failover_grace_s = _take(options, "failover_grace_s")
+    shard_crash_at_s = _take(options, "shard_crash_at_s")
+    shard_crash_index = int(_take(options, "shard_crash_index", 0))
+    shard_crash_restart_s = _take(options, "shard_crash_restart_s")
     metrics = stack.metrics if stack.telemetry.enabled else None
     shards = [stack.master]
-    for i in range(1, partitioner.n_shards):
+    for i in range(1, n_shards):
         # Every shard is stamped from the same DispatchConfig and feeds
         # the same (global) monitor, so category statistics and
         # allocation estimates see the full sample stream regardless of
@@ -988,7 +1024,11 @@ def _shard_plane(
             metrics=metrics,
         )
         shards.append(shard)
-    foreman = Foreman(stack.engine, shards, partitioner=partitioner)
+    foreman = Foreman(
+        stack.engine,
+        shards,
+        partitioner=TaskPartitioner(n_shards, seed=cfg.seed),
+    )
     # A faults.max_retries override landed on shard 0 post-construction;
     # replicate it everywhere through the foreman's broadcast setter.
     foreman.max_retries = shards[0].max_retries
@@ -996,43 +1036,17 @@ def _shard_plane(
     # collection, stack teardown — sees the foreman as *the* master.
     stack.master = foreman
     stack.runtime.master_selector = foreman.master_for_pod
-    if failover is not None:
-        stack.failover = FailoverCoordinator(
+    coordinator = None
+    if failover:
+        coordinator = stack.failover = FailoverCoordinator(
             stack.engine,
             foreman,
-            failover,
+            FailoverConfig()
+            if failover_grace_s is None
+            else FailoverConfig(grace_s=float(failover_grace_s)),
             tracer=stack.tracer,
             metrics=metrics,
         )
-    return foreman
-
-
-def _build_sharded(
-    stack: _Stack, cfg: StackConfig, graph: WorkflowGraph, options: Dict
-) -> _PolicyHarness:
-    """HTA over the sharded data plane: N dispatch masters behind a
-    Foreman, partitioned by seeded hash, with HTA consuming the
-    foreman's aggregate view exactly as it would one master."""
-    n_shards = int(_take(options, "shards", 4))
-    partition_mode = str(_take(options, "partition_mode", "hash"))
-    failover = bool(_take(options, "failover", False))
-    failover_grace_s = _take(options, "failover_grace_s")
-    shard_crash_at_s = _take(options, "shard_crash_at_s")
-    shard_crash_index = int(_take(options, "shard_crash_index", 0))
-    shard_crash_restart_s = _take(options, "shard_crash_restart_s")
-    fo_cfg: Optional[FailoverConfig] = None
-    if failover:
-        fo_cfg = (
-            FailoverConfig()
-            if failover_grace_s is None
-            else FailoverConfig(grace_s=float(failover_grace_s))
-        )
-    foreman = _shard_plane(
-        stack,
-        TaskPartitioner(n_shards, seed=cfg.seed, mode=partition_mode),
-        fo_cfg,
-    )
-    coordinator = stack.failover
     if shard_crash_at_s is not None:
         restart = (
             None if shard_crash_restart_s is None else float(shard_crash_restart_s)

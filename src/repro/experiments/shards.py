@@ -45,13 +45,14 @@ modes fail only on the HTA-tolerance check.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.resources import ResourceVector
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import drive, run_experiment
 from repro.perf.scenarios import PerfScenario
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
@@ -59,7 +60,12 @@ from repro.wq.dispatch import DispatchConfig
 from repro.wq.estimator import DeclaredResourceEstimator
 from repro.wq.link import Link
 from repro.wq.master import Master
-from repro.wq.sharding import Foreman, TaskPartitioner
+from repro.wq.sharding import (
+    FailoverConfig,
+    FailoverCoordinator,
+    Foreman,
+    TaskPartitioner,
+)
 from repro.wq.task import Task
 from repro.wq.worker import Worker
 
@@ -125,23 +131,72 @@ class ShardMeasurement:
         }
 
 
-def _synthetic_bag(n_tasks: int, *, execute_s: float, seed: int) -> List[Task]:
+def lognormal_bag(
+    category: str, n_tasks: int, *, execute_s: float, rng: RngRegistry
+) -> List[Task]:
     """A bag of independent CPU tasks with lognormal runtime spread.
 
     Built inline rather than via :func:`uniform_bag` so tasks carry no
     input/output files: file transfers serialize on the shared master
     link, which would add a shard-independent cost to the window the
     experiment wants to attribute to the dispatch plane alone."""
-    rng = RngRegistry(seed + 7919)
     return [
         Task(
-            "shards",
-            execute_s=rng.lognormal_around("shards.exec", execute_s, 0.25),
+            category,
+            execute_s=rng.lognormal_around(f"{category}.exec", execute_s, 0.25),
             footprint=FOOT,
             declared=FOOT,
         )
         for _ in range(n_tasks)
     ]
+
+
+def dispatch_plane(
+    partitioner: TaskPartitioner,
+    *,
+    n_workers: int,
+    cores_per_worker: int,
+    failover: Optional[FailoverConfig] = None,
+) -> Tuple[Foreman, Optional[FailoverCoordinator]]:
+    """A bare dispatch plane, no cluster: ``partitioner.n_shards``
+    masters behind a foreman on one shared link, a failover coordinator
+    when ``failover`` is set, then ``n_workers`` directly connected
+    workers of ``cores_per_worker`` cores, attached round-robin. The
+    foreman's ``engine`` drives it."""
+    engine = Engine()
+    link = Link(engine, 10_000.0)
+    config = DispatchConfig()
+    shards = [
+        Master(
+            engine,
+            link,
+            config=config,
+            estimator=DeclaredResourceEstimator(),
+            name=f"shard-{i}",
+        )
+        for i in range(partitioner.n_shards)
+    ]
+    foreman = Foreman(engine, shards, partitioner=partitioner)
+    coordinator = (
+        None if failover is None else FailoverCoordinator(engine, foreman, failover)
+    )
+    capacity = ResourceVector(
+        cores=cores_per_worker,
+        memory_mb=cores_per_worker * FOOT.memory_mb,
+        disk_mb=cores_per_worker * FOOT.disk_mb,
+    )
+    for i in range(n_workers):
+        # Same connect latency for the whole fleet: every registration
+        # lands on one tick, so the capacity fill is one coalesced
+        # dispatch pass.
+        Worker(
+            engine,
+            shards[i % len(shards)],
+            f"w{i}",
+            capacity,
+            connect_latency=1.0,
+        )
+    return foreman, coordinator
 
 
 def _count_dispatches(foreman: Foreman) -> List[int]:
@@ -168,51 +223,18 @@ def run_dispatch_plane(
     ``warmup_sim_s`` (covering worker connect and the initial capacity
     fill, whose one large burst is equal across configurations and
     would otherwise mask the per-completion pass cost), then drives a
-    wall-boxed window and reports the dispatch-record delta.
-
-    Partitioning is ``range`` with one contiguous id block per shard,
-    so each shard's tasks sit together in allocation order, as the
-    single master's do."""
-    engine = Engine()
-    link = Link(engine, 10_000.0)
-    config = DispatchConfig()
-    shards = [
-        Master(
-            engine,
-            link,
-            config=config,
-            estimator=DeclaredResourceEstimator(),
-            name=f"shard-{i}",
-        )
-        for i in range(n_shards)
-    ]
-    foreman = Foreman(
-        engine,
-        shards,
-        partitioner=TaskPartitioner(
-            n_shards,
-            seed=seed,
-            mode="range",
-            block=max(1, -(-n_tasks // n_shards)),
-        ),
+    wall-boxed window and reports the dispatch-record delta."""
+    foreman, _ = dispatch_plane(
+        TaskPartitioner(n_shards, seed=seed),
+        n_workers=n_workers,
+        cores_per_worker=CORES_PER_WORKER,
     )
-    capacity = ResourceVector(
-        cores=CORES_PER_WORKER,
-        memory_mb=CORES_PER_WORKER * FOOT.memory_mb,
-        disk_mb=CORES_PER_WORKER * FOOT.disk_mb,
-    )
-    for i in range(n_workers):
-        # Same connect latency for the whole fleet: every registration
-        # lands on one tick, so the capacity fill is one coalesced
-        # dispatch pass.
-        Worker(
-            engine,
-            shards[i % n_shards],
-            f"w{i}",
-            capacity,
-            connect_latency=1.0,
+    engine = foreman.engine
+    foreman.submit_many(
+        lognormal_bag(
+            "shards", n_tasks, execute_s=execute_s, rng=RngRegistry(seed + 7919)
         )
-    foreman.submit_many(_synthetic_bag(n_tasks, execute_s=execute_s, seed=seed))
+    )
     engine.run(until=warmup_sim_s)
     floor = _count_dispatches(foreman)
     done_floor = foreman.stats().done
@@ -220,10 +242,14 @@ def run_dispatch_plane(
     started = time.perf_counter()
     # Small event chunks keep the wall box tight. Rate accuracy is
     # unharmed either way (the wall is measured, the counts are deltas).
-    while engine.peek() is not None:
-        if time.perf_counter() - started > max_wall_s:
-            break
-        engine.run(until=engine.now + 1e9, max_events=64)
+    drive(
+        engine,
+        lambda: False,
+        until=math.inf,
+        chunk_s=1e9,
+        max_events=64,
+        deadline=started + max_wall_s,
+    )
     wall = time.perf_counter() - started
     per_shard = [
         after - before for after, before in zip(_count_dispatches(foreman), floor)

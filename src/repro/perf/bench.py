@@ -2,11 +2,13 @@
 
 Modeled on the megaphone-style bench harness: a named scenario list, one
 result directory per run, and a single machine-readable report at the
-top. Unlike the figure harnesses this driver owns its drive loop so it
-can *time-box* a run by wall clock: a configuration too slow to finish
-(the whole point of benchmarking a pre-optimization simulator on the
-100k-task rung) still yields a valid sim-seconds/wall-second sample
-from the partial run — throughput is a rate, not a total.
+top. It advances the engine with the runner's own
+:func:`~repro.experiments.runner.drive`, as every run does, but in
+event-bounded chunks under a wall-clock deadline, so it can *time-box*
+a run: a configuration too slow to finish (the whole point of
+benchmarking a pre-optimization simulator on the 100k-task rung) still
+yields a valid sim-seconds/wall-second sample from the partial run —
+throughput is a rate, not a total.
 
 Measured per run:
 
@@ -24,6 +26,8 @@ Measured per run:
   workflow fails stops there and is recorded (``completed: false``, the
   sim time of the failure) instead of raising, so a sweep goes on to the
   next rung.
+- ``stopped`` — why the drive stopped: ``finished`` (done or failed),
+  ``sim limit``, ``queue drained`` or ``wall deadline``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.experiments.runner import _assembled
+from repro.experiments.runner import FINISHED, _assembled, drive
 from repro.perf.scenarios import LADDER, PerfScenario
 from repro.telemetry.session import TelemetryConfig
 
@@ -69,6 +73,8 @@ class RunMeasurement:
     completed: bool
     peak_rss_mb: float
     tasks_abandoned: int = 0
+    #: Why the drive loop stopped (see :func:`repro.experiments.runner.drive`).
+    stopped: str = FINISHED
 
     @property
     def sim_per_wall(self) -> float:
@@ -153,26 +159,19 @@ def run_scenario(
     started = time.perf_counter()
     with _assembled(spec, telemetry) as (stack, graph, harness, manager, accountant):
         engine = stack.engine
-        limit = stack.config.max_sim_time_s
         accountant.start()
         manager.start()
-        while not manager.done:
-            if manager.failed:
-                break  # recorded below; the sweep moves on
-            if engine.now >= limit or engine.peek() is None:
-                break
-            if (
-                max_wall_s is not None
-                and time.perf_counter() - started > max_wall_s
-            ):
-                break
-            # Event-bounded chunks keep the wall box tight even when
-            # the simulation is inside a same-timestamp event burst
-            # (where a sim-time chunk boundary could never trip). The
-            # chunk boundary is the only place the wall clock is
-            # checked; chunking does not affect the simulation's
-            # behaviour, only where the box lands.
-            engine.run(until=limit, max_events=4096)
+        # Event-bounded chunks keep the wall box tight even when the
+        # simulation is inside a same-timestamp event burst (where a
+        # sim-time chunk boundary could never trip). A failed workflow
+        # stops the run too; it is recorded below and the sweep moves on.
+        stopped = drive(
+            engine,
+            lambda: manager.done or manager.failed,
+            until=stack.config.max_sim_time_s,
+            max_events=4096,
+            deadline=None if max_wall_s is None else started + max_wall_s,
+        )
         accountant.stop()
         if manager.done and harness.finish is not None:
             harness.finish()
@@ -190,6 +189,7 @@ def run_scenario(
             completed=bool(manager.done),
             peak_rss_mb=_peak_rss_mb(),
             tasks_abandoned=len(manager.failed_task_ids),
+            stopped=stopped,
         )
 
 
@@ -217,7 +217,7 @@ def run_bench(config: BenchConfig, *, echo=print) -> BenchReport:
                 f"abandoned at t={measurement.sim_s:.0f}s)"
             )
         else:
-            status = "" if measurement.completed else " (wall budget hit)"
+            status = "" if measurement.completed else f" ({measurement.stopped})"
         echo(
             f"perf: {scenario.name}: {measurement.sim_per_wall:.1f} sim-s/wall-s, "
             f"{measurement.events_per_sec:.0f} events/s{status}"

@@ -1,37 +1,41 @@
 """The chaos-soak harness: one seeded hostile run, checked at the end.
 
-``run_soak(seed)`` builds the full stack (cluster with a preemptible
-pool, Work Queue master, spot-aware HTA), throws the seed's generated
-fault schedule at it — node kills, evictions, preemption waves,
-partitions, master crashes, API outages, boot failures, pull stalls —
-drives to quiescence, and then runs every invariant checker. The report
-carries the violations (if any) and the seed *is* the reproduction
-recipe: ``run_soak(seed)`` again replays the identical run.
+``run_soak(seed)`` assembles the full stack through the runner, as
+every experiment does: an :class:`~repro.experiments.runner.ExperimentSpec`
+for spot-aware ``hta`` (or ``sharded`` with failover on, for a
+multi-shard plane) on a cluster with a preemptible pool. It throws the
+seed's generated fault schedule at the stack — node kills, evictions,
+preemption waves, partitions, master crashes, API outages, boot
+failures, pull stalls — advances it with the runner's
+:func:`~repro.experiments.runner.drive` to quiescence, and then runs
+every invariant checker. The report carries the violations (if any) and
+the seed *is* the reproduction recipe: ``run_soak(seed)`` again replays
+the identical run.
 
-Unlike :func:`repro.experiments.runner.run_experiment`, the soak drive
-loop tolerates task abandonment — under a sufficiently hostile schedule
-abandoning a task is correct behaviour (bounded retries), and the
-invariants check that it happens *consistently*, not that it never
+Unlike :func:`repro.experiments.runner.run_experiment`, the soak's stop
+condition tolerates task abandonment — under a sufficiently hostile
+schedule abandoning a task is correct behaviour (bounded retries), and
+the invariants check that it happens *consistently*, not that it never
 happens.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.cloud import PreemptiblePoolConfig
 from repro.cluster.cluster import ClusterConfig
 from repro.experiments.runner import (
-    POLICIES,
+    FINISHED,
+    ExperimentSpec,
     FaultProfile,
     StackConfig,
-    _shard_plane,
+    _assembled,
     _Stack,
+    drive,
 )
 from repro.hta.provisioner import SpotPolicy
-from repro.makeflow.dag import WorkflowGraph
-from repro.makeflow.manager import WorkflowManager
 from repro.sim.rng import RngRegistry
 from repro.soak.invariants import (
     VersionProbe,
@@ -53,7 +57,7 @@ from repro.workloads.synthetic import uniform_bag
 from repro.wq.faults import BLACK_HOLE_MODES, BlackHoleProfile
 from repro.wq.health import HealthConfig
 from repro.wq.migration import CheckpointSpec, MigrationConfig, MigrationCoordinator
-from repro.wq.sharding import FailoverConfig, Foreman, TaskPartitioner
+from repro.wq.sharding import Foreman
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,40 +97,36 @@ class SoakConfig:
     #: (1 = the classic single master). HTA consumes the foreman's
     #: aggregate view, so the autoscaling loop is unchanged.
     shards: int = 1
-    #: Opt-in shard chaos: a FailoverCoordinator joins the sharded stack
-    #: and the ``shard_crash`` primitive (transient or permanent loss of
-    #: one shard) enters the schedule's sampling pool. Requires
+    #: Opt-in shard chaos: the ``shard_crash`` primitive (transient or
+    #: permanent loss of one shard) enters the schedule's sampling pool;
+    #: every sharded soak runs a FailoverCoordinator. Requires
     #: ``shards >= 2``. Off by default for the bit-identity reason.
     shard_crash: bool = False
 
+    def opt_in_kinds(self) -> Tuple[str, ...]:
+        """The opt-in chaos primitives these flags add to the schedule's
+        sampling pool, in pool order."""
+        kinds: List[str] = []
+        if self.migrate:
+            kinds.append("migrate")
+        if self.integrity:
+            kinds += ["corrupt", "black_hole"]
+        if self.shard_crash:
+            kinds.append("shard_crash")
+        return tuple(kinds)
+
     def smoke(self) -> "SoakConfig":
         """A shrunk copy for CI: fewer tasks, fewer strikes."""
-        return SoakConfig(
+        return replace(
+            self,
             n_tasks=60,
             execute_s=120.0,
-            runtime_cv=self.runtime_cv,
             max_nodes=10,
             spot_max_nodes=5,
-            spot_fraction=self.spot_fraction,
-            preemption_grace_s=self.preemption_grace_s,
-            max_retries=self.max_retries,
             quiescence_timeout_s=6000.0,
-            drain_grace_s=self.drain_grace_s,
             schedule=SoakScheduleConfig(
-                horizon_s=450.0,
-                start_after_s=120.0,
-                min_events=3,
-                max_events=6,
-                migrate=self.migrate,
-                integrity=self.integrity,
-                shard_crash=self.shard_crash,
+                horizon_s=450.0, start_after_s=120.0, min_events=3, max_events=6
             ),
-            migrate=self.migrate,
-            integrity=self.integrity,
-            result_corruption_prob=self.result_corruption_prob,
-            checkpoint_corruption_prob=self.checkpoint_corruption_prob,
-            shards=self.shards,
-            shard_crash=self.shard_crash,
         )
 
 
@@ -231,14 +231,7 @@ def run_soak(seed: int, config: SoakConfig = SoakConfig()) -> SoakReport:
     """One seeded soak run; see the module docstring."""
     if config.shard_crash and config.shards < 2:
         raise ValueError("shard_crash needs a sharded plane (shards >= 2)")
-    schedule_cfg = config.schedule
-    if config.migrate and not schedule_cfg.migrate:
-        schedule_cfg = replace(schedule_cfg, migrate=True)
-    if config.integrity and not schedule_cfg.integrity:
-        schedule_cfg = replace(schedule_cfg, integrity=True)
-    if config.shard_crash and not schedule_cfg.shard_crash:
-        schedule_cfg = replace(schedule_cfg, shard_crash=True)
-    events = generate_schedule(seed, schedule_cfg)
+    events = generate_schedule(seed, config.schedule, config.opt_in_kinds())
     fault_profile = FaultProfile(max_retries=config.max_retries)
     if config.integrity:
         fault_profile = replace(
@@ -258,44 +251,42 @@ def run_soak(seed: int, config: SoakConfig = SoakConfig()) -> SoakReport:
         seed=seed,
         faults=fault_profile,
     )
-    with _Stack(stack_cfg, telemetry=TelemetryConfig(enabled=True)) as stack:
-        if config.shards > 1:
-            # The runner's sharded plane; a FailoverCoordinator rides
-            # along so shard_crash strikes (permanent ones included) are
-            # survivable.
-            _shard_plane(
-                stack, TaskPartitioner(config.shards, seed=seed), FailoverConfig()
-            )
-        failover = stack.failover
-        probe = VersionProbe(stack.cluster.api)
-        graph_tasks = uniform_bag(
-            config.n_tasks,
-            execute_s=config.execute_s,
-            category="soak",
-            rng=RngRegistry(seed + 4099),
-            runtime_cv=config.runtime_cv,
-        )
-        if config.migrate:
-            for task in graph_tasks:
-                task.checkpoint = CheckpointSpec()
-        harness = POLICIES["hta"].build(
-            stack,
-            stack_cfg,
-            None,
-            {
-                "spot_policy": SpotPolicy(config.spot_fraction),
-                "spot_aware": True,
-                "migration": MigrationConfig() if config.migrate else None,
-            },
-        )
+    tasks = uniform_bag(
+        config.n_tasks,
+        execute_s=config.execute_s,
+        category="soak",
+        rng=RngRegistry(seed + 4099),
+        runtime_cv=config.runtime_cv,
+    )
+    if config.migrate:
+        for task in tasks:
+            task.checkpoint = CheckpointSpec()
+    options: Dict[str, object] = {
+        "spot_policy": SpotPolicy(config.spot_fraction),
+        "spot_aware": True,
+        "migration": MigrationConfig() if config.migrate else None,
+    }
+    policy = "hta"
+    if config.shards > 1:
+        # HTA over the runner's sharded plane; a FailoverCoordinator
+        # rides along so shard_crash strikes (permanent ones included)
+        # are survivable.
+        policy = "sharded"
+        options.update(shards=config.shards, failover=True)
+    spec = ExperimentSpec(tasks, policy, stack=stack_cfg, options=options)
+    with _assembled(spec, TelemetryConfig(enabled=True)) as assembled:
+        # The accountant stays unstarted: no check reads its series, and
+        # sampling them would only cost wall time.
+        stack, graph, harness, manager, _accountant = assembled
         operator = harness.submitter
         provisioner = operator.provisioner
         responder = operator.preemption
         migration = responder.migration
-        graph = WorkflowGraph(graph_tasks)
-        manager = WorkflowManager(stack.engine, graph, operator)
-        harness.on_manager(manager)
+        failover = stack.failover
+        engine = stack.engine
+        master = stack.master
         api = stack.cluster.api
+        probe = VersionProbe(api)
         index_violations: List[Violation] = []
         accounting_violations: List[Violation] = []
 
@@ -310,34 +301,29 @@ def run_soak(seed: int, config: SoakConfig = SoakConfig()) -> SoakReport:
             if not accounting_violations:
                 accounting_violations.extend(check_accounting_aggregates(stack))
 
-        for event in events:
-            stack.engine.call_at(event.at_s, strike, event)
-
         manager.start()
-        operator.start()
-        engine = stack.engine
-        master = stack.master
+        for event in events:
+            engine.call_at(event.at_s, strike, event)
 
         def resolved() -> int:
             done = sum(1 for t in master.done if t.speculation_of is None)
             return done + len(master.abandoned)
 
-        quiesced = False
-        while engine.now < config.quiescence_timeout_s:
-            if resolved() >= len(graph.tasks) and master.all_done:
-                quiesced = True
-                break
-            if engine.peek() is None:
-                break  # event queue drained without quiescing
-            engine.run(until=min(config.quiescence_timeout_s, engine.now + 30.0))
+        quiesced = (
+            drive(
+                engine,
+                lambda: resolved() >= len(graph.tasks) and master.all_done,
+                until=config.quiescence_timeout_s,
+                chunk_s=30.0,
+            )
+            == FINISHED
+        )
         violations: List[Violation] = []
         if quiesced:
             # Abandonment keeps the manager's done signal from firing;
             # trigger clean-up explicitly, then give drains time to land.
             operator.notify_no_more_jobs()
-            deadline = engine.now + config.drain_grace_s
-            while engine.now < deadline and engine.peek() is not None:
-                engine.run(until=deadline)
+            drive(engine, lambda: False, until=engine.now + config.drain_grace_s)
         else:
             violations.append(
                 Violation(

@@ -14,7 +14,7 @@ survivable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.sim.rng import RngRegistry
 
@@ -34,20 +34,20 @@ FAULT_KIND_WEIGHTS: Dict[str, float] = {
 
 FAULT_KINDS: Tuple[str, ...] = tuple(FAULT_KIND_WEIGHTS)
 
-#: Sampling weight the ``migrate`` primitive gets when a schedule opts
-#: in (:attr:`SoakScheduleConfig.migrate`). Kept out of
+#: Sampling weights of the opt-in primitives a schedule's caller may add
+#: to the pool (see :func:`generate_schedule`): ``migrate``
+#: (checkpoint/restore drain of a random busy worker), ``corrupt``
+#: (silently damage one running attempt's result), ``black_hole`` (turn
+#: one worker into a fast-fail/fast-fake sink) and ``shard_crash`` (kill
+#: one random dispatch shard; roughly half the strikes are permanent, so
+#: the failover path is exercised). Kept out of
 #: :data:`FAULT_KIND_WEIGHTS` so default schedules stay bit-identical.
-MIGRATE_WEIGHT: float = 1.5
-
-#: Sampling weights for the value-fault primitives when a schedule opts
-#: in (:attr:`SoakScheduleConfig.integrity`); same bit-identity rule.
-CORRUPT_WEIGHT: float = 1.5
-BLACK_HOLE_WEIGHT: float = 0.75
-
-#: Sampling weight of the ``shard_crash`` primitive (kill one dispatch
-#: shard behind the foreman) when a sharded schedule opts in
-#: (:attr:`SoakScheduleConfig.shard_crash`); same bit-identity rule.
-SHARD_CRASH_WEIGHT: float = 1.0
+OPT_IN_WEIGHTS: Dict[str, float] = {
+    "migrate": 1.5,
+    "corrupt": 1.5,
+    "black_hole": 0.75,
+    "shard_crash": 1.0,
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,21 +85,6 @@ class SoakScheduleConfig:
     max_master_crashes: int = 1
     #: At most this many API outages per schedule.
     max_api_outages: int = 1
-    #: Opt-in: add the ``migrate`` primitive (checkpoint/restore drain of
-    #: a random busy worker) to the sampling pool. Off by default so the
-    #: seeded draws of existing schedules stay bit-identical.
-    migrate: bool = False
-    #: Opt-in: add the value-fault primitives — ``corrupt`` (silently
-    #: damage one running attempt's result) and ``black_hole`` (turn one
-    #: worker into a fast-fail/fast-fake sink) — to the sampling pool.
-    #: Off by default for the same bit-identity reason.
-    integrity: bool = False
-    #: Opt-in: add the ``shard_crash`` primitive (kill one random
-    #: dispatch shard; roughly half the strikes are permanent — no
-    #: restart — so the failover path is actually exercised) to the
-    #: sampling pool. Only meaningful on a sharded soak stack. Off by
-    #: default for the same bit-identity reason.
-    shard_crash: bool = False
     #: At most this many shard crashes per schedule (each permanent one
     #: costs a failover grace worth of stranded work).
     max_shard_crashes: int = 2
@@ -152,30 +137,24 @@ def _sample_params(
 
 
 def generate_schedule(
-    seed: int, config: SoakScheduleConfig = SoakScheduleConfig()
+    seed: int,
+    config: SoakScheduleConfig = SoakScheduleConfig(),
+    opt_in: Sequence[str] = (),
 ) -> List[FaultEvent]:
     """The seed's fault schedule, sorted by strike time.
 
-    Deterministic: the generator draws only from named streams of an
-    :class:`RngRegistry` keyed by ``seed``, so regenerating with the
-    same arguments is bit-identical.
+    ``opt_in`` names primitives of :data:`OPT_IN_WEIGHTS` appended to
+    the sampling pool, in the given order (the soak harness passes
+    ``migrate``, ``corrupt``, ``black_hole``, ``shard_crash``, as its
+    flags select them). Deterministic: the generator draws only from
+    named streams of an :class:`RngRegistry` keyed by ``seed``, so
+    regenerating with the same arguments is bit-identical.
     """
     rng = RngRegistry(seed)
     s = rng.stream("soak.schedule")
     n = int(s.integers(config.min_events, config.max_events + 1))
-    kinds = list(FAULT_KIND_WEIGHTS)
-    weights = [FAULT_KIND_WEIGHTS[k] for k in kinds]
-    if config.migrate:
-        kinds.append("migrate")
-        weights.append(MIGRATE_WEIGHT)
-    if config.integrity:
-        kinds.append("corrupt")
-        weights.append(CORRUPT_WEIGHT)
-        kinds.append("black_hole")
-        weights.append(BLACK_HOLE_WEIGHT)
-    if config.shard_crash:
-        kinds.append("shard_crash")
-        weights.append(SHARD_CRASH_WEIGHT)
+    kinds = list(FAULT_KIND_WEIGHTS) + list(opt_in)
+    weights = [*FAULT_KIND_WEIGHTS.values(), *(OPT_IN_WEIGHTS[k] for k in opt_in)]
     total = sum(weights)
     probs = [w / total for w in weights]
     events: List[FaultEvent] = []

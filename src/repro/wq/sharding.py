@@ -66,34 +66,23 @@ _KNUTH = 2654435761
 class TaskPartitioner:
     """Deterministic task-id → shard mapping.
 
-    ``hash`` mode (default) scatters sequential ids uniformly — the
-    right choice when category mix correlates with submit order.
-    ``range`` mode keeps blocks of ``block`` consecutive ids on one
-    shard — the right choice when neighbouring tasks share cacheable
-    inputs and locality beats balance. Both are pure functions of
-    ``(task_id, n_shards, seed)``: two runs at the same seed partition
-    identically, which the fidelity harness depends on.
+    A seeded multiplicative hash scatters sequential ids uniformly, so
+    no shard gets a run of one category when category mix correlates
+    with submit order. It is a pure function of ``(task_id, n_shards,
+    seed)``: two runs at the same seed partition identically, which the
+    fidelity harness depends on.
     """
 
     n_shards: int
     seed: int = 0
-    mode: str = "hash"
-    #: ``range`` mode only: consecutive ids per shard-block.
-    block: int = 64
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
             raise ValueError("n_shards must be at least 1")
-        if self.mode not in ("hash", "range"):
-            raise ValueError(f"unknown partition mode {self.mode!r}")
-        if self.block < 1:
-            raise ValueError("block must be at least 1")
 
     def shard_for(self, task_id: int) -> int:
         if self.n_shards == 1:
             return 0
-        if self.mode == "range":
-            return (task_id // self.block) % self.n_shards
         return ((task_id * _KNUTH) ^ self.seed) % self.n_shards
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.cluster.cluster import ClusterConfig
@@ -117,7 +119,7 @@ class TestRunExperiment:
                     options={"shards": 0},
                 )
             )
-        with pytest.raises(ValueError, match="unknown partition mode"):
+        with pytest.raises(ValueError, match="unknown option"):
             run_experiment(
                 ExperimentSpec(
                     workload(),
@@ -155,17 +157,21 @@ class TestSingleShardEquivalence:
         """Run ``spec``; return the master's journal digest and the event
         count at the workflow's done signal."""
         seen = {}
-        drive = runner._drive
+        assembled = runner._assembled
 
-        def traced_drive(stack, manager, accountant):
-            manager.done_signal.add_waiter(
-                lambda _m: seen.setdefault("events", stack.engine.events_fired)
-            )
-            drive(stack, manager, accountant)
-            seen["digest"] = stack.master.journal.digest()
+        @contextmanager
+        def traced_assembled(spec, telemetry):
+            with assembled(spec, telemetry) as parts:
+                stack, _graph, _harness, manager, _accountant = parts
+                manager.done_signal.add_waiter(
+                    lambda _m: seen.setdefault("events", stack.engine.events_fired)
+                )
+                yield parts
+                seen["digest"] = stack.master.journal.digest()
 
-        monkeypatch.setattr(runner, "_drive", traced_drive)
-        result = run_experiment(spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "_assembled", traced_assembled)
+            result = run_experiment(spec)
         return seen["digest"], seen["events"], result.makespan_s
 
     @pytest.mark.parametrize("seed", [1, 7])

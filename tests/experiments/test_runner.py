@@ -8,13 +8,19 @@ from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
 from repro.cluster.resources import ResourceVector
 from repro.experiments.runner import (
+    DEADLINE,
+    DRAINED,
+    FINISHED,
+    SIM_LIMIT,
     ExperimentSpec,
     ExperimentTimeout,
     StackConfig,
+    drive,
     ensure_graph,
     run_experiment,
 )
 from repro.makeflow.dag import WorkflowGraph
+from repro.sim.engine import Engine
 from repro.workloads.synthetic import uniform_bag
 
 
@@ -116,3 +122,60 @@ class TestResults:
                     stack=small_stack(max_sim_time_s=100.0),
                 )
             )
+
+
+def ticking_engine(period_s: float = 1.0, until_s: float = 1000.0) -> Engine:
+    """An engine with one event every ``period_s`` up to ``until_s``."""
+    engine = Engine()
+    t = period_s
+    while t <= until_s:
+        engine.call_at(t, lambda: None)
+        t += period_s
+    return engine
+
+
+class TestDrive:
+    def test_finished_stops_at_the_chunk_boundary(self):
+        engine = ticking_engine()
+        stop = drive(engine, lambda: engine.now >= 10.0, until=500.0, chunk_s=60.0)
+        assert stop == FINISHED
+        # The predicate is checked between chunks, so the clock (and an
+        # accounting window closed after the stop) sits on a boundary.
+        assert engine.now == 60.0
+
+    def test_finished_is_checked_before_the_first_chunk(self):
+        engine = ticking_engine()
+        assert drive(engine, lambda: True, until=0.0) == FINISHED
+        assert engine.events_fired == 0
+
+    def test_sim_limit(self):
+        engine = ticking_engine()
+        stop = drive(engine, lambda: False, until=125.0, chunk_s=60.0)
+        assert stop == SIM_LIMIT
+        assert engine.now == 125.0
+        assert engine.events_fired == 125
+
+    def test_queue_drained(self):
+        engine = ticking_engine(until_s=30.0)
+        stop = drive(engine, lambda: False, until=500.0, chunk_s=60.0)
+        assert stop == DRAINED
+        # The one chunk ran to its end with the queue already empty.
+        assert engine.now == 60.0
+        assert engine.events_fired == 30
+
+    def test_deadline_already_past_runs_nothing(self):
+        engine = ticking_engine()
+        stop = drive(engine, lambda: False, until=500.0, deadline=0.0)
+        assert stop == DEADLINE
+        assert engine.events_fired == 0 and engine.now == 0.0
+
+    def test_max_events_bounds_each_chunk(self):
+        engine = ticking_engine()
+        chunks = []
+
+        def finished() -> bool:
+            chunks.append(engine.events_fired)
+            return engine.events_fired >= 10
+
+        assert drive(engine, finished, until=500.0, max_events=4) == FINISHED
+        assert chunks == [0, 4, 8, 12]

@@ -25,7 +25,7 @@ FOOT = ResourceVector(1, 512, 128)
 CAP = ResourceVector(4, 4096, 4096)
 
 
-def build_plane(n_shards: int, seed: int, mode: str):
+def build_plane(n_shards: int, seed: int):
     engine = Engine()
     link = Link(engine, 100.0)
     shards = [
@@ -35,7 +35,7 @@ def build_plane(n_shards: int, seed: int, mode: str):
     foreman = Foreman(
         engine,
         shards,
-        partitioner=TaskPartitioner(n_shards, seed=seed, mode=mode),
+        partitioner=TaskPartitioner(n_shards, seed=seed),
     )
     for shard in shards:
         Worker(engine, shard, f"w-{shard.name}", CAP, connect_latency=1.0)
@@ -45,16 +45,15 @@ def build_plane(n_shards: int, seed: int, mode: str):
 @given(
     n_shards=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=2**16),
-    mode=st.sampled_from(["hash", "range"]),
     runtimes=st.lists(
         st.floats(min_value=1.0, max_value=20.0), min_size=1, max_size=10
     ),
 )
 @settings(max_examples=30, deadline=None)
 def test_merged_journals_replay_to_the_foreman_aggregate(
-    n_shards, seed, mode, runtimes
+    n_shards, seed, runtimes
 ):
-    engine, foreman, shards = build_plane(n_shards, seed, mode)
+    engine, foreman, shards = build_plane(n_shards, seed)
     tasks = [
         Task("c", execute_s=r, footprint=FOOT, declared=FOOT) for r in runtimes
     ]

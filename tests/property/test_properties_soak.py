@@ -89,8 +89,10 @@ def test_migrate_flag_leaves_other_draws_bit_identical(seed):
     """Enabling the opt-in ``migrate`` kind only *adds* events: the
     non-migrate subsequence of a migrate-enabled schedule never loses
     determinism guarantees — generation stays pure under the flag."""
-    cfg = SoakScheduleConfig(migrate=True)
-    assert generate_schedule(seed, cfg) == generate_schedule(seed, cfg)
+    opt_in = ("migrate",)
+    assert generate_schedule(seed, SoakScheduleConfig(), opt_in) == (
+        generate_schedule(seed, SoakScheduleConfig(), opt_in)
+    )
 
 
 @settings(max_examples=10, deadline=None)
@@ -131,10 +133,12 @@ def test_shard_crash_flag_is_opt_in_only(seed):
     schedule is bit-identical whether or not the flag exists, and a
     shard-crash-enabled schedule is itself pure."""
     assert generate_schedule(seed, SoakScheduleConfig()) == generate_schedule(
-        seed, SoakScheduleConfig(shard_crash=False)
+        seed, SoakScheduleConfig(), ()
     )
-    cfg = SoakScheduleConfig(shard_crash=True)
-    assert generate_schedule(seed, cfg) == generate_schedule(seed, cfg)
+    opt_in = ("shard_crash",)
+    assert generate_schedule(seed, SoakScheduleConfig(), opt_in) == (
+        generate_schedule(seed, SoakScheduleConfig(), opt_in)
+    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -144,7 +148,9 @@ def test_integrity_flag_is_opt_in_only(seed):
     is bit-identical whether or not the ``integrity`` machinery exists,
     and an integrity-enabled schedule is itself pure."""
     assert generate_schedule(seed, SoakScheduleConfig()) == generate_schedule(
-        seed, SoakScheduleConfig(integrity=False)
+        seed, SoakScheduleConfig(), ()
     )
-    cfg = SoakScheduleConfig(integrity=True)
-    assert generate_schedule(seed, cfg) == generate_schedule(seed, cfg)
+    opt_in = ("corrupt", "black_hole")
+    assert generate_schedule(seed, SoakScheduleConfig(), opt_in) == (
+        generate_schedule(seed, SoakScheduleConfig(), opt_in)
+    )

@@ -46,7 +46,7 @@ def make_task(execute_s=10.0, checkpoint=None):
     )
 
 
-def make_foreman(engine, n=2, seed=1, mode="hash"):
+def make_foreman(engine, n=2, seed=1):
     link = Link(engine, 100.0)
     shards = [
         Master(
@@ -58,7 +58,7 @@ def make_foreman(engine, n=2, seed=1, mode="hash"):
         for i in range(n)
     ]
     foreman = Foreman(
-        engine, shards, partitioner=TaskPartitioner(n, seed=seed, mode=mode)
+        engine, shards, partitioner=TaskPartitioner(n, seed=seed)
     )
     return foreman, shards
 
@@ -86,12 +86,6 @@ class TestTaskPartitioner:
         for count in counts:
             assert 0.15 * 10_000 <= count <= 0.35 * 10_000
 
-    def test_range_mode_assigns_contiguous_blocks(self):
-        p = TaskPartitioner(2, mode="range", block=4)
-        assert [p.shard_for(i) for i in range(12)] == [
-            0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0,
-        ]
-
     def test_single_shard_takes_everything(self):
         p = TaskPartitioner(1, seed=99)
         assert {p.shard_for(i) for i in range(50)} == {0}
@@ -99,10 +93,6 @@ class TestTaskPartitioner:
     def test_validation(self):
         with pytest.raises(ValueError):
             TaskPartitioner(0)
-        with pytest.raises(ValueError):
-            TaskPartitioner(2, mode="nope")
-        with pytest.raises(ValueError):
-            TaskPartitioner(2, mode="range", block=0)
 
 
 class TestForemanConstruction:
