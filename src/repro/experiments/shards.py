@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.resources import ResourceVector
-from repro.experiments.runner import drive, run_experiment
+from repro.experiments.runner import DRAINED, drive, run_experiment
 from repro.perf.scenarios import PerfScenario
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
@@ -230,11 +230,10 @@ def run_dispatch_plane(
         cores_per_worker=CORES_PER_WORKER,
     )
     engine = foreman.engine
-    foreman.submit_many(
-        lognormal_bag(
-            "shards", n_tasks, execute_s=execute_s, rng=RngRegistry(seed + 7919)
-        )
+    bag = lognormal_bag(
+        "shards", n_tasks, execute_s=execute_s, rng=RngRegistry(seed + 7919)
     )
+    foreman.submit_many(bag)
     engine.run(until=warmup_sim_s)
     floor = _count_dispatches(foreman)
     done_floor = foreman.stats().done
@@ -242,7 +241,7 @@ def run_dispatch_plane(
     started = time.perf_counter()
     # Small event chunks keep the wall box tight. Rate accuracy is
     # unharmed either way (the wall is measured, the counts are deltas).
-    drive(
+    stop = drive(
         engine,
         lambda: False,
         until=math.inf,
@@ -251,6 +250,11 @@ def run_dispatch_plane(
         deadline=started + max_wall_s,
     )
     wall = time.perf_counter() - started
+    sim_s = engine.now
+    if stop == DRAINED:
+        # The last chunk left the clock at its 1e9 s horizon; the bag's
+        # last completion is the last event that mattered.
+        sim_s = max(t.finish_time for t in bag if t.finish_time is not None)
     per_shard = [
         after - before for after, before in zip(_count_dispatches(foreman), floor)
     ]
@@ -259,7 +263,7 @@ def run_dispatch_plane(
         n_shards=n_shards,
         n_tasks=n_tasks,
         wall_s=wall,
-        sim_s=engine.now,
+        sim_s=sim_s,
         engine_events=engine.events_fired - events_floor,
         dispatch_events=sum(per_shard),
         per_shard_dispatch=per_shard,

@@ -35,13 +35,15 @@ Extensions (documented in DESIGN.md):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import groupby
+from math import ceil
 from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cluster.resources import ResourceVector
+
+_new = tuple.__new__
 
 #: A run of the simulated wait queue: that many adjacent waiting tasks
 #: with equal resources.
@@ -179,20 +181,32 @@ class ResourceEstimator:
         cfg = self.config
 
         # --- lines 1-2: capacity and currently-available resources,
-        # spot workers discounted by their expected survival
+        # spot workers discounted by their expected survival. One pass
+        # folds the running tasks in as component floats, buckets their
+        # completions to steps and keeps MaxRuntime(running).
         effective = active_workers - spot_workers * (1.0 - spot_survival)
-        ava = self.worker_capacity.scale(max(0.0, effective))
-        for task in running:
-            ava = (ava - task.resources).clamp_floor(0.0)
-
-        # Completion schedule for running tasks, bucketed to steps.
+        ac, am, ad = self.worker_capacity.scale(max(0.0, effective))
+        step_s = cfg.step_s
+        max_run = running[0].remaining_s if running else cfg.default_cycle_s
         completions: Dict[int, List[ResourceVector]] = {}
-        for task in running:
-            step = max(1, math.ceil(task.remaining_s / cfg.step_s))
-            completions.setdefault(step, []).append(task.resources)
+        for res, remaining_s in running:
+            rc, rm, rd = res
+            # max(x - r, 0.0), bit for bit: it keeps x - r unless 0.0 > x - r.
+            ac = 0.0 if ac - rc < 0.0 else ac - rc
+            am = 0.0 if am - rm < 0.0 else am - rm
+            ad = 0.0 if ad - rd < 0.0 else ad - rd
+            step = ceil(remaining_s / step_s)
+            step = step if step > 1 else 1
+            bucket = completions.get(step)
+            if bucket is None:
+                completions[step] = [res]
+            else:
+                bucket.append(res)
+            if remaining_s > max_run:
+                max_run = remaining_s
         arrivals: Dict[int, List[ResourceVector]] = {}
         for pw in pending:
-            step = max(1, math.ceil(max(pw.eta_s, 0.0) / cfg.step_s))
+            step = max(1, ceil(max(pw.eta_s, 0.0) / step_s))
             arrivals.setdefault(step, []).append(pw.capacity)
 
         # The wait queue as runs of equal resources, in queue order: the
@@ -201,25 +215,37 @@ class ResourceEstimator:
             (res, len(list(group)))
             for res, group in groupby(waiting, key=attrgetter("resources"))
         ]
-        steps = max(1, math.ceil(rsrc_init_time / cfg.step_s))
+        steps = max(1, ceil(rsrc_init_time / step_s))
 
         # Forecast submissions joining the wait queue mid-cycle
         # (extension: the hybrid mode's predicted inflow).
         task_arrivals: Dict[int, List[ResourceVector]] = {}
         for fa in future_arrivals:
-            step = max(1, math.ceil(fa.eta_s / cfg.step_s))
+            step = max(1, ceil(fa.eta_s / step_s))
             if step <= steps:
                 task_arrivals.setdefault(step, []).append(fa.task.resources)
 
-        # --- lines 3-18: forward simulation over one init cycle
-        for t in range(1, steps + 1):
-            for freed in completions.get(t, ()):  # lines 4-7
-                ava = ava + freed
-            for extra in arrivals.get(t, ()):  # extension: in-flight pods
-                ava = ava + extra
+        # --- lines 3-18: forward simulation over one init cycle, at step 1
+        # and at steps that free capacity or add work. Between them dispatch
+        # is a fixed point unless a negative free or requested component
+        # lets a placement grow capacity; then every step runs (DESIGN §12).
+        events = iter(sorted({*completions, *arrivals, *task_arrivals}))
+        every_step = any(min(res) < 0 for res, _ in wait_queue)
+        t = 1
+        while t <= steps:
+            for fc, fm, fd in completions.get(t, ()):  # lines 4-7
+                ac, am, ad = ac + fc, am + fm, ad + fd
+            for fc, fm, fd in arrivals.get(t, ()):  # extension: in-flight pods
+                ac, am, ad = ac + fc, am + fm, ad + fd
             for res in task_arrivals.get(t, ()):  # predicted inflow
+                every_step = every_step or min(res) < 0
                 _push_run(wait_queue, res, 1)
-            wait_queue, ava = self._dispatch(wait_queue, ava)
+            every_step = every_step or ac < 0 or am < 0 or ad < 0
+            wait_queue, (ac, am, ad) = self._dispatch(
+                wait_queue, _new(ResourceVector, (ac, am, ad))
+            )
+            t = t + 1 if every_step else next((e for e in events if e > t), steps + 1)
+        ava = _new(ResourceVector, (ac, am, ad))
         waiting_after = sum(count for _, count in wait_queue)
 
         def removable() -> int:
@@ -233,9 +259,6 @@ class ResourceEstimator:
             if cfg.scale_down_on_empty_queue:
                 idle_removable = removable()
                 if idle_removable > 0:
-                    max_run = max(
-                        (t.remaining_s for t in running), default=cfg.default_cycle_s
-                    )
                     next_action = max(cfg.min_cycle_s, min(max_run, cfg.default_cycle_s))
                     return ScalePlan(-idle_removable, next_action, 0, ava.cores)
             return ScalePlan(0, cfg.default_cycle_s, 0, ava.cores)
@@ -243,7 +266,6 @@ class ResourceEstimator:
         # --- lines 22-24: spare whole workers at cycle end → scale down
         idle_removable = removable()
         if idle_removable > 0:
-            max_run = max((t.remaining_s for t in running), default=cfg.default_cycle_s)
             next_action = max(cfg.min_cycle_s, max_run)
             return ScalePlan(-idle_removable, next_action, waiting_after, ava.cores)
 

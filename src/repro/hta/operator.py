@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.resources import ResourceVector
 from repro.forecast.models import default_forecasters
@@ -47,6 +47,10 @@ from repro.telemetry.events import NULL_TRACER, Tracer
 from repro.wq.master import Master
 from repro.wq.task import Task, TaskResult, TaskState
 from repro.wq.worker import WorkerState
+
+_new = tuple.__new__
+_RUNNING = TaskState.RUNNING
+_READY = WorkerState.READY
 
 
 @dataclass(frozen=True, slots=True)
@@ -360,15 +364,23 @@ class HtaOperator:
         return max(self.config.estimator.min_cycle_s, hold)
 
     def plan_once(self) -> ScalePlan:
-        """Gather inputs and run Algorithm 1 (no side effects)."""
+        """Gather inputs and run Algorithm 1 (no side effects): one flat
+        pass per queue over the cycle's :meth:`_estimate_memo`."""
         init_time = self.init_tracker.current()
-        resources = self._resources_memo()
-        running = [
-            self._simulated_running(t, resources) for t in self.master.running_tasks()
-        ]
-        waiting = [
-            self._simulated_waiting(t, resources) for t in self.master.waiting_tasks()
-        ]
+        now = self.engine.now
+        estimate = self._estimate_memo()
+        running: List[SimulatedTask] = []
+        for task in self.master.running_tasks():
+            res, predicted = estimate(task)
+            allocation = task.allocation or res
+            if task.state is _RUNNING and task.start_time is not None:
+                left = predicted - (now - task.start_time)
+                # max(1.0, left): remaining_s >= 0 needs no check.
+                left = left if left > 1.0 else 1.0
+                running.append(_new(SimulatedTask, (allocation, left)))
+            else:
+                running.append(SimulatedTask(allocation, predicted))  # fetching inputs
+        waiting = [estimate(t) for t in self.master.waiting_tasks()]
         # Warm-up-held tasks stay out: the paper provisions for jobs it
         # has *submitted*, and a held job's size is unknown by definition.
 
@@ -378,9 +390,9 @@ class HtaOperator:
         live = [
             w
             for w in self.master.connected_workers()
-            if w.state is WorkerState.READY and not w.quarantined
+            if w.state is _READY and not w.quarantined
         ]
-        idle = sum(1 for w in live if w.idle)
+        idle = sum(1 for w in live if not w.runs)  # Worker.idle, as READY
         pending: List[PendingWorker] = []
         for pod in self.provisioner.pending_pods():
             age = self.engine.now - pod.meta.creation_time
@@ -400,7 +412,7 @@ class HtaOperator:
             pending=pending,
             max_workers=self.config.max_workers,
             min_workers=self.config.min_workers,
-            future_arrivals=self._forecast_arrivals(init_time, resources),
+            future_arrivals=self._forecast_arrivals(init_time, estimate),
             spot_workers=spot_workers,
             spot_survival=spot_survival,
         )
@@ -411,7 +423,7 @@ class HtaOperator:
         return pod is not None and pod.node is not None and pod.node.preemptible
 
     def _forecast_arrivals(
-        self, init_time: float, resources: Callable[[Task], ResourceVector]
+        self, init_time: float, estimate: Callable[[Task], SimulatedTask]
     ) -> List[ForecastArrival]:
         """Hybrid mode: predicted submissions over the coming cycle.
 
@@ -439,9 +451,8 @@ class HtaOperator:
         arrivals: List[ForecastArrival] = []
         for i in range(count):
             proto = prototypes[i % len(prototypes)]
-            synthetic = self._simulated_waiting(proto, resources)
             eta = (i + 1) / (count + 1) * init_time
-            arrivals.append(ForecastArrival(synthetic, eta))
+            arrivals.append(ForecastArrival(estimate(proto), eta))
         return arrivals
 
     def _apply(self, plan: ScalePlan) -> tuple:
@@ -492,40 +503,37 @@ class HtaOperator:
         self.tracer.emit("hta", "decision", mode, **attrs)
 
     # ------------------------------------------------------------ modelling
-    def _resources_memo(self) -> Callable[[Task], ResourceVector]:
-        """:meth:`_estimate_resources` memoized per ``(category, declared)``.
+    def _estimate_memo(self) -> Callable[[Task], SimulatedTask]:
+        """A task as Algorithm 1 sizes it before it runs: its
+        :meth:`_estimate_resources` and its predicted runtime, the
+        category's mean, else a declared task's own ``execute_s`` (in a
+        real deployment the user's guess), else the fallback.
 
-        Valid for one cycle: besides those two fields the estimate reads
-        only the monitor and ``worker_request``, which nothing changes
-        while a cycle plans.
+        Memoized per ``(category, declared)`` for one cycle: besides those
+        fields it reads only the monitor and ``worker_request``, which
+        nothing changes while a cycle plans. The key's tasks share one
+        object unless their ``execute_s`` decides.
         """
-        memo: Dict[tuple, ResourceVector] = {}
+        memo: Dict[tuple, Tuple[ResourceVector, Optional[SimulatedTask]]] = {}
+        monitor = self.master.monitor
+        fallback = self.config.estimator.fallback_runtime_s
 
-        def resources(task: Task) -> ResourceVector:
+        def estimate(task: Task) -> SimulatedTask:
             key = (task.category, task.declared)
-            res = memo.get(key)
-            if res is None:
-                res = memo[key] = self._estimate_resources(task)
-            return res
+            entry = memo.get(key)
+            if entry is None:
+                res = self._estimate_resources(task)
+                mean = monitor.runtime_estimate(task.category)
+                known = mean is not None and mean > 0
+                entry = memo[key] = (res, SimulatedTask(res, mean) if known else None)
+            res, shared = entry
+            if shared is not None:
+                return shared
+            if task.execute_s > 0 and task.declared is not None:
+                return _new(SimulatedTask, (res, task.execute_s))
+            return SimulatedTask(res, fallback)
 
-        return resources
-
-    def _simulated_running(
-        self, task: Task, resources: Callable[[Task], ResourceVector]
-    ) -> SimulatedTask:
-        allocation = task.allocation or resources(task)
-        predicted = self._estimate_runtime(task)
-        if task.state is TaskState.RUNNING and task.start_time is not None:
-            elapsed = self.engine.now - task.start_time
-            remaining = max(1.0, predicted - elapsed)
-        else:
-            remaining = predicted  # still fetching inputs
-        return SimulatedTask(allocation, remaining)
-
-    def _simulated_waiting(
-        self, task: Task, resources: Callable[[Task], ResourceVector]
-    ) -> SimulatedTask:
-        return SimulatedTask(resources(task), self._estimate_runtime(task))
+        return estimate
 
     def _estimate_resources(self, task: Task) -> ResourceVector:
         estimate = self.master.monitor.resource_estimate(task.category)
@@ -541,14 +549,3 @@ class HtaOperator:
         if estimate is not None and estimate.fits_in(self.provisioner.worker_request):
             return estimate
         return self.provisioner.worker_request  # unknown → whole worker
-
-    def _estimate_runtime(self, task: Task) -> float:
-        estimate = self.master.monitor.runtime_estimate(task.category)
-        if estimate is not None and estimate > 0:
-            return estimate
-        if task.execute_s > 0 and task.declared is not None:
-            # With declared resources and no history, the best available
-            # guess in a real deployment is user-provided; our tasks carry
-            # it as execute_s. Use it rather than a blind fallback.
-            return task.execute_s
-        return self.config.estimator.fallback_runtime_s

@@ -69,7 +69,10 @@ class WorkflowGraph:
         while ready:
             tid = ready.popleft()
             order.append(self._by_id[tid])
-            for dep in sorted(self.dependents[tid]):
+            dependents = self.dependents[tid]
+            if not dependents:
+                continue
+            for dep in sorted(dependents):
                 indegree[dep] -= 1
                 if indegree[dep] == 0:
                     ready.append(dep)

@@ -18,16 +18,22 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 from repro.cluster.resources import ResourceVector
 
 _task_ids = itertools.count(1)
+#: ResourceVector's float-drift epsilon.
+_EPS = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class FileSpec:
+class _FileSpecFields(NamedTuple):
+    name: str
+    size_mb: float
+    cacheable: bool = False
+
+
+class FileSpec(_FileSpecFields):
     """A named input/output file.
 
     ``cacheable`` inputs (reference databases, shared indexes) are kept in
@@ -36,13 +42,13 @@ class FileSpec:
     known (one 1.4 GB transfer serves every BLAST task on the node).
     """
 
-    name: str
-    size_mb: float
-    cacheable: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.size_mb < 0:
-            raise ValueError(f"file {self.name!r}: negative size")
+    # A NamedTuple body cannot override __new__, hence this subclass.
+    def __new__(cls, name: str, size_mb: float, cacheable: bool = False) -> "FileSpec":
+        if size_mb < 0:
+            raise ValueError(f"file {name!r}: negative size")
+        return tuple.__new__(cls, (name, size_mb, cacheable))
 
 
 class TaskState(enum.Enum):
@@ -113,13 +119,21 @@ class Task:
             raise ValueError(f"execute_s must be non-negative, got {execute_s}")
         if not 0.0 <= cpu_fraction <= 1.0:
             raise ValueError(f"cpu_fraction must be in [0,1], got {cpu_fraction}")
-        if not footprint.is_nonnegative() or footprint.is_zero():
+        # ResourceVector's is_nonnegative, is_zero and fits_in, unrolled;
+        # past the first test no component is below -eps, so is_zero's
+        # abs(x) <= eps is x <= eps.
+        fc, fm, fd = footprint
+        if not (fc >= -_EPS and fm >= -_EPS and fd >= -_EPS) or (
+            fc <= _EPS and fm <= _EPS and fd <= _EPS
+        ):
             raise ValueError(f"footprint must be positive, got {footprint}")
-        if declared is not None and not footprint.fits_in(declared):
-            raise ValueError(
-                f"footprint {footprint} exceeds declared {declared}; "
-                "declare at least what the task uses"
-            )
+        if declared is not None:
+            dc, dm, dd = declared
+            if not (fc <= dc + _EPS and fm <= dm + _EPS and fd <= dd + _EPS):
+                raise ValueError(
+                    f"footprint {footprint} exceeds declared {declared}; "
+                    "declare at least what the task uses"
+                )
         self.id = next(_task_ids)
         self.category = category
         self.command = command or f"{category}-{self.id}"

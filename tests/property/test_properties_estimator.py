@@ -26,6 +26,8 @@ demands the same :class:`~repro.hta.estimator.ScalePlan`: the same
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -171,16 +173,120 @@ def test_run_length_estimator_matches_the_literal_one(
         spot_workers=spot_pick % (active + 1),
         spot_survival=spot_survival,
     )
+    _assert_same_plan(worker, config, kwargs)
+
+
+def _assert_same_plan(worker, config, kwargs):
     fast = ResourceEstimator(worker, config).estimate(**kwargs)
     literal = LiteralEstimator(worker, config).estimate(**kwargs)
-    assert (
-        fast.delta,
-        fast.next_action_s,
-        fast.waiting_after,
-        fast.idle_cores_after,
-    ) == (
-        literal.delta,
-        literal.next_action_s,
-        literal.waiting_after,
-        literal.idle_cores_after,
+    # repr compares the floats bit for bit, -0.0 and 0.0 apart.
+    assert repr(fast) == repr(literal)
+
+
+# ------------------------------------------------- the event-step simulation
+#: Vectors that let a placement grow the free capacity, where dispatch
+#: is no fixed point between events: a negative memory request, a request
+#: that fits only once that one has landed, a worker whose disk is a hair
+#: below zero (its first zero-disk placement clamps it up to 0.0) and a
+#: request that fits only after that clamp.
+GROWING_REQUESTS = [
+    ResourceVector(0, -10, 0),
+    ResourceVector(1, 4_097, 0),
+    ResourceVector(1, 0, 9.5e-10),
+]
+GROWING_WORKER = ResourceVector(4, 4_096, -1e-10)
+#: Its free cores stay -0.0 through a fold of zero-core tasks.
+SIGNED_ZERO_WORKER = ResourceVector(-0.0, 8_192, 8_192)
+ALL_REQUESTS = REQUESTS + GROWING_REQUESTS
+STEPS = [1.0, 0.7, 2.5, 10.0]
+
+
+def _case(worker, step_s, init_time, queue=(), running=(), pending=(),
+          arrivals=(), active=0, idle=0, scale_down=True, min_cycle_s=5.0):
+    """One estimator call: the requests are indices into ALL_REQUESTS."""
+    return dict(
+        worker=worker,
+        config=EstimatorConfig(
+            step_s=step_s, scale_down_on_empty_queue=scale_down, min_cycle_s=min_cycle_s
+        ),
+        kwargs=dict(
+            rsrc_init_time=init_time,
+            running=[SimulatedTask(ALL_REQUESTS[i], t) for i, t in running],
+            waiting=[SimulatedTask(ALL_REQUESTS[i], 60.0) for i in queue],
+            active_workers=active,
+            idle_workers=idle,
+            pending=[PendingWorker(cap, eta) for cap, eta in pending],
+            future_arrivals=[
+                ForecastArrival(SimulatedTask(ALL_REQUESTS[i], 60.0), eta)
+                for i, eta in arrivals
+            ],
+        ),
     )
+
+
+@st.composite
+def cycles(draw):
+    """Long cycles, up to 200 running tasks finishing on, just before and
+    just past step edges, demand above and below capacity, sparse events."""
+    step_s = draw(st.sampled_from(STEPS))
+    steps = draw(st.integers(1, 400))
+    end = steps * step_s
+    init_time = draw(st.sampled_from(
+        [end, math.nextafter(end, math.inf), (steps - 0.5) * step_s]
+    ))
+    edge = st.integers(0, steps + 20).map(lambda k: k * step_s)
+    remaining = st.one_of(
+        edge,  # exactly on a bucket edge
+        edge.map(lambda x: math.nextafter(x, math.inf)),  # just past one
+        edge.map(lambda x: math.nextafter(x, 0.0)),  # just before one
+        st.sampled_from(TIMES + [-0.0]),
+    )
+    request = st.integers(0, len(ALL_REQUESTS) - 1)
+    eta = st.floats(0.0, init_time * 1.1)
+    active = draw(st.integers(0, 80))
+    groups = draw(st.lists(st.tuples(request, st.integers(1, 8)), max_size=8))
+    return _case(
+        worker=draw(st.sampled_from(WORKERS + [GROWING_WORKER, SIGNED_ZERO_WORKER])),
+        step_s=step_s,
+        init_time=init_time,
+        queue=[i for i, n in groups for _ in range(n)],
+        running=draw(st.lists(st.tuples(request, remaining), max_size=200)),
+        pending=draw(st.lists(st.tuples(st.sampled_from(WORKERS), eta), max_size=4)),
+        arrivals=draw(st.lists(st.tuples(request, eta), max_size=8)),
+        active=active,
+        idle=draw(st.integers(0, active)),
+        scale_down=draw(st.booleans()),
+        # Below zero, the floor no longer hides the sign of a 0.0 runtime.
+        min_cycle_s=draw(st.sampled_from([5.0, -1.0])),
+    )
+
+
+W = WORKERS[0]  # 3 cores, 14 GB, 90 GB
+
+
+@given(case=cycles())
+@settings(max_examples=300, deadline=None)
+# No event at all: only the step-1 dispatch places the queue.
+@example(case=_case(W, 1.0, 160.0, queue=[0, 0], active=1))
+# The only later events are a pending worker, a forecast arrival and a
+# completion, each of which must run a dispatch at its own step.
+@example(case=_case(W, 1.0, 160.0, queue=[0] * 5, pending=[(W, 40.0)]))
+@example(case=_case(W, 1.0, 160.0, arrivals=[(0, 70.0)], active=1))
+@example(case=_case(W, 2.5, 160.0, queue=[0] * 3, running=[(0, 90.0)] * 3, active=1))
+# A skipped run fits only after a later placement grew the capacity:
+# a negative request, or a zero-disk one clamping a negative free disk.
+@example(case=_case(WORKERS[2], 1.0, 5.0, queue=[12, 11], active=1))
+@example(case=_case(GROWING_WORKER, 1.0, 5.0, queue=[13, 8], active=1))
+@example(case=_case(WORKERS[2], 1.0, 5.0, queue=[12], arrivals=[(11, 0.5)], active=1))
+# Signed zeros: free cores of -0.0, and the longest of a 0.0 and a -0.0
+# runtime, which is the first one.
+@example(case=_case(SIGNED_ZERO_WORKER, 1.0, 5.0, running=[(8, 1_000.0)], active=1))
+@example(case=_case(
+    W, 1.0, 5.0, running=[(0, 0.0), (0, -0.0)], active=3, idle=2, min_cycle_s=-1.0
+))
+# Demand far above capacity: the clamp fires in the middle of the fold.
+@example(case=_case(
+    W, 1.0, 30.0, queue=[0], running=[(6, 10.0)] * 4 + [(0, 20.0)], active=2
+))
+def test_event_step_estimator_matches_the_literal_one(case):
+    _assert_same_plan(case["worker"], case["config"], case["kwargs"])

@@ -1,8 +1,9 @@
 """Property: the tuple-backed value types equal the literal dataclasses.
 
-:class:`~repro.cluster.resources.ResourceVector` and the seven per-event
-records are tuples; :mod:`tests.reference.values_literal` keeps them as
-the frozen dataclasses they replaced. For vectors drawn from ±0.0,
+:class:`~repro.cluster.resources.ResourceVector`, the seven per-event
+records and :class:`~repro.wq.task.FileSpec` are tuples;
+:mod:`tests.reference.values_literal` keeps them as the frozen
+dataclasses they replaced. For vectors drawn from ±0.0,
 subnormals, ±inf, NaN, 1/3, 0.9 and large magnitudes, every vector
 operation must return the literal's value bit for bit: floats are
 compared by ``struct.pack("d")``, so ``-0.0`` and ``0.0`` differ. Only a
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 import struct
 
 import pytest
@@ -146,6 +148,7 @@ RECORDS = [
     (pod.PodEvent, literal.PodEvent, [4.0, pod.REASON_PULLING, "pulling wq-worker"]),
     (estimator.SimulatedTask, literal.SimulatedTask, [RV, 30.0]),
     (estimator.PendingWorker, literal.PendingWorker, [RV, 90.0]),
+    (task.FileSpec, literal.FileSpec, ["align.reference", 1400.0, True]),
 ]
 
 
@@ -182,7 +185,7 @@ field_values = st.one_of(
 def test_record_hash_and_repr_match_literal(data):
     for fast, lit, values in RECORDS:
         drawn = [data.draw(field_values) for _ in values]
-        if fast is estimator.SimulatedTask:
+        if fast in (estimator.SimulatedTask, task.FileSpec):
             drawn[1] = data.draw(st.floats(min_value=0.0) | st.sampled_from([-0.0, math.nan]))
         assert repr(fast(*drawn)) == repr(lit(*drawn))
         assert hash(fast(*drawn)) == hash(lit(*drawn))
@@ -203,3 +206,23 @@ def test_simulated_task_rejects_negative_remaining(cls):
     with pytest.raises(ValueError):
         cls(resources=RV, remaining_s=-1e-300)
     assert cls(RV, -0.0).remaining_s == 0.0
+
+
+@pytest.mark.parametrize("cls", [task.FileSpec, literal.FileSpec])
+def test_file_spec_rejects_negative_size(cls):
+    for size in (-1.0, -1e-300, -math.inf):
+        with pytest.raises(ValueError, match="'db': negative size"):
+            cls("db", size)
+    with pytest.raises(ValueError):
+        cls(name="db", size_mb=-1.0, cacheable=True)
+    assert cls("db", -0.0).size_mb == 0.0
+    assert cls("db", math.nan).cacheable is False
+
+
+def test_file_spec_equals_the_tuple_of_its_fields():
+    """The accepted semantic change: unlike the dataclass, a tuple-backed
+    FileSpec equals (and hashes like) the plain tuple of its fields."""
+    spec = task.FileSpec("q", 7.0)
+    assert spec == ("q", 7.0, False) and hash(spec) == hash(("q", 7.0, False))
+    assert literal.FileSpec("q", 7.0) != ("q", 7.0, False)
+    assert pickle.loads(pickle.dumps(spec)) == spec

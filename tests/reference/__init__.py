@@ -10,5 +10,6 @@ same random states and demand identical decisions:
 * :mod:`.dispatch_literal` — the list-walking Work Queue dispatch pass;
 * :mod:`.estimator_literal` — Algorithm 1 over a list wait queue;
 * :mod:`.link_literal` — the fair-share link as a per-stream loop;
+* :mod:`.operator_literal` — HTA's per-task input gathering;
 * :mod:`.scheduler_literal` — the list-scanning kube-scheduler.
 """

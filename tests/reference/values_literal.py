@@ -1,13 +1,14 @@
 """The hot value types as frozen dataclasses, kept as a test oracle.
 
-These are :class:`~repro.cluster.resources.ResourceVector` and the seven
+These are :class:`~repro.cluster.resources.ResourceVector`, the seven
 per-event records (:class:`~repro.wq.journal.JournalRecord`,
 :class:`~repro.wq.task.TaskResult`, :class:`~repro.wq.dispatch.MasterStats`,
 :class:`~repro.cluster.api.WatchEvent`, :class:`~repro.cluster.pod.PodEvent`,
 :class:`~repro.hta.estimator.SimulatedTask` and
-:class:`~repro.hta.estimator.PendingWorker`) before they were rebuilt on
-``tuple``, kept verbatim so a property test can demand that the
-tuple-backed types compute the same floats, hashes and reprs.
+:class:`~repro.hta.estimator.PendingWorker`) and the per-task
+:class:`~repro.wq.task.FileSpec` before they were rebuilt on ``tuple``,
+kept verbatim so a property test can demand that the tuple-backed types
+compute the same floats, hashes and reprs.
 """
 
 from __future__ import annotations
@@ -284,3 +285,22 @@ class PendingWorker:
 
     capacity: ResourceVector
     eta_s: float
+
+
+@dataclass(frozen=True, slots=True)
+class FileSpec:
+    """A named input/output file.
+
+    ``cacheable`` inputs (reference databases, shared indexes) are kept in
+    the worker's cache after first fetch — the mechanism that makes the
+    paper's coarse-grained worker configuration win once resources are
+    known (one 1.4 GB transfer serves every BLAST task on the node).
+    """
+
+    name: str
+    size_mb: float
+    cacheable: bool = False
+
+    def __post_init__(self) -> None:
+        if self.size_mb < 0:
+            raise ValueError(f"file {self.name!r}: negative size")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.cluster.resources import ResourceVector
@@ -20,7 +22,29 @@ class TestFileSpec:
         assert not FileSpec("q", 7).cacheable
 
 
+#: Components around validation's 1e-9 float-drift epsilon.
+EDGES = [-2e-9, -1e-9, -0.0, 0.0, 1e-9, 2e-9, 1.0, float("nan")]
+
+
 class TestTaskConstruction:
+    @pytest.mark.parametrize("declared", [None, ResourceVector(1e-9, 0.0, 1.0)])
+    def test_validation_matches_the_vector_predicates(self, declared):
+        """The unrolled footprint and declaration checks accept exactly
+        what ``is_nonnegative``, ``is_zero`` and ``fits_in`` accept."""
+        for c, m, d in itertools.product(EDGES, repeat=3):
+            footprint = ResourceVector(c, m, d)
+            valid = (
+                footprint.is_nonnegative()
+                and not footprint.is_zero()
+                and (declared is None or footprint.fits_in(declared))
+            )
+            try:
+                Task("c", execute_s=1, footprint=footprint, declared=declared)
+            except ValueError:
+                assert not valid, footprint
+            else:
+                assert valid, footprint
+
     def test_ids_unique_and_increasing(self):
         a = Task("c", execute_s=1, footprint=FOOT)
         b = Task("c", execute_s=1, footprint=FOOT)
