@@ -147,9 +147,10 @@ class ChangeFeed:
 class KubeApiServer:
     """Stores objects by kind and name; fans out watch events.
 
-    Watch delivery is *asynchronous* (scheduled ``call_soon``), like real
-    watch streams: a handler that mutates objects cannot re-enter another
-    handler mid-notification, which keeps control-loop interleavings
+    Watch delivery is *asynchronous* (one same-instant fan-out per write,
+    :meth:`Engine.call_soon_each`), like real watch streams: a handler
+    that mutates objects cannot re-enter another handler
+    mid-notification, which keeps control-loop interleavings
     well-defined.
     """
 
@@ -224,6 +225,12 @@ class KubeApiServer:
         #: the O(pods x nodes) churn that dominated large-fleet runs.
         self._pod_node_watchers: Dict[str, List[Tuple[int, WatchHandler]]] = {}
         self._n_keyed_pod_watchers = 0
+        # Delivery order, cached: the handlers of each kind, and of a pod
+        # bound to each node (the kind's merged with the node's keyed
+        # ones), in registration order. watch, unwatch and
+        # watch_pods_on_node drop what they change.
+        self._kind_handlers: Dict[str, Tuple[WatchHandler, ...]] = {}
+        self._node_handlers: Dict[str, Tuple[WatchHandler, ...]] = {}
         self.writes = 0  # diagnostic: API write volume
         #: Per-kind resourceVersion head, bumped on every notification.
         self._versions: Dict[str, int] = {k: 0 for k in self.KINDS}
@@ -476,17 +483,9 @@ class KubeApiServer:
         receives ADDED for every object already in the store.
         """
         self._watchers[kind].append((next(self._watch_pos), handler))
+        self._forget_handlers(kind)
         if replay_existing:
-            for obj in self.list(kind):
-                self.engine.call_soon(
-                    handler,
-                    WatchEvent(
-                        WatchEventType.ADDED,
-                        obj,
-                        self.engine.now,
-                        version=obj.meta.resource_version,
-                    ),
-                )
+            self._replay(handler, self.list(kind))
 
     def watch_pods_on_node(
         self, node: Node, handler: WatchHandler, *, replay_existing: bool = True
@@ -503,24 +502,25 @@ class KubeApiServer:
             (next(self._watch_pos), handler)
         )
         self._n_keyed_pod_watchers += 1
+        self._node_handlers.pop(node.name, None)
         if replay_existing:
             store = self._store("Pod")
             bound = sorted(
                 (p for p in node.pods if store.get(p.name) is p),
                 key=list_key,
             )
-            for obj in bound:
-                self.engine.call_soon(
-                    handler,
-                    WatchEvent(
-                        WatchEventType.ADDED,
-                        obj,
-                        self.engine.now,
-                        version=obj.meta.resource_version,
-                    ),
-                )
+            self._replay(handler, bound)
+
+    def _replay(self, handler: WatchHandler, objs: Iterable[KubeObject]) -> None:
+        """Deliver ADDED for each of ``objs`` to ``handler``, in order."""
+        added, now = WatchEventType.ADDED, self.engine.now
+        self.engine.call_soon_each(
+            (handler, (WatchEvent(added, obj, now, obj.meta.resource_version),))
+            for obj in objs
+        )
 
     def unwatch(self, kind: str, handler: WatchHandler) -> None:
+        self._forget_handlers(kind)
         entries = self._watchers[kind]
         for i, (_, h) in enumerate(entries):
             if h == handler:
@@ -545,24 +545,38 @@ class KubeApiServer:
             # version advanced, but nobody hears about it.
             self._c_dropped.inc(self.watcher_count(obj.kind), kind=obj.kind)
             return
-        event = WatchEvent(event_type, obj, self.engine.now, version=version)
-        targets = self._watchers[obj.kind]
-        if obj.kind == "Pod":
-            node = obj.node  # type: ignore[attr-defined]
-            keyed = (
-                self._pod_node_watchers.get(node.name)
-                if node is not None
-                else None
-            )
-            if keyed:
-                # Merge back into registration order so same-instant
-                # handler execution order is identical to the unscoped-
-                # watch behaviour.
-                targets = sorted(
-                    targets + keyed, key=lambda entry: entry[0]
-                )
-        for _, handler in list(targets):
-            self.engine.call_soon(handler, event)
+        handlers = self._handlers(obj)
+        if handlers:
+            event = WatchEvent(event_type, obj, self.engine.now, version)
+            self.engine.call_soon_each(zip(handlers, itertools.repeat((event,))))
+
+    def _handlers(self, obj: KubeObject) -> Tuple[WatchHandler, ...]:
+        """Who hears about a write to ``obj``, in registration order: the
+        kind's watchers, merged for a bound pod with the node-keyed
+        watchers of its node (so same-instant handler order matches an
+        unscoped watch whose handler ignored other nodes' pods)."""
+        kind = obj.kind
+        node = obj.node if kind == "Pod" else None  # type: ignore[attr-defined]
+        if node is None:
+            handlers = self._kind_handlers.get(kind)
+            if handlers is None:
+                handlers = tuple(h for _, h in self._watchers[kind])
+                self._kind_handlers[kind] = handlers
+            return handlers
+        handlers = self._node_handlers.get(node.name)
+        if handlers is None:
+            entries = self._watchers[kind] + self._pod_node_watchers.get(node.name, [])
+            entries.sort(key=lambda entry: entry[0])
+            handlers = tuple(h for _, h in entries)
+            self._node_handlers[node.name] = handlers
+        return handlers
+
+    def _forget_handlers(self, kind: str) -> None:
+        """Drop the cached delivery order a change to ``kind``'s watchers
+        (node-keyed pod watchers included) invalidates."""
+        self._kind_handlers.pop(kind, None)
+        if kind == "Pod":
+            self._node_handlers.clear()
 
     # ------------------------------------------------------------- helpers
     # A kind's store only ever holds objects of that kind's class, so

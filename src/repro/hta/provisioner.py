@@ -20,6 +20,7 @@ cooldown — closed/open/half-open, like any service-call breaker.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
@@ -298,10 +299,13 @@ class WorkerProvisioner:
             for w in self.runtime.live_workers()
             if w.state in (WorkerState.READY, WorkerState.CONNECTING)
         ]
-        # Idle first, then fewest running tasks, then youngest.
-        candidates.sort(key=lambda w: (len(w.runs), -(w.connected_time or 0.0)))
+        # Idle first, then fewest running tasks, then youngest; ties keep
+        # live_workers order (nsmallest is sorted(...)[:count], stably).
+        chosen = heapq.nsmallest(
+            count, candidates, key=lambda w: (len(w.runs), -(w.connected_time or 0.0))
+        )
         drained: List[Worker] = []
-        for worker in candidates[:count]:
+        for worker in chosen:
             worker.drain()
             self.drains_requested += 1
             drained.append(worker)

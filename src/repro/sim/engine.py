@@ -8,6 +8,9 @@ Design notes
 * Cancellation is O(1): cancelled events stay in the heap but are skipped
   when popped (the standard "lazy deletion" idiom), so control loops that
   re-arm timers frequently (HPA sync, transfer re-sharing) stay cheap.
+* A same-instant fan-out (:meth:`Engine.call_soon_each`: watch deliveries,
+  signal wake-ups) is one heap entry whose members fire back to back;
+  each member still counts as one event.
 * The engine never advances time past an event: components observe a
   consistent ``engine.now`` inside their callbacks.
 """
@@ -17,7 +20,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, Optional
+from collections import deque
+from typing import Any, Callable, Iterable, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -60,6 +64,19 @@ class ScheduledEvent:
         return f"<ScheduledEvent t={self.time:.3f} seq={self.seq} {state}>"
 
 
+class _FanOut(deque):
+    """The members of one same-instant fan-out not yet fired, in order,
+    as ``(fn, args)`` pairs: the third item of the fan-out's heap entry.
+
+    It has no handle, so it is never cancelled; ``fn`` is None only here,
+    which is how the event loop tells it from a :class:`ScheduledEvent`.
+    """
+
+    __slots__ = ()
+    cancelled = False
+    fn = None
+
+
 class Engine:
     """A deterministic discrete-event simulation engine.
 
@@ -79,7 +96,7 @@ class Engine:
         # Heap entries are (time, seq, event) tuples: (time, seq) is unique,
         # so heap comparisons never fall through to the event object and
         # stay C-level tuple compares instead of Python __lt__ calls.
-        self._heap: list[tuple[float, int, ScheduledEvent]] = []
+        self._heap: list[tuple[float, int, ScheduledEvent | _FanOut]] = []
         self._seq = itertools.count()
         self._running = False
         self._fired_count = 0
@@ -119,6 +136,25 @@ class Engine:
         same-time events already in the queue)."""
         return self.call_at(self._now, fn, *args)
 
+    def call_soon_each(self, calls: Iterable[Tuple[Callable[..., Any], tuple]]) -> None:
+        """Schedule every ``(fn, args)`` of ``calls`` at the current
+        instant, in order, as one heap entry.
+
+        Equivalent to ``for fn, args in calls: call_soon(fn, *args)``
+        without the handles: those ``k`` events would take ``k``
+        consecutive sequence numbers at one instant, so nothing could
+        fire between them, and whatever they schedule sorts after all of
+        them. Here the entry's members fire back to back, each counted
+        in :attr:`events_fired` and against ``run(max_events=)``; what a
+        member schedules gets a later sequence number than the entry.
+        When a ``max_events`` budget runs out inside the entry or a
+        member raises, the members not yet fired go back on the heap
+        under the entry's own ``(time, seq)``, so they still fire first.
+        """
+        members = _FanOut(calls)
+        if members:
+            heapq.heappush(self._heap, (self._now, next(self._seq), members))
+
     # --------------------------------------------------------------- running
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
@@ -130,7 +166,8 @@ class Engine:
             heapq.heappop(self._heap)
 
     def step(self) -> bool:
-        """Fire the single next event. Returns False if none remained.
+        """Fire the single next event (one member of a fan-out). Returns
+        False if none remained.
 
         Like :meth:`run`, not reentrant: a nested call from a callback
         would fire a later event inside an earlier one and move ``now``
@@ -141,13 +178,18 @@ class Engine:
         self._drop_cancelled()
         if not self._heap:
             return False
-        ev = heapq.heappop(self._heap)[2]
-        self._now = ev.time
-        ev.fired = True
-        fn, args = ev.fn, ev.args
-        ev.fn, ev.args = None, ()  # release references promptly
+        entry = heapq.heappop(self._heap)
+        self._now, _, ev = entry
+        fn = ev.fn
+        if fn is None:
+            fn, args = ev.popleft()
+            if ev:
+                heapq.heappush(self._heap, entry)
+        else:
+            ev.fired = True
+            args = ev.args
+            ev.fn, ev.args = None, ()  # release references promptly
         self._fired_count += 1
-        assert fn is not None
         self._running = True
         try:
             fn(*args)
@@ -157,7 +199,8 @@ class Engine:
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` callbacks have fired.
+        ``max_events`` callbacks have fired (fan-out members count one
+        each).
 
         When stopping at ``until`` with events still pending beyond it, the
         clock is advanced exactly to ``until`` so subsequent scheduling is
@@ -166,28 +209,48 @@ class Engine:
         if self._running:
             raise SimulationError("engine is not reentrant: run() called from a callback")
         self._running = True
+        heap = self._heap
+        heappop = heapq.heappop
         fired = 0
         try:
-            while True:
-                self._drop_cancelled()
-                if not self._heap:
-                    break
-                nxt = self._heap[0][0]
-                if until is not None and nxt > until:
-                    self._now = max(self._now, until)
+            while heap:
+                entry = heap[0]
+                ev = entry[2]
+                if ev.cancelled:
+                    heappop(heap)
+                    continue
+                time = entry[0]
+                if until is not None and time > until:
+                    if self._now < until:
+                        self._now = until
                     break
                 if max_events is not None and fired >= max_events:
                     break
-                ev = heapq.heappop(self._heap)[2]
-                self._now = ev.time
-                ev.fired = True
-                fn, args = ev.fn, ev.args
-                ev.fn, ev.args = None, ()
-                self._fired_count += 1
-                fired += 1
-                assert fn is not None
-                fn(*args)
-            if until is not None and self._now < until and not self._heap:
+                heappop(heap)
+                self._now = time
+                fn = ev.fn
+                if fn is not None:
+                    ev.fired = True
+                    args = ev.args
+                    ev.fn, ev.args = None, ()
+                    self._fired_count += 1
+                    fired += 1
+                    fn(*args)
+                    continue
+                budget = len(ev)
+                if max_events is not None and max_events - fired < budget:
+                    budget = max_events - fired
+                fired += budget
+                popleft = ev.popleft
+                try:
+                    for _ in range(budget):
+                        fn, args = popleft()
+                        self._fired_count += 1
+                        fn(*args)
+                finally:
+                    if ev:
+                        heapq.heappush(heap, entry)
+            if until is not None and self._now < until and not heap:
                 # Queue drained before the horizon: advance to it anyway so
                 # repeated run(until=...) calls behave like a wall clock.
                 self._now = until
@@ -196,9 +259,14 @@ class Engine:
         return self._now
 
     def pending_count(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
+        """Number of live (non-cancelled) events still queued, counting
+        each fan-out member not yet fired."""
         self._drop_cancelled()
-        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
+        return sum(
+            len(ev) if ev.fn is None else 1
+            for _, _, ev in self._heap
+            if not ev.cancelled
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine t={self._now:.3f} pending={len(self._heap)}>"

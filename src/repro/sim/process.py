@@ -16,6 +16,7 @@ re-sharing) stay callback-based.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.engine import Engine, ScheduledEvent, SimulationError
@@ -65,8 +66,7 @@ class Signal:
     def fire(self, payload: Any = None) -> int:
         """Wake all current waiters; returns how many were woken."""
         waiters, self._waiters = self._waiters, []
-        for cb in waiters:
-            self.engine.call_soon(cb, payload)
+        self.engine.call_soon_each(zip(waiters, repeat((payload,))))
         return len(waiters)
 
     def fire_once(self, payload: Any = None) -> None:

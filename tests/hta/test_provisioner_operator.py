@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.api import KubeApiServer
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.images import ContainerImage
 from repro.cluster.node import N1_STANDARD_4_RESERVED
@@ -22,6 +23,7 @@ from repro.wq.master import Master
 from repro.wq.monitor import ResourceMonitor
 from repro.wq.runtime import WorkerPodRuntime
 from repro.wq.task import FileSpec, Task
+from repro.wq.worker import WorkerState
 
 FOOT = ResourceVector(1, 2500, 2000)
 
@@ -94,6 +96,46 @@ class TestProvisioner:
         drained = provisioner.drain_workers(1)
         assert len(drained) == 1
         assert not drained[0].runs  # the idle one, not the busy one
+
+    def test_drain_order_on_tied_keys_is_the_stable_sort(self, engine):
+        class StubWorker:
+            def __init__(self, name, runs, connected_time, state=WorkerState.READY):
+                self.name, self.runs, self.state = name, [None] * runs, state
+                self.connected_time = connected_time
+                self.drained = False
+
+            def drain(self):
+                self.drained = True
+
+        # (len(runs), -connected_time) ties: a/c/e (idle, connected at 5),
+        # b/f (one run, connected at 5) and d/g (idle, never connected,
+        # which keys like connected at 0); h is already draining.
+        workers = [
+            StubWorker("a", 0, 5.0), StubWorker("b", 1, 5.0), StubWorker("c", 0, 5.0),
+            StubWorker("d", 0, None), StubWorker("e", 0, 5.0), StubWorker("f", 1, 5.0),
+            StubWorker("g", 0, 0.0), StubWorker("h", 0, 9.0, WorkerState.DRAINING),
+        ]
+
+        class StubRuntime:
+            def live_workers(self):
+                return list(workers)
+
+        provisioner = WorkerProvisioner(
+            engine, KubeApiServer(engine), StubRuntime(),
+            image=ContainerImage("wq-worker", 100.0), worker_request=FOOT,
+        )
+        key = lambda w: (len(w.runs), -(w.connected_time or 0.0))  # noqa: E731
+        live = [w for w in workers if w.state is not WorkerState.DRAINING]
+        for count in range(1, len(live) + 1):
+            expected = sorted(live, key=key)[:count]
+            for w in workers:
+                w.drained = False
+            drained = provisioner.drain_workers(count)
+            assert [w.name for w in drained] == [w.name for w in expected]
+            assert [w.name for w in workers if w.drained] == sorted(
+                w.name for w in expected
+            )
+        assert [w.name for w in sorted(live, key=key)] == list("acedgbf")
 
     def test_drained_pod_reaped(self, engine, stack):
         cluster, master, runtime, provisioner, tracker = stack

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import Engine, PeriodicTask, SimulationError
+from tests.reference import engine_literal
 
 
 class TestScheduling:
@@ -214,6 +215,129 @@ class TestRun:
             engine.call_in(1.0, lambda: None)
         engine.run()
         assert engine.events_fired == 4
+
+
+class TestCallSoonEach:
+    """One heap entry per same-instant fan-out, one event per member."""
+
+    @staticmethod
+    def _members(out, n, tag="m"):
+        return [(out.append, (f"{tag}{i}",)) for i in range(n)]
+
+    def test_members_fire_in_order_at_the_current_instant(self, engine):
+        out = []
+        engine.call_in(3.0, lambda: engine.call_soon_each(
+            [(lambda i=i: out.append((i, engine.now)), ()) for i in range(4)]))
+        engine.run()
+        assert out == [(0, 3.0), (1, 3.0), (2, 3.0), (3, 3.0)]
+        assert engine.events_fired == 5
+
+    def test_empty_fan_out_schedules_nothing(self, engine):
+        engine.call_soon_each([])
+        assert engine.pending_count() == 0
+        assert engine.peek() is None
+
+    def test_step_fires_one_member_at_a_time(self, engine):
+        out = []
+        engine.call_soon_each(self._members(out, 3))
+        engine.call_soon(out.append, "after")
+        assert engine.step()
+        assert out == ["m0"]
+        assert engine.step()
+        assert out == ["m0", "m1"]
+        assert engine.step() and engine.step()
+        assert out == ["m0", "m1", "m2", "after"]
+        assert engine.step() is False
+        assert engine.events_fired == 4
+
+    def test_max_events_stops_inside_a_fan_out(self, engine):
+        out = []
+        engine.call_soon_each(self._members(out, 5))
+        engine.call_soon(out.append, "after")
+        engine.run(max_events=2)
+        assert out == ["m0", "m1"]
+        assert engine.events_fired == 2
+        # Whatever is scheduled now sorts after the members still queued.
+        engine.call_soon(out.append, "late")
+        engine.run(max_events=1)
+        assert out == ["m0", "m1", "m2"]
+        engine.run()
+        assert out == ["m0", "m1", "m2", "m3", "m4", "after", "late"]
+        assert engine.events_fired == 7
+
+    def test_raising_member_leaves_the_rest_queued(self, engine):
+        out = []
+
+        def boom():
+            out.append("boom")
+            raise ValueError("member failed")
+
+        engine.call_soon_each([(out.append, ("m0",)), (boom, ()), (out.append, ("m2",))])
+        engine.call_soon(out.append, "after")
+        with pytest.raises(ValueError):
+            engine.run()
+        assert out == ["m0", "boom"]
+        assert engine.events_fired == 2
+        assert engine.pending_count() == 2
+        engine.call_soon(out.append, "late")
+        engine.run()
+        assert out == ["m0", "boom", "m2", "after", "late"]
+
+    def test_pending_count_counts_members_not_yet_fired(self, engine):
+        out = []
+        engine.call_soon_each(self._members(out, 4))
+        engine.call_in(1.0, out.append, "timer")
+        assert engine.pending_count() == 5
+        engine.step()
+        assert engine.pending_count() == 4
+        engine.run(max_events=2)
+        assert engine.pending_count() == 2
+        engine.run()
+        assert engine.pending_count() == 0
+
+    def test_events_fired_inside_members_equals_the_literal_engines(self):
+        def program(eng):
+            seen = []
+
+            def probe(tag):
+                seen.append((tag, eng.now, eng.events_fired))
+
+            def burst():
+                probe("burst")
+                calls = [(probe, (f"m{i}",)) for i in range(3)]
+                if hasattr(eng, "call_soon_each"):
+                    eng.call_soon_each(calls)
+                else:
+                    for fn, args in calls:
+                        eng.call_soon(fn, *args)
+                eng.call_soon(probe, "next")
+
+            eng.call_in(1.0, probe, "t1")
+            eng.call_in(2.0, burst)
+            eng.call_in(2.0, probe, "t2")
+            eng.run()
+            return seen
+
+        assert program(Engine()) == program(engine_literal.Engine())
+
+    def test_member_call_soon_runs_after_the_last_member(self, engine):
+        out = []
+
+        def first():
+            out.append("m0")
+            engine.call_soon(out.append, "scheduled by m0")
+
+        engine.call_soon_each([(first, ()), (out.append, ("m1",)), (out.append, ("m2",))])
+        engine.run()
+        assert out == ["m0", "m1", "m2", "scheduled by m0"]
+
+    def test_fan_out_respects_run_until(self, engine):
+        out = []
+        engine.call_in(5.0, lambda: engine.call_soon_each(self._members(out, 2)))
+        engine.run(until=4.0)
+        assert out == [] and engine.now == 4.0
+        engine.run(until=5.0)
+        assert out == ["m0", "m1"] and engine.now == 5.0
 
 
 class TestPeriodicTask:
