@@ -9,16 +9,27 @@ per-transfer rate caps (a worker's node NIC). The link re-plans on every
 membership change, settling accrued progress first, so completion times
 are exact for piecewise-constant rates.
 
-The active transfers live in flat lists in start order: the transfers
-themselves and the MB each has left as of the last settle. A ``{cap:
-count}`` tally says how many distinct caps are active. With one cap
-(every stream behind the same NIC, or none capped) water-filling ends in
-one round, so every stream runs at one scalar rate and settling, the
-throughput sum and the next-completion scan are single passes over the
-remaining-MB list. Mixed caps fall back to the round-by-round
-water-filling into a parallel rates list. Both paths perform the same
-float operations in the same order as the per-stream loop they replace
-(``tests/reference/link_literal.py``), so results are bit-identical.
+The active transfers live in parallel sequences in start order: the
+transfers themselves and the MB each has left as of the last settle. A
+``{cap: count}`` tally says how many distinct caps are active. With one
+cap (every stream behind the same NIC, or none capped) water-filling
+ends in one round, so every stream runs at one scalar rate. Mixed caps
+fall back to round-by-round water-filling into a parallel rates list.
+
+What a membership change costs depends on how many streams it sees:
+
+* one stream (a start on an idle link, a completion or cancel of the
+  last stream) takes a scalar path with no sequence passes;
+* up to about a hundred streams, the remaining MB are a list and each
+  pass is a comprehension or a C builtin;
+* from :data:`ARRAY_FROM` streams under one cap, the remaining MB are a
+  float64 array and settling, the byte count, the next-completion
+  minimum and the done scan are numpy passes, until the count falls
+  below :data:`LIST_BELOW`.
+
+Every path performs the same float operations in the same order as the
+per-stream loop they replace (``tests/reference/link_literal.py``), so
+results are bit-identical, and every read returns a Python number.
 
 The link also records a utilization step-series, from which fig 4's
 "average bandwidth" column is computed.
@@ -29,9 +40,11 @@ from __future__ import annotations
 import bisect
 import math
 from functools import reduce
-from itertools import compress, count, repeat
+from itertools import count, repeat
 from operator import add, attrgetter
 from typing import Callable, Dict, List, Optional
+
+import numpy as np
 
 from repro.sim.engine import Engine, ScheduledEvent
 from repro.sim.tracing import StepSeries
@@ -43,6 +56,26 @@ TransferCallback = Callable[["Transfer"], None]
 
 #: A transfer with at most this much left (MB) has finished.
 _DONE_MB = 1e-9
+
+#: One-cap stream count from which the remaining MB become an array: a
+#: numpy pass costs about 1 µs to call, a list pass tens of ns per stream,
+#: and a completion costs the same both ways at about 100 streams
+#: (DESIGN §12).
+ARRAY_FROM = 128
+#: Stream count below which an array goes back to a list. The gap keeps a
+#: count hovering near the crossover from converting on every change.
+LIST_BELOW = 64
+
+
+def _without(items: list, done: List[int]) -> list:
+    """``items`` less the ascending indices ``done``, in one copy pass."""
+    kept: list = []
+    start = 0
+    for i in done:
+        kept += items[start:i]
+        start = i + 1
+    kept += items[start:]
+    return kept
 
 
 class Transfer:
@@ -93,7 +126,7 @@ class Transfer:
         link = self._link
         if link is None:
             return self._remaining_mb
-        return link._remaining[link._slot(self)]
+        return link._remaining_at(link._slot(self), self)
 
     @property
     def rate_mbps(self) -> float:
@@ -142,8 +175,12 @@ class Link:
         self.name = name
         #: Active transfers in start order, which is ascending ``id``.
         self._transfers: List[Transfer] = []
-        #: MB left per active transfer as of the last settle (parallel).
-        self._remaining: List[float] = []
+        #: MB left per active transfer as of the last settle (parallel): a
+        #: list, or a view of the first ``n`` slots of ``_buf``.
+        self._remaining = []
+        #: The array backing ``_remaining`` from ARRAY_FROM streams, else
+        #: None. Spare slots past the view make a start O(1).
+        self._buf: Optional[np.ndarray] = None
         #: Active transfers per rate cap (``None`` = uncapped).
         self._caps: Dict[Optional[float], int] = {}
         #: Every stream's rate while one cap is active...
@@ -169,23 +206,52 @@ class Link:
         """Begin a transfer; ``on_complete`` fires when it finishes.
 
         Zero-size transfers complete at the current instant (via the event
-        queue, preserving callback ordering guarantees).
+        queue, preserving callback ordering guarantees). A non-finite size
+        or cap raises ``ValueError``: a NaN size would poison the
+        next-completion minimum and stall every transfer on the link.
         """
+        if not math.isfinite(size_mb):
+            raise ValueError(f"transfer size must be finite, got {size_mb}")
         if size_mb < 0:
             raise ValueError(f"transfer size must be non-negative, got {size_mb}")
-        if rate_cap_mbps is not None and rate_cap_mbps <= 0:
-            raise ValueError(f"rate cap must be positive, got {rate_cap_mbps}")
-        t = Transfer(label, size_mb, rate_cap_mbps, on_complete, self.engine.now)
+        if rate_cap_mbps is not None and not (0 < rate_cap_mbps < math.inf):
+            raise ValueError(f"rate cap must be positive and finite, got {rate_cap_mbps}")
+        now = self.engine.now
+        t = Transfer(label, size_mb, rate_cap_mbps, on_complete, now)
         if size_mb == 0:
-            t.finish_time = self.engine.now
+            t.finish_time = now
             self.transfers_completed += 1
             if on_complete is not None:
                 self.engine.call_soon(on_complete, t)
             return t
-        self._settle()
         t._link = self
-        self._transfers.append(t)
-        self._remaining.append(size_mb)
+        transfers = self._transfers
+        if not transfers:
+            # The lone stream: the general path's settle, append and
+            # one-cap re-plan, on scalars.
+            self._last_update = now
+            transfers.append(t)
+            self._remaining.append(size_mb)
+            self._caps[rate_cap_mbps] = 1
+            share = self.effective_capacity(1) / 1
+            rate = rate_cap_mbps if rate_cap_mbps is not None and rate_cap_mbps < share else share
+            self._rate, self._rates = rate, None
+            self.throughput.record(now, 0 + rate)
+            next_finish = size_mb / rate
+            if next_finish < math.inf:
+                self._completion_event = self.engine.call_at(now + next_finish, self._on_completion)
+            return t
+        self._settle()
+        n = len(transfers)
+        transfers.append(t)
+        buf = self._buf
+        if buf is None:
+            self._remaining.append(size_mb)
+        else:
+            if n == len(buf):
+                buf = self._buf = np.concatenate((buf, np.empty(n)))
+            buf[n] = size_mb
+            self._remaining = buf[: n + 1]
         self._caps[rate_cap_mbps] = self._caps.get(rate_cap_mbps, 0) + 1
         self._replan()
         return t
@@ -195,18 +261,39 @@ class Link:
         if transfer.done or transfer.cancelled:
             return
         transfer.cancelled = True
+        if transfer._link is self and len(self._transfers) == 1:
+            self._detach(transfer, 0, self._settle_lone())
+            self._transfers.clear()
+            self._remaining.clear()
+            if self._completion_event is not None:
+                self._completion_event.cancel()
+                self._completion_event = None
+            self.throughput.record(self.engine.now, 0.0)
+            return
         self._settle()
         if transfer._link is self:
             i = self._slot(transfer)
-            self._detach(transfer, i, self._remaining[i])
-            del self._transfers[i]
-            del self._remaining[i]
+            self._detach(transfer, i, self._remaining_at(i, transfer))
+            self._drop([i])
         self._replan()
 
     # ------------------------------------------------------------- internals
     def _slot(self, transfer: Transfer) -> int:
-        """Index of an active ``transfer`` in the parallel lists."""
+        """Index of an active ``transfer`` in the parallel sequences."""
         return bisect.bisect_left(self._transfers, transfer.id, key=_transfer_id)
+
+    def _remaining_at(self, i: int, transfer: Transfer) -> float:
+        """Slot ``i``'s MB left, as the per-stream loop holds it.
+
+        The array holds floats, but a transfer not yet settled still has
+        its ``size_mb`` left, whatever its type. A transfer is unsettled
+        exactly when its start time is the last settle's time.
+        """
+        if self._buf is None:
+            return self._remaining[i]
+        if transfer.start_time == self._last_update:
+            return transfer.size_mb
+        return float(self._remaining[i])
 
     def _rate_at(self, i: int) -> float:
         rates = self._rates
@@ -225,18 +312,68 @@ class Link:
         else:
             del self._caps[cap]
 
+    def _drop(self, done: List[int]) -> None:
+        """Remove the slots ``done`` (ascending); survivors keep their
+        start order."""
+        transfers = self._transfers
+        buf = self._buf
+        if len(done) == len(transfers):
+            self._transfers, self._remaining, self._buf = [], [], None
+        elif len(done) == 1:
+            (i,) = done
+            del transfers[i]
+            if buf is None:
+                del self._remaining[i]
+            else:
+                n = len(transfers)
+                buf[i:n] = buf[i + 1 : n + 1]
+                self._remaining = buf[:n]
+        else:
+            self._transfers = _without(transfers, done)
+            if buf is None:
+                self._remaining = _without(self._remaining, done)
+            else:
+                kept = np.delete(self._remaining, done)
+                buf[: len(kept)] = kept
+                self._remaining = buf[: len(kept)]
+
+    def _settle_lone(self) -> float:
+        """:meth:`_settle` for one stream, on scalars; returns its MB left."""
+        now = self.engine.now
+        remaining = self._remaining
+        r = remaining[0]
+        dt = now - self._last_update
+        if dt > 0:
+            moved = self._rate * dt
+            r = remaining[0] = v if (v := r - moved) > 0.0 else 0.0
+            self.bytes_moved_mb = self.bytes_moved_mb + moved
+        self._last_update = now
+        return r
+
     def _settle(self) -> None:
         """Account progress accrued since the last re-plan."""
         now = self.engine.now
         dt = now - self._last_update
         remaining = self._remaining
-        if dt > 0 and remaining:
+        if dt > 0 and len(remaining):
             rates = self._rates
             if rates is None:
                 moved = self._rate * dt
-                self._remaining = [v if (v := r - moved) > 0.0 else 0.0 for r in remaining]
-                # A sequential fold: the same additions as one += per stream.
-                self.bytes_moved_mb = reduce(add, repeat(moved, len(remaining)), self.bytes_moved_mb)
+                if self._buf is None:
+                    self._remaining = [v if (v := r - moved) > 0.0 else 0.0 for r in remaining]
+                    # A sequential fold: the same additions as one += per stream.
+                    self.bytes_moved_mb = reduce(
+                        add, repeat(moved, len(remaining)), self.bytes_moved_mb
+                    )
+                else:
+                    # In place, the comprehension's clamp: NaN and -0.0
+                    # become 0.0, as np.where(v > 0.0, v, 0.0) maps them.
+                    np.subtract(remaining, moved, out=remaining)
+                    np.copyto(remaining, 0.0, where=~(remaining > 0.0))
+                    # accumulate, unlike sum, adds strictly left to right.
+                    fold = np.full(len(remaining) + 1, moved)
+                    fold[0] = self.bytes_moved_mb
+                    self.bytes_moved_mb = float(np.add.accumulate(fold)[-1])
             else:
                 per_stream = [rate * dt for rate in rates]
                 self._remaining = [
@@ -245,32 +382,53 @@ class Link:
                 self.bytes_moved_mb = reduce(add, per_stream, self.bytes_moved_mb)
         self._last_update = now
 
+    def _to_array(self) -> None:
+        n = len(self._transfers)
+        buf = self._buf = np.empty(2 * n)
+        buf[:n] = list(map(float, self._remaining))
+        self._remaining = buf[:n]
+
+    def _to_list(self) -> None:
+        last = self._last_update
+        self._remaining = [
+            t.size_mb if t.start_time == last else v
+            for t, v in zip(self._transfers, self._remaining.tolist())
+        ]
+        self._buf = None
+
     def _replan(self) -> None:
         """Recompute fair shares and re-arm the next completion event."""
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
-        remaining = self._remaining
-        n = len(remaining)
+        n = len(self._transfers)
         if not n:
             self.throughput.record(self.engine.now, 0.0)
             return
-        if len(self._caps) == 1:
+        caps = self._caps
+        if self._buf is None:
+            if n >= ARRAY_FROM and len(caps) == 1:
+                self._to_array()
+        elif n < LIST_BELOW or len(caps) != 1:
+            self._to_list()
+        if len(caps) == 1:
             # One cap: water-filling freezes everyone or no one in its
             # first round, so the rate is one scalar.
-            (cap,) = self._caps
+            (cap,) = caps
             share = self.effective_capacity(n) / n
             rate = cap if cap is not None and cap < share else share
             self._rate, self._rates = rate, None
             self.throughput.record(self.engine.now, sum(repeat(rate, n)))
+            remaining = self._remaining
+            smallest = min(remaining) if self._buf is None else float(remaining.min())
             # Dividing by a positive constant is monotone, so this is the
             # smallest per-stream ETA.
-            next_finish = min(remaining) / rate
+            next_finish = smallest / rate
         else:
             rates = self._rates = self._water_fill(n)
             self.throughput.record(self.engine.now, sum(rates))
             next_finish = math.inf
-            for r, rate in zip(remaining, rates):
+            for r, rate in zip(self._remaining, rates):
                 if rate <= 0:
                     continue
                 eta = r / rate
@@ -321,6 +479,8 @@ class Link:
         rates = self._rates
         if rates is None:
             rate = self._rate
+            if self._buf is not None:
+                return np.flatnonzero(now + self._remaining / rate == now).tolist()
             return [i for i, r in enumerate(self._remaining) if now + r / rate == now]
         return [
             i
@@ -330,9 +490,32 @@ class Link:
 
     def _on_completion(self) -> None:
         self._completion_event = None
+        transfers = self._transfers
+        if len(transfers) == 1:
+            # The lone stream: the general path below on scalars.
+            r = self._settle_lone()
+            now = self.engine.now
+            rate = self._rate
+            if not (r <= _DONE_MB or now + r / rate == now):
+                self._replan()
+                return
+            (t,) = transfers
+            self._detach(t, 0, 0.0)
+            t.finish_time = now
+            transfers.clear()
+            self._remaining.clear()
+            self.transfers_completed += 1
+            self.throughput.record(now, 0.0)
+            if t.on_complete is not None:
+                t.on_complete(t)
+            return
         self._settle()
-        transfers, remaining = self._transfers, self._remaining
-        done = [i for i, r in enumerate(remaining) if r <= _DONE_MB] or self._stalled()
+        remaining = self._remaining
+        if self._buf is None:
+            done = [i for i, r in enumerate(remaining) if r <= _DONE_MB]
+        else:
+            done = np.flatnonzero(remaining <= _DONE_MB).tolist()
+        done = done or self._stalled()
         finished = [transfers[i] for i in done]
         if finished:
             now = self.engine.now
@@ -340,17 +523,7 @@ class Link:
                 self._detach(t, i, 0.0)
                 t.finish_time = now
             self.transfers_completed += len(finished)
-            if len(finished) == len(transfers):
-                # Nothing survives (the usual case at one stream): skip
-                # building a keep mask.
-                self._transfers, self._remaining = [], []
-            else:
-                # One compaction pass; survivors keep their start order.
-                keep = [True] * len(transfers)
-                for i in done:
-                    keep[i] = False
-                self._transfers = list(compress(transfers, keep))
-                self._remaining = list(compress(remaining, keep))
+            self._drop(done)
         self._replan()
         for t in finished:
             if t.on_complete is not None:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.wq import link as link_module
 from repro.wq.link import Link
 
 
@@ -43,6 +46,28 @@ class TestSingleTransfer:
     def test_invalid_rate_cap_rejected(self, engine):
         with pytest.raises(ValueError):
             Link(engine, 10.0).start_transfer("t", 1.0, rate_cap_mbps=0.0)
+
+    @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf])
+    def test_non_finite_size_rejected(self, engine, size):
+        with pytest.raises(ValueError):
+            Link(engine, 100.0).start_transfer("t", size)
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf])
+    def test_non_finite_rate_cap_rejected(self, engine, cap):
+        with pytest.raises(ValueError):
+            Link(engine, 100.0).start_transfer("t", 1.0, rate_cap_mbps=cap)
+
+    def test_rejected_nan_transfer_leaves_the_link_working(self, engine):
+        # A NaN size once passed both size checks, turned the
+        # next-completion minimum into NaN and armed no event, so a 10 MB
+        # transfer started after it never finished.
+        link = Link(engine, 100.0)
+        with pytest.raises(ValueError):
+            link.start_transfer("nan", math.nan)
+        t = link.start_transfer("t", 10.0)
+        engine.run()
+        assert t.done and t.finish_time == pytest.approx(0.1)
+        assert link.active_count == 0 and engine.peek() is None
 
     def test_transfer_duration_recorded(self, engine):
         link = Link(engine, 50.0)
@@ -248,3 +273,47 @@ class TestLivelockFarFromZero:
         assert all(t.done for t in transfers)
         for t in transfers:
             assert t.finish_time - t.start_time == pytest.approx(t.size_mb / 500.0, abs=1e-9)
+
+
+class TestRepresentationSwitch:
+    """Past ARRAY_FROM one-cap streams the MB left live in an array; the
+    reads stay Python numbers and the link goes back to a list below
+    LIST_BELOW."""
+
+    def test_array_from_threshold_and_back(self, engine):
+        link = Link(engine, 1000.0)
+        ts = [link.start_transfer(f"t{i}", 1.0 + i) for i in range(link_module.ARRAY_FROM)]
+        assert link._buf is not None
+        engine.run()
+        assert link._buf is None and link.active_count == 0
+        assert [t.finish_time for t in ts] == sorted(t.finish_time for t in ts)
+
+    def test_reads_are_python_numbers(self, engine):
+        link = Link(engine, 1000.0)
+        ts = [link.start_transfer(f"t{i}", 100, rate_cap_mbps=2) for i in range(300)]
+        assert link._buf is not None
+        # Before the first settle an integer size reads back unchanged.
+        assert repr(ts[7].remaining_mb) == "100"
+        assert repr(ts[7].rate_mbps) == "2"
+        engine.run(until=1.0)
+        link.start_transfer("late", 5.0, rate_cap_mbps=2)
+        assert repr(ts[7].remaining_mb) == "98.0"
+        assert type(link.bytes_moved_mb) is float
+        link.cancel(ts[7])
+        assert repr(ts[7].remaining_mb) == "98.0"
+
+    def test_mixed_caps_fall_back_to_the_list(self, engine):
+        link = Link(engine, 1000.0)
+        for i in range(300):
+            link.start_transfer(f"t{i}", 10.0)
+        assert link._buf is not None
+        capped = link.start_transfer("capped", 10.0, rate_cap_mbps=1.0)
+        assert link._buf is None and capped.rate_mbps == 1.0
+        link.start_transfer("capped2", 10.0, rate_cap_mbps=2.0)
+        assert link._buf is None
+        link.cancel(capped)
+        assert link._buf is None
+        link.cancel(link._transfers[-1])
+        assert link._buf is not None
+        engine.run()
+        assert link.transfers_completed == 300
