@@ -519,6 +519,22 @@ class KubeApiServer:
             for obj in objs
         )
 
+    def unwatch_pods_on_node(self, node: Node, handler: WatchHandler) -> None:
+        """Drop a :meth:`watch_pods_on_node` subscription. Reads only
+        ``node``'s keyed list (one kubelet's), and drops the list once
+        empty, so the keyed lists track the nodes still watched."""
+        keyed = self._pod_node_watchers.get(node.name)
+        if keyed is None:
+            return
+        for i, (_, h) in enumerate(keyed):
+            if h == handler:
+                del keyed[i]
+                self._n_keyed_pod_watchers -= 1
+                if not keyed:
+                    del self._pod_node_watchers[node.name]
+                self._node_handlers.pop(node.name, None)
+                return
+
     def unwatch(self, kind: str, handler: WatchHandler) -> None:
         self._forget_handlers(kind)
         entries = self._watchers[kind]

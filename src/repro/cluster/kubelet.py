@@ -47,6 +47,16 @@ class Kubelet:
         # to its node, so the API server skips the per-kubelet fan-out.
         api.watch_pods_on_node(node, self._on_pod_event, replay_existing=True)
 
+    def close(self) -> None:
+        """The node is gone: cancel the starts still pending here, then
+        drop the node-keyed pod watch. The order matters, because without
+        the watch a later pod deletion could no longer cancel a start."""
+        if self._pending_starts:
+            for handle in self._pending_starts.values():
+                handle.cancel()
+            self._pending_starts.clear()
+        self.api.unwatch_pods_on_node(self.node, self._on_pod_event)
+
     # --------------------------------------------------------------- events
     def _on_pod_event(self, event: WatchEvent) -> None:
         pod = event.obj
@@ -150,7 +160,9 @@ class KubeletManager:
         if not isinstance(node, Node):
             return
         if event.type is WatchEventType.DELETED:
-            self.kubelets.pop(node.name, None)
+            kubelet = self.kubelets.pop(node.name, None)
+            if kubelet is not None:
+                kubelet.close()
         elif node.name not in self.kubelets:
             self.kubelets[node.name] = Kubelet(
                 self.engine, self.api, node, self.registry, tracer=self.tracer

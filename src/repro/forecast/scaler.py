@@ -27,7 +27,6 @@ from repro.hta.provisioner import WorkerProvisioner
 from repro.sim.engine import Engine, PeriodicTask
 from repro.sim.tracing import MetricRecorder
 from repro.wq.master import Master
-from repro.wq.worker import WorkerState
 
 
 class InitTimeSource(Protocol):
@@ -127,12 +126,7 @@ class PredictiveScaler:
         """Workers the pool will converge to with no further action:
         pending pods plus live, non-draining workers."""
         pending = len(self.provisioner.pending_pods())
-        live = sum(
-            1
-            for w in self.provisioner.runtime.live_workers()
-            if w.state in (WorkerState.CONNECTING, WorkerState.READY)
-        )
-        return pending + live
+        return pending + len(self.provisioner.runtime.drain_index)
 
     # ------------------------------------------------------------- feedback
     def _on_sample(self, sample: DemandSample) -> None:

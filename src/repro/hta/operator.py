@@ -278,9 +278,13 @@ class HtaOperator:
             # Still in warm-up: the initial pool stands until the first
             # jobs arrive; resizing starts with the runtime stage (§V-C).
             if self.tracer.enabled:
-                self._emit_decision("warmup", 0)
+                self._emit_decision("warmup", 0, self.master.live_worker_counts())
             return self.config.estimator.default_cycle_s
         self._last_good_init = self.init_tracker.current()
+        # The counts plan_once reads (planning changes nothing): the
+        # audit record shows the pool the plan saw, not what _apply's
+        # drains leave of it.
+        fleet = self.master.live_worker_counts()
         plan = self.plan_once()
         self.plans.append(plan)
         created, cancelled, drained = self._apply(plan)
@@ -292,6 +296,7 @@ class HtaOperator:
             self._emit_decision(
                 "normal",
                 plan.delta,
+                fleet,
                 created=created,
                 cancelled=cancelled,
                 drained=drained,
@@ -320,21 +325,18 @@ class HtaOperator:
         the conservative pre-Algorithm-1 rule) so live demand is always
         covered; hold the last-known-good init time as the interval."""
         self.degraded_cycles += 1
-        live = [
-            w
-            for w in self.master.connected_workers()
-            if w.state is WorkerState.READY and not w.quarantined
-        ]
+        fleet = self.master.live_worker_counts()
+        live = fleet[0]
         backlog = 0
         if self.master.available:
             stats = self.master.stats()
             backlog = stats.waiting + stats.running + self.held_count
         target = max(
-            len(live),
+            live,
             min(self.config.max_workers, max(self.config.min_workers, backlog)),
         )
         pending = len(self.provisioner.pending_pods())
-        delta = target - (len(live) + pending)
+        delta = target - (live + pending)
         created_pods = 0
         if delta > 0:
             created_pods = len(self.provisioner.create_workers(delta))
@@ -350,6 +352,7 @@ class HtaOperator:
             self._emit_decision(
                 "degraded",
                 delta,
+                fleet,
                 created=created_pods,
                 scale_down_frozen=delta < 0,
                 api_available=bool(getattr(api, "available", True)),
@@ -387,12 +390,7 @@ class HtaOperator:
         # Quarantined workers are dead supply: the dispatcher refuses
         # them, so counting them would understate the workers Algorithm 1
         # still needs to provision.
-        live = [
-            w
-            for w in self.master.connected_workers()
-            if w.state is _READY and not w.quarantined
-        ]
-        idle = sum(1 for w in live if not w.runs)  # Worker.idle, as READY
+        live, idle = self.master.live_worker_counts()
         pending: List[PendingWorker] = []
         for pod in self.provisioner.pending_pods():
             age = self.engine.now - pod.meta.creation_time
@@ -401,13 +399,17 @@ class HtaOperator:
         spot_workers = 0
         spot_survival = 1.0
         if self.preemption is not None:
-            spot_workers = sum(1 for w in live if self._on_spot_node(w))
+            spot_workers = sum(
+                1
+                for w in self.master.connected_workers()
+                if w.state is _READY and not w.quarantined and self._on_spot_node(w)
+            )
             spot_survival = self.preemption.tracker.survival_rate()
         return self.estimator.estimate(
             rsrc_init_time=init_time,
             running=running,
             waiting=waiting,
-            active_workers=len(live),
+            active_workers=live,
             idle_workers=idle,
             pending=pending,
             max_workers=self.config.max_workers,
@@ -471,15 +473,14 @@ class HtaOperator:
             return 0, cancelled, drained
         return 0, 0, 0
 
-    def _emit_decision(self, mode: str, delta: int, **extra) -> None:
-        """One ``hta/decision`` audit record: the inputs this cycle saw,
-        the resulting delta, and what was actually done (callers add the
+    def _emit_decision(
+        self, mode: str, delta: int, fleet: Tuple[int, int], **extra
+    ) -> None:
+        """One ``hta/decision`` audit record: the inputs this cycle saw
+        (``fleet`` is the ``(live, idle)`` pair it sized with), the
+        resulting delta, and what was actually done (callers add the
         action/override attributes)."""
-        live = [
-            w
-            for w in self.master.connected_workers()
-            if w.state is WorkerState.READY and not w.quarantined
-        ]
+        live, idle = fleet
         stats = self.master.stats() if self.master.available else None
         informer = getattr(self.init_tracker, "informer", None)
         init_time = (
@@ -493,8 +494,8 @@ class HtaOperator:
             waiting=stats.waiting if stats is not None else 0,
             running=stats.running if stats is not None else 0,
             held=self.held_count,
-            live_workers=len(live),
-            idle_workers=sum(1 for w in live if w.idle),
+            live_workers=live,
+            idle_workers=idle,
             pending_pods=len(self.provisioner.pending_pods()),
             init_time_s=float(init_time),
             staleness=int(informer.staleness()) if informer is not None else 0,

@@ -20,7 +20,6 @@ cooldown — closed/open/half-open, like any service-call breaker.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
@@ -32,7 +31,7 @@ from repro.cluster.pod import Pod, PodPhase, PodSpec
 from repro.cluster.resources import ResourceVector
 from repro.sim.engine import Engine, PeriodicTask
 from repro.wq.runtime import WorkerPodRuntime
-from repro.wq.worker import Worker, WorkerState
+from repro.wq.worker import Worker
 
 if TYPE_CHECKING:  # pragma: no cover — avoid an hta→metrics import cycle
     from repro.metrics.cost import CostModel
@@ -293,23 +292,15 @@ class WorkerProvisioner:
         self.engine.call_in(delay, self.create_workers, len(timed_out))
 
     def drain_workers(self, count: int) -> List[Worker]:
-        """Drain up to ``count`` live workers, idlest first."""
-        candidates = [
-            w
-            for w in self.runtime.live_workers()
-            if w.state in (WorkerState.READY, WorkerState.CONNECTING)
-        ]
-        # Idle first, then fewest running tasks, then youngest; ties keep
-        # live_workers order (nsmallest is sorted(...)[:count], stably).
-        chosen = heapq.nsmallest(
-            count, candidates, key=lambda w: (len(w.runs), -(w.connected_time or 0.0))
-        )
-        drained: List[Worker] = []
+        """Drain up to ``count`` live workers: idle first, then fewest
+        running tasks, then youngest; ties in start order. The runtime's
+        :class:`~repro.wq.runtime.DrainIndex` keeps that order, so a drain
+        of idle workers costs O(count), not a sort of the fleet."""
+        chosen = self.runtime.drain_index.first(count)
         for worker in chosen:
             worker.drain()
-            self.drains_requested += 1
-            drained.append(worker)
-        return drained
+        self.drains_requested += len(chosen)
+        return chosen
 
     def drain_all(self) -> List[Worker]:
         """Clean-up stage: drain every live worker, and delete every

@@ -488,6 +488,13 @@ class DispatchCore:
         self._n_idle = 0
         self._n_busy = 0
         self._n_draining = 0
+        #: Entries that neither drain nor supply cores (quarantined, or
+        #: killed while still registered), and the idle ones among them.
+        #: With ``_n_draining`` and ``_n_idle`` they give
+        #: :meth:`live_worker_counts`; the common flag change, a READY
+        #: worker's runs set, touches neither.
+        self._n_unsupplied = 0
+        self._n_idle_unsupplied = 0
         #: ``(queue.rev, value)`` memo of :meth:`cores_waiting`.
         self._cores_waiting_cache: Tuple[int, float] = (-1, 0.0)
         #: RS and RIU as running totals of the per-worker terms recorded
@@ -681,10 +688,14 @@ class DispatchCore:
                     del self._accepting[old_group]
             if was_idle:
                 self._n_idle -= 1
+                if supplied is None:
+                    self._n_idle_unsupplied -= 1
             if was_busy:
                 self._n_busy -= 1
             if was_draining:
                 self._n_draining -= 1
+            elif supplied is None:
+                self._n_unsupplied -= 1
             if old[0] is registered:
                 kept = old
             else:
@@ -729,10 +740,14 @@ class DispatchCore:
                 members[name] = worker
         if idle:
             self._n_idle += 1
+            if supplied is None:
+                self._n_idle_unsupplied += 1
         if busy:
             self._n_busy += 1
         if draining:
             self._n_draining += 1
+        elif supplied is None:
+            self._n_unsupplied += 1
 
     def _reset_worker_caches(self) -> None:
         self._gauge_rev += 1
@@ -741,6 +756,8 @@ class DispatchCore:
         self._n_idle = 0
         self._n_busy = 0
         self._n_draining = 0
+        self._n_unsupplied = 0
+        self._n_idle_unsupplied = 0
         self._supplied.clear()
         self._in_use.clear()
         self._in_use_dirty.clear()
@@ -1789,6 +1806,17 @@ class DispatchCore:
 
     def connected_workers(self) -> List[Worker]:
         return list(self.workers.values())
+
+    def live_worker_counts(self) -> Tuple[int, int]:
+        """``(live, idle)``: connected workers that are READY and not
+        quarantined, and those of them running nothing — Algorithm 1's
+        supply. O(1) from :meth:`_refresh_worker_cache`'s counters: a
+        registered worker has one flags entry, and it is live unless it
+        drains or supplies nothing."""
+        return (
+            len(self._worker_flags) - self._n_draining - self._n_unsupplied,
+            self._n_idle - self._n_idle_unsupplied,
+        )
 
     def idle_workers(self) -> List[Worker]:
         return [w for w in self.workers.values() if w.idle]

@@ -165,10 +165,17 @@ class Link:
         *,
         per_stream_overhead: float = 0.0,
     ):
-        if capacity_mbps <= 0:
-            raise ValueError(f"link capacity must be positive, got {capacity_mbps}")
-        if per_stream_overhead < 0:
-            raise ValueError("per_stream_overhead must be non-negative")
+        # Range checks NaN fails too: a NaN or infinite capacity or
+        # overhead would stall every transfer without an error.
+        if not 0 < capacity_mbps < math.inf:
+            raise ValueError(
+                f"link capacity must be positive and finite, got {capacity_mbps}"
+            )
+        if not 0 <= per_stream_overhead < math.inf:
+            raise ValueError(
+                "per_stream_overhead must be non-negative and finite, "
+                f"got {per_stream_overhead}"
+            )
         self.engine = engine
         self.capacity_mbps = capacity_mbps
         self.per_stream_overhead = per_stream_overhead

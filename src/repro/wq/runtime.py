@@ -12,11 +12,16 @@ inside it:
   HPA observe real usage);
 * deleting the pod **kills** the worker (tasks requeued) — HPA's path;
 * a drained worker exiting gracefully completes its pod — HTA's path.
+
+The runtime also keeps the fleet's :class:`DrainIndex`: the workers a
+drain may still pick, in the order HTA's scale-down picks them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import itertools
+from bisect import bisect_left, insort
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.api import KubeApiServer, WatchEvent, WatchEventType
 from repro.cluster.kubelet import KubeletManager
@@ -24,6 +29,93 @@ from repro.cluster.pod import Pod, PodPhase
 from repro.sim.engine import Engine, PeriodicTask
 from repro.wq.master import Master
 from repro.wq.worker import Worker, WorkerState
+
+
+_READY = WorkerState.READY
+_CONNECTING = WorkerState.CONNECTING
+
+
+def _busy_drain_key(worker: Worker) -> Tuple[int, float]:
+    return (len(worker.runs), -(worker.connected_time or 0.0))
+
+
+class DrainIndex:
+    """The READY and CONNECTING workers, kept in drain order.
+
+    The drain order sorts by ``(len(runs), -(connected_time or 0.0))``:
+    idle first, then fewest runs, then youngest. Ties keep the order in
+    which the workers were added. The index holds the workers with no
+    runs as a list sorted by ``(-(connected_time or 0.0), seq)``, where
+    ``seq`` numbers the workers as they are added. The first ``count``
+    of them are the first ``count`` in drain order, so a drain that
+    only takes idle workers reads a slice. Busy workers are sorted only
+    when a drain asks for more than the idle ones, and only those.
+
+    The owner calls :meth:`add` when a worker starts, :meth:`update`
+    whenever its state, its connect time or the emptiness of its runs
+    set may have changed, and :meth:`discard` when it leaves the fleet.
+    A worker that left READY/CONNECTING never returns to it, so once it
+    is out it stays out; updates for it are ignored.
+    """
+
+    __slots__ = ("_next_seq", "_seq", "_idle_entry", "_idle")
+
+    def __init__(self) -> None:
+        self._next_seq = itertools.count()
+        #: Every READY/CONNECTING worker -> its seq, in seq order.
+        self._seq: Dict[Worker, int] = {}
+        #: The idle ones -> their entry in :attr:`_idle`.
+        self._idle_entry: Dict[Worker, Tuple[float, int, Worker]] = {}
+        #: ``(-connected_time, seq, worker)`` for each idle one, sorted.
+        #: The first two fields are unique, so two entries never compare
+        #: their workers, and an entry is found by bisecting for itself.
+        self._idle: List[Tuple[float, int, Worker]] = []
+
+    def __len__(self) -> int:
+        """READY and CONNECTING workers: the pool a drain can still shrink."""
+        return len(self._seq)
+
+    def add(self, worker: Worker) -> None:
+        state = worker.state
+        if state is _READY or state is _CONNECTING:
+            self._seq[worker] = next(self._next_seq)
+            self.update(worker)
+
+    def discard(self, worker: Worker) -> None:
+        if self._seq.pop(worker, None) is not None:
+            entry = self._idle_entry.pop(worker, None)
+            if entry is not None:
+                del self._idle[bisect_left(self._idle, entry)]
+
+    def update(self, worker: Worker) -> None:
+        seq = self._seq.get(worker)
+        if seq is None:
+            return
+        state = worker.state
+        if state is not _READY and state is not _CONNECTING:
+            self.discard(worker)
+            return
+        entries = self._idle_entry
+        old = entries.get(worker)
+        if worker.runs:
+            if old is not None:
+                del entries[worker]
+                del self._idle[bisect_left(self._idle, old)]
+            return
+        entry = (-(worker.connected_time or 0.0), seq, worker)
+        if entry != old:
+            if old is not None:
+                del self._idle[bisect_left(self._idle, old)]
+            entries[worker] = entry
+            insort(self._idle, entry)
+
+    def first(self, count: int) -> List[Worker]:
+        """The first ``count`` workers in drain order (all, if fewer)."""
+        idle = self._idle
+        if count <= len(idle):
+            return [entry[2] for entry in idle[: max(count, 0)]]
+        busy = sorted((w for w in self._seq if w.runs), key=_busy_drain_key)
+        return [entry[2] for entry in idle] + busy[: count - len(idle)]
 
 
 class WorkerPodRuntime:
@@ -52,6 +144,11 @@ class WorkerPodRuntime:
         self.app_label = app_label
         self.on_worker_started = on_worker_started
         self.workers: Dict[str, Worker] = {}  # pod name -> worker
+        #: The READY/CONNECTING members of :attr:`workers` in drain order.
+        self.drain_index = DrainIndex()
+        #: :class:`~repro.wq.worker.WorkerFleet` hook: every flip a worker
+        #: reports goes straight to the drain index.
+        self.worker_changed = self.drain_index.update
         self.workers_started = 0
         self.workers_killed = 0
         self.resyncs = 0
@@ -115,7 +212,9 @@ class WorkerPodRuntime:
         if event.type is WatchEventType.DELETED:
             # api._teardown_pod already invoked pod.on_stop → worker.kill();
             # nothing further needed, but drop our reference.
-            self.workers.pop(pod.name, None)
+            worker = self.workers.pop(pod.name, None)
+            if worker is not None:
+                self.drain_index.discard(worker)
             return
         if pod.phase is PodPhase.RUNNING and pod.name not in self.workers:
             self._start_worker(pod)
@@ -135,9 +234,10 @@ class WorkerPodRuntime:
             capacity=pod.spec.request,
             pod=pod,
             nic_bandwidth_mbps=nic,
-            on_exit=self._worker_exited,
+            fleet=self,
         )
         self.workers[pod.name] = worker
+        self.drain_index.add(worker)
         self.workers_started += 1
         pod.feed_usage(worker.cpu_usage)
         pod.on_stop = lambda _pod, w=worker: self._pod_stopped(w)
@@ -150,9 +250,10 @@ class WorkerPodRuntime:
             self.workers_killed += 1
             worker.kill()
 
-    def _worker_exited(self, worker: Worker) -> None:
+    def worker_exited(self, worker: Worker) -> None:
         """Worker process ended. For a graceful stop, complete the pod so
         Kubernetes sees Succeeded (fig 9's final state)."""
+        self.drain_index.discard(worker)
         pod = worker.pod
         if pod is None:
             return

@@ -541,6 +541,14 @@ class Foreman:
     def connected_workers(self) -> List[Worker]:
         return [w for s in self.shards for w in s.connected_workers()]
 
+    def live_worker_counts(self) -> Tuple[int, int]:
+        live = idle = 0
+        for shard in self.shards:
+            n_live, n_idle = shard.live_worker_counts()
+            live += n_live
+            idle += n_idle
+        return live, idle
+
     def idle_workers(self) -> List[Worker]:
         return [w for s in self.shards for w in s.idle_workers()]
 

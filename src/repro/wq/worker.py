@@ -18,7 +18,7 @@ Scale-down paths (the crux of §II-C):
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Set
 
 from repro.cluster.resources import ResourceVector
 from repro.sim.engine import Engine, ScheduledEvent
@@ -37,6 +37,20 @@ class WorkerState(enum.Enum):
     DRAINING = "draining"
     STOPPED = "stopped"   # graceful exit (drain complete)
     KILLED = "killed"     # pod deleted underneath us
+
+
+class WorkerFleet(Protocol):
+    """What owns a worker process (the pod runtime).
+
+    :meth:`worker_changed` hears of every change that can move the worker
+    into or out of the drainable pool or reorder it there: a connect, a
+    drain, a kill, and a runs set filling or emptying. A runs change is
+    reported only when one or no runs are left, not on every run.
+    :meth:`worker_exited` hears that the process ended."""
+
+    def worker_changed(self, worker: "Worker") -> None: ...
+
+    def worker_exited(self, worker: "Worker") -> None: ...
 
 
 class _TaskRun:
@@ -91,7 +105,7 @@ class Worker:
         *,
         pod: Optional["Pod"] = None,
         nic_bandwidth_mbps: Optional[float] = None,
-        on_exit: Optional[Callable[["Worker"], None]] = None,
+        fleet: Optional[WorkerFleet] = None,
         connect_latency: Optional[float] = None,
     ) -> None:
         if not capacity.any_positive():
@@ -102,7 +116,7 @@ class Worker:
         self.capacity = capacity
         self.pod = pod
         self.nic_bandwidth_mbps = nic_bandwidth_mbps
-        self.on_exit = on_exit
+        self.fleet = fleet
         self.state = WorkerState.CONNECTING
         #: Set by the master's health ledger: an untrusted worker takes
         #: no new work and its result deliveries are rejected.
@@ -170,6 +184,8 @@ class Worker:
             return
         self.state = WorkerState.READY
         self.connected_time = self.engine.now
+        if self.fleet is not None:
+            self.fleet.worker_changed(self)
         self.master.register_worker(self)
 
     # ------------------------------------------------------------ partitions
@@ -260,6 +276,8 @@ class Worker:
             self._exited()
             return
         self.state = WorkerState.DRAINING
+        if self.fleet is not None:
+            self.fleet.worker_changed(self)
         self.master.worker_status_changed(self)
         if self._detached:
             # The master is unreachable (partition or crash): we cannot
@@ -317,8 +335,8 @@ class Worker:
         self._exited()
 
     def _exited(self) -> None:
-        if self.on_exit is not None:
-            self.on_exit(self)
+        if self.fleet is not None:
+            self.fleet.worker_exited(self)
 
     # ------------------------------------------------------------- capacity
     def _runs_changed(self) -> None:
@@ -332,6 +350,11 @@ class Worker:
         self._available = (self.capacity - total).clamp_floor(0.0)
         self._gauges_changed()
         self.master.worker_status_changed(self)
+        # Each call follows one run added or removed (or a kill's clear),
+        # so only one or zero runs left can mean the set just filled or
+        # emptied.
+        if len(self.runs) < 2 and self.fleet is not None:
+            self.fleet.worker_changed(self)
 
     def _set_state(self, run: _TaskRun, state: TaskState) -> None:
         """Move ``run`` to ``state``; the task sees it only if ``run``

@@ -134,6 +134,39 @@ class TestKubeletManager:
         engine.run(until=2.0)
         assert manager.for_node(n1) is None
 
+    def test_keyed_pod_watches_track_live_nodes(self, engine, api, registry):
+        KubeletManager(engine, api, registry)
+        nodes = []
+        for i in range(5):
+            node = Node(f"n{i}", N1_STANDARD_4)
+            node.ready = True
+            api.create(node)
+            nodes.append(node)
+        engine.run(until=1.0)
+        assert sorted(api._pod_node_watchers) == [n.name for n in nodes]
+        before = api.watcher_count("Pod")
+        for node in nodes[1::2]:
+            api.delete("Node", node.name)
+        engine.run(until=2.0)
+        assert sorted(api._pod_node_watchers) == ["n0", "n2", "n4"]
+        assert api.watcher_count("Pod") == before - 2
+        # A node re-created under a deleted one's name watches again.
+        again = Node("n1", N1_STANDARD_4)
+        again.ready = True
+        api.create(again)
+        engine.run(until=3.0)
+        assert sorted(api._pod_node_watchers) == ["n0", "n1", "n2", "n4"]
+
+    def test_deleted_node_cancels_its_pending_starts(self, engine, api, registry, node):
+        manager = KubeletManager(engine, api, registry)
+        engine.run(until=0.5)
+        pod = schedule_pod(api, node)
+        engine.run(until=1.0)  # pulling: the start is pending
+        assert manager.for_node(node)._pending_starts
+        api.delete("Node", node.name)
+        engine.run(until=10.0)
+        assert pod.phase is PodPhase.PENDING  # never started on a gone node
+
     def test_for_pod_resolves_through_node(self, engine, api, registry):
         manager = KubeletManager(engine, api, registry)
         n1 = Node("n1", N1_STANDARD_4)

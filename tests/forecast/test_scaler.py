@@ -6,6 +6,7 @@ import pytest
 
 from repro.forecast.scaler import PredictiveScaler, PredictiveScalerConfig
 from repro.sim.engine import Engine
+from repro.wq.runtime import DrainIndex
 from repro.wq.worker import WorkerState
 
 
@@ -34,14 +35,14 @@ class StubMaster:
 class StubWorker:
     def __init__(self, state=WorkerState.READY):
         self.state = state
+        self.runs = {}
+        self.connected_time = 1.0
 
 
 class StubRuntime:
     def __init__(self):
         self.workers = []
-
-    def live_workers(self):
-        return list(self.workers)
+        self.drain_index = DrainIndex()
 
 
 class StubRequest:
@@ -77,13 +78,16 @@ class StubProvisioner:
         took = min(n, len(self.runtime.workers))
         for w in self.runtime.workers[:took]:
             w.state = WorkerState.DRAINING
+            self.runtime.drain_index.update(w)
         self.drained += took
         return took
 
     def connect_pending(self):
         """Test hook: all pending pods become READY workers."""
         for _ in range(self.pending):
-            self.runtime.workers.append(StubWorker())
+            worker = StubWorker()
+            self.runtime.workers.append(worker)
+            self.runtime.drain_index.add(worker)
         self.pending = 0
 
 

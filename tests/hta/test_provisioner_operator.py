@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster.api import KubeApiServer
@@ -17,11 +19,12 @@ from repro.hta.provisioner import WorkerProvisioner
 from repro.makeflow.dag import WorkflowGraph
 from repro.makeflow.manager import WorkflowManager
 from repro.sim.rng import RngRegistry
+from repro.telemetry.events import Tracer
 from repro.wq.estimator import MonitorEstimator
 from repro.wq.link import Link
 from repro.wq.master import Master
 from repro.wq.monitor import ResourceMonitor
-from repro.wq.runtime import WorkerPodRuntime
+from repro.wq.runtime import DrainIndex, WorkerPodRuntime
 from repro.wq.task import FileSpec, Task
 from repro.wq.worker import WorkerState
 
@@ -116,12 +119,12 @@ class TestProvisioner:
             StubWorker("g", 0, 0.0), StubWorker("h", 0, 9.0, WorkerState.DRAINING),
         ]
 
-        class StubRuntime:
-            def live_workers(self):
-                return list(workers)
+        runtime = SimpleNamespace(drain_index=DrainIndex())
+        for w in workers:
+            runtime.drain_index.add(w)
 
         provisioner = WorkerProvisioner(
-            engine, KubeApiServer(engine), StubRuntime(),
+            engine, KubeApiServer(engine), runtime,
             image=ContainerImage("wq-worker", 100.0), worker_request=FOOT,
         )
         key = lambda w: (len(w.runs), -(w.connected_time or 0.0))  # noqa: E731
@@ -240,6 +243,44 @@ class TestOperator:
         )
         assert manager.done
         assert provisioner.pods_created > 2  # grew past the initial pool
+
+    def test_decision_record_shows_the_plans_fleet_inputs(self, engine, stack):
+        cluster, master, runtime, provisioner, tracker = stack
+        tracer = Tracer(lambda: engine.now)
+        op = HtaOperator(
+            engine,
+            master,
+            provisioner,
+            tracker,
+            HtaConfig(
+                initial_workers=2,
+                max_workers=8,
+                min_workers=1,
+                first_cycle_s=2.0,
+                estimator=EstimatorConfig(default_cycle_s=10.0, min_cycle_s=2.0),
+            ),
+            tracer=tracer,
+        )
+        inputs = []
+        estimate = op.estimator.estimate
+
+        def spy(**kwargs):
+            inputs.append((kwargs["active_workers"], kwargs["idle_workers"]))
+            return estimate(**kwargs)
+
+        op.estimator.estimate = spy
+        manager = self.run_workflow(
+            engine, stack, op, bag(40, execute_s=100.0), until=3000.0
+        )
+        assert manager.done
+        normal = [
+            e.attrs for e in tracer.select("hta", "decision")
+            if e.attrs["mode"] == "normal"
+        ]
+        assert [(a["live_workers"], a["idle_workers"]) for a in normal] == inputs
+        # The run drained workers, so a record read after the drains
+        # would have shown a smaller pool than the plan sized.
+        assert any(a["drained"] for a in normal)
 
     def test_multi_category_probes_run_concurrently(self, engine, stack):
         cluster, master, runtime, provisioner, tracker = stack

@@ -20,10 +20,10 @@ API level: every example replays one random history on
 :class:`~tests.reference.api_literal.LiteralKubeApiServer` (the
 per-handler ``_notify``) over the literal engine. Histories mix node and
 pod creates, binds, status writes and deletes, unscoped and node-keyed
-pod watches with and without replay, node watches, unwatches, API
-outages and watch-drop windows, and partial drives. Both must deliver
-the same events to the same handlers at the same instants and event
-counts, and count the same dropped events.
+pod watches with and without replay, node watches, unwatches (keyed
+ones by node too), API outages and watch-drop windows, and partial
+drives. Both must deliver the same events to the same handlers at the
+same instants and event counts, and count the same dropped events.
 """
 
 from __future__ import annotations
@@ -178,6 +178,10 @@ api_op_st = st.one_of(
         st.just("unwatch"), st.sampled_from(["Pod", "Node"]),
         st.integers(0, N_HANDLERS - 1),
     ),
+    st.tuples(
+        st.just("keyed_unwatch"), st.integers(0, N_NODES - 1),
+        st.integers(0, N_HANDLERS - 1),
+    ),
     st.tuples(st.just("outage"), st.booleans()),
     st.tuples(st.just("drop"), st.sampled_from(["Pod", "Node"]), st.booleans()),
     st.tuples(st.just("run"), st.integers(0, 4)),
@@ -246,6 +250,10 @@ def _replay_api(engine, api: KubeApiServer, ops) -> list:
             # A keyed handler is found by the Pod unwatch's second pass.
             key = (op[1], op[2]) if op[1] == "Node" or op[2] % 2 else ("keyed", op[2])
             api.unwatch(op[1], handler(key))
+        elif kind == "keyed_unwatch":
+            # By node name: a deleted node's object still names its list.
+            node = nodes.get(op[1]) or Node(f"n{op[1]}")
+            api.unwatch_pods_on_node(node, handler(("keyed", op[2])))
         elif kind == "outage":
             api.begin_outage() if op[1] else api.end_outage()
         elif kind == "drop":

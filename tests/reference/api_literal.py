@@ -6,7 +6,9 @@ pod watchers into registration order with a sort on every bound-pod
 write and made one ``call_soon`` per handler, and the replay in
 ``watch`` and ``watch_pods_on_node`` made one ``call_soon`` per object.
 The four methods are kept verbatim on a subclass (they read the same
-watcher lists as the fast server), so a property test can drive both
+watcher lists as the fast server). A fifth, ``unwatch_pods_on_node``,
+came after them: here it is the plain removal from the node's keyed
+list, which leaves an emptied list in place. So a property test can drive both
 servers, each on its own engine, through the same writes and watch
 changes and demand the same handler trace and dropped-event counts.
 Run it on :class:`tests.reference.engine_literal.Engine` for the
@@ -88,6 +90,14 @@ class LiteralKubeApiServer(KubeApiServer):
                         del keyed[i]
                         self._n_keyed_pod_watchers -= 1
                         return
+
+    def unwatch_pods_on_node(self, node: Node, handler: WatchHandler) -> None:
+        keyed = self._pod_node_watchers.get(node.name, [])
+        for i, (_, h) in enumerate(keyed):
+            if h == handler:
+                del keyed[i]
+                self._n_keyed_pod_watchers -= 1
+                return
 
     def _notify(self, event_type: WatchEventType, obj: KubeObject) -> None:
         version = self._versions[obj.kind] + 1

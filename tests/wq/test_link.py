@@ -43,6 +43,13 @@ class TestSingleTransfer:
         with pytest.raises(ValueError):
             Link(engine, 0.0)
 
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf, -math.inf])
+    def test_non_finite_capacity_rejected(self, engine, capacity):
+        # A NaN capacity passed the ``<= 0`` check and every transfer
+        # then stalled without an error.
+        with pytest.raises(ValueError):
+            Link(engine, capacity)
+
     def test_invalid_rate_cap_rejected(self, engine):
         with pytest.raises(ValueError):
             Link(engine, 10.0).start_transfer("t", 1.0, rate_cap_mbps=0.0)
@@ -194,6 +201,13 @@ class TestStreamOverhead:
     def test_negative_overhead_rejected(self, engine):
         with pytest.raises(ValueError):
             Link(engine, 100.0, per_stream_overhead=-0.1)
+
+    @pytest.mark.parametrize("overhead", [math.nan, math.inf])
+    def test_non_finite_overhead_rejected(self, engine, overhead):
+        # NaN made every rate NaN past one stream; inf gave a lone
+        # stream inf * 0 = NaN. Either way no completion was armed.
+        with pytest.raises(ValueError):
+            Link(engine, 100.0, per_stream_overhead=overhead)
 
 
 class TestThroughputMetrics:
