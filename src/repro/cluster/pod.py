@@ -147,6 +147,15 @@ class Pod(KubeObject):
         self.usage_fed = True
         self.usage_changed()
 
+    def detach_workload(self) -> None:
+        """Drop the workload's usage source and ``on_stop`` hook once it
+        has exited and the pod is terminal or deleted. Neither is read
+        then (usage only while Running), and both point back at the
+        workload, which holds this pod: kept, they make the pair a cycle
+        only the garbage collector frees."""
+        self._usage_fn = None
+        self.on_stop = None
+
     def usage_changed(self) -> None:
         """This pod's CPU reading, or whether it is read at all, changed."""
         if self._feed is not None:

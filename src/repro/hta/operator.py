@@ -278,13 +278,19 @@ class HtaOperator:
             # Still in warm-up: the initial pool stands until the first
             # jobs arrive; resizing starts with the runtime stage (§V-C).
             if self.tracer.enabled:
-                self._emit_decision("warmup", 0, self.master.live_worker_counts())
+                self._emit_decision(
+                    "warmup", 0, self._decision_inputs(self.master.live_worker_counts())
+                )
             return self.config.estimator.default_cycle_s
         self._last_good_init = self.init_tracker.current()
-        # The counts plan_once reads (planning changes nothing): the
-        # audit record shows the pool the plan saw, not what _apply's
-        # drains leave of it.
-        fleet = self.master.live_worker_counts()
+        # The inputs plan_once reads (planning changes nothing), taken
+        # before _apply: the audit record shows what the plan saw, not
+        # the pods it creates or the pool its drains leave.
+        inputs = (
+            self._decision_inputs(self.master.live_worker_counts())
+            if self.tracer.enabled
+            else None
+        )
         plan = self.plan_once()
         self.plans.append(plan)
         created, cancelled, drained = self._apply(plan)
@@ -296,7 +302,7 @@ class HtaOperator:
             self._emit_decision(
                 "normal",
                 plan.delta,
-                fleet,
+                inputs,
                 created=created,
                 cancelled=cancelled,
                 drained=drained,
@@ -337,6 +343,7 @@ class HtaOperator:
         )
         pending = len(self.provisioner.pending_pods())
         delta = target - (live + pending)
+        inputs = self._decision_inputs(fleet) if self.tracer.enabled else None
         created_pods = 0
         if delta > 0:
             created_pods = len(self.provisioner.create_workers(delta))
@@ -352,7 +359,7 @@ class HtaOperator:
             self._emit_decision(
                 "degraded",
                 delta,
-                fleet,
+                inputs,
                 created=created_pods,
                 scale_down_frozen=delta < 0,
                 api_available=bool(getattr(api, "available", True)),
@@ -473,13 +480,10 @@ class HtaOperator:
             return 0, cancelled, drained
         return 0, 0, 0
 
-    def _emit_decision(
-        self, mode: str, delta: int, fleet: Tuple[int, int], **extra
-    ) -> None:
-        """One ``hta/decision`` audit record: the inputs this cycle saw
-        (``fleet`` is the ``(live, idle)`` pair it sized with), the
-        resulting delta, and what was actually done (callers add the
-        action/override attributes)."""
+    def _decision_inputs(self, fleet: Tuple[int, int]) -> Dict[str, object]:
+        """The inputs a cycle sizes with, as its ``hta/decision`` record
+        shows them (``fleet`` is the ``(live, idle)`` pair). Read before
+        the cycle acts, so a record never counts its own pods."""
         live, idle = fleet
         stats = self.master.stats() if self.master.available else None
         informer = getattr(self.init_tracker, "informer", None)
@@ -488,9 +492,7 @@ class HtaOperator:
             if self._last_good_init is not None
             else self.init_tracker.current()
         )
-        attrs = dict(
-            mode=mode,
-            delta=int(delta),
+        return dict(
             waiting=stats.waiting if stats is not None else 0,
             running=stats.running if stats is not None else 0,
             held=self.held_count,
@@ -500,6 +502,15 @@ class HtaOperator:
             init_time_s=float(init_time),
             staleness=int(informer.staleness()) if informer is not None else 0,
         )
+
+    def _emit_decision(
+        self, mode: str, delta: int, inputs: Dict[str, object], **extra
+    ) -> None:
+        """One ``hta/decision`` audit record: the cycle's
+        :meth:`_decision_inputs`, the resulting delta, and what was
+        actually done (callers add the action/override attributes)."""
+        attrs: Dict[str, object] = dict(mode=mode, delta=int(delta))
+        attrs.update(inputs)
         attrs.update(extra)
         self.tracer.emit("hta", "decision", mode, **attrs)
 

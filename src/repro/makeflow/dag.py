@@ -10,13 +10,17 @@ present at the master.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Sequence, Set
 
 from repro.wq.task import Task
 
 
 class CycleError(ValueError):
     """The rules form a dependency cycle; not a DAG."""
+
+
+#: The edge set of every task that has none on that side.
+_NO_EDGES: FrozenSet[int] = frozenset()
 
 
 class WorkflowGraph:
@@ -41,18 +45,33 @@ class WorkflowGraph:
                     )
                 self.producer[f.name] = t.id
 
-        # Edges: dependencies[task id] = set of prerequisite task ids.
-        self.dependencies: Dict[int, Set[int]] = {t.id: set() for t in self.tasks}
-        self.dependents: Dict[int, Set[int]] = {t.id: set() for t in self.tasks}
+        # Edges: dependencies[task id] = set of prerequisite task ids. A
+        # task without edges maps to the shared empty frozenset: a bag of
+        # independent tasks allocates no per-task sets.
+        no_edges = _NO_EDGES
+        self.dependencies: Dict[int, AbstractSet[int]] = dict.fromkeys(ids, no_edges)
+        self.dependents: Dict[int, AbstractSet[int]] = dict.fromkeys(ids, no_edges)
+        dependencies, dependents = self.dependencies, self.dependents
+        has_edges = False
         for t in self.tasks:
+            tid = t.id
             for f in t.inputs:
                 producer = self.producer.get(f.name)
-                if producer is not None and producer != t.id:
-                    self.dependencies[t.id].add(producer)
-                    self.dependents[producer].add(t.id)
+                if producer is not None and producer != tid:
+                    has_edges = True
+                    deps = dependencies[tid]
+                    if deps is no_edges:
+                        deps = dependencies[tid] = set()
+                    deps.add(producer)
+                    users = dependents[producer]
+                    if users is no_edges:
+                        users = dependents[producer] = set()
+                    users.add(tid)
 
-        self._by_id: Dict[int, Task] = {t.id: t for t in self.tasks}
-        self._assert_acyclic()
+        self._by_id: Dict[int, Task] = dict(zip(ids, self.tasks))
+        if has_edges:
+            # Without edges every task is a root: nothing can cycle.
+            self._assert_acyclic()
 
     # ------------------------------------------------------------ structure
     def _assert_acyclic(self) -> None:
@@ -139,6 +158,10 @@ class WorkflowGraph:
 
     def __len__(self) -> int:
         return len(self.tasks)
+
+    def __contains__(self, task: Task) -> bool:
+        """True iff ``task`` itself is one of this graph's tasks."""
+        return self._by_id.get(task.id) is task
 
     def __iter__(self) -> Iterable[Task]:
         return iter(self.tasks)

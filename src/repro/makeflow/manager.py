@@ -49,8 +49,9 @@ class WorkflowManager:
         self.graph = graph
         self.submitter = submitter
         self.recorder = recorder
+        #: Prerequisites not yet completed, for the tasks that have any.
         self._remaining_deps: Dict[int, Set[int]] = {
-            tid: set(deps) for tid, deps in graph.dependencies.items()
+            tid: set(deps) for tid, deps in graph.dependencies.items() if deps
         }
         self._submitted: Set[int] = set()
         self._completed: Set[int] = set()
@@ -104,7 +105,7 @@ class WorkflowManager:
         self.submitter.submit(task)
 
     def _task_completed(self, task: Task, result: TaskResult) -> None:
-        if task.id not in self._remaining_deps or task.id in self._completed:
+        if task.id in self._completed or task not in self.graph:
             return  # not ours (several workflows can share a master)
         self._completed.add(task.id)
         self.completed_by_category[task.category] = (
@@ -121,7 +122,7 @@ class WorkflowManager:
             self.done_signal.fire_once(self)
 
     def _task_abandoned(self, task: Task) -> None:
-        if task.id in self._remaining_deps:
+        if task in self.graph:
             self.failed_task_ids.add(task.id)
 
     def _record_progress(self) -> None:

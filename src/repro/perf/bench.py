@@ -28,10 +28,15 @@ Measured per run:
   next rung.
 - ``stopped`` — why the drive stopped: ``finished`` (done or failed),
   ``sim limit``, ``queue drained`` or ``wall deadline``.
+- ``gc_pause_s`` / ``gc_collections`` — wall seconds the cyclic garbage
+  collector held the run, and its collections of generations 0, 1 and
+  2, from ``gc.callbacks`` around the whole run; ``wall_s`` includes
+  the pauses.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import resource
@@ -39,7 +44,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.runner import FINISHED, _assembled, drive
 from repro.perf.scenarios import LADDER, PerfScenario
@@ -55,6 +60,34 @@ def _peak_rss_mb() -> float:
     if sys.platform == "darwin":  # pragma: no cover — bytes on macOS
         return peak / (1024.0 * 1024.0)
     return peak / 1024.0
+
+
+class GcClock:
+    """Collector pauses and collections per generation while entered.
+
+    Reads ``gc.callbacks``: each collection's start and stop bracket its
+    pause, and the stop names its generation.
+    """
+
+    def __init__(self) -> None:
+        self.pause_s = 0.0
+        self.collections = [0, 0, 0]
+        self._started: Optional[float] = None
+
+    def _callback(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        elif self._started is not None:
+            self.pause_s += time.perf_counter() - self._started
+            self._started = None
+            self.collections[info["generation"]] += 1
+
+    def __enter__(self) -> "GcClock":
+        gc.callbacks.append(self._callback)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self._callback)
 
 
 @dataclass
@@ -75,6 +108,10 @@ class RunMeasurement:
     tasks_abandoned: int = 0
     #: Why the drive loop stopped (see :func:`repro.experiments.runner.drive`).
     stopped: str = FINISHED
+    #: Wall seconds spent in the cyclic garbage collector.
+    gc_pause_s: float = 0.0
+    #: Collections of generations 0, 1 and 2.
+    gc_collections: Tuple[int, int, int] = (0, 0, 0)
 
     @property
     def sim_per_wall(self) -> float:
@@ -86,6 +123,7 @@ class RunMeasurement:
 
     def row(self) -> Dict[str, object]:
         d = asdict(self)
+        d["gc_collections"] = list(self.gc_collections)
         d["sim_per_wall"] = round(self.sim_per_wall, 2)
         d["events_per_sec"] = round(self.events_per_sec, 1)
         return d
@@ -126,7 +164,8 @@ class BenchReport:
     def table(self) -> str:
         header = (
             f"{'scenario':<26} {'tasks':>7} {'nodes':>6} {'wall_s':>8} "
-            f"{'sim_s':>9} {'sim/wall':>9} {'events/s':>10} {'rss_mb':>8} done"
+            f"{'sim_s':>9} {'sim/wall':>9} {'events/s':>10} {'rss_mb':>8} "
+            f"{'gc_s':>7} {'gc_full':>7} done"
         )
         lines = [header, "-" * len(header)]
         for m in self.runs:
@@ -134,6 +173,7 @@ class BenchReport:
                 f"{m.scenario:<26} {m.n_tasks:>7} {m.max_nodes:>6} "
                 f"{m.wall_s:>8.1f} {m.sim_s:>9.0f} {m.sim_per_wall:>9.1f} "
                 f"{m.events_per_sec:>10.0f} {m.peak_rss_mb:>8.0f} "
+                f"{m.gc_pause_s:>7.2f} {m.gc_collections[2]:>7} "
                 f"{'yes' if m.completed else 'FAIL' if m.tasks_abandoned else 'NO'}"
             )
         for name, ratio in sorted(self.speedup_vs_reference.items()):
@@ -157,7 +197,9 @@ def run_scenario(
     spec = scenario.build_spec()
     telemetry = TelemetryConfig(enabled=False)
     started = time.perf_counter()
-    with _assembled(spec, telemetry) as (stack, graph, harness, manager, accountant):
+    with GcClock() as gc_clock, _assembled(spec, telemetry) as (
+        stack, graph, harness, manager, accountant
+    ):
         engine = stack.engine
         accountant.start()
         manager.start()
@@ -190,6 +232,8 @@ def run_scenario(
             peak_rss_mb=_peak_rss_mb(),
             tasks_abandoned=len(manager.failed_task_ids),
             stopped=stopped,
+            gc_pause_s=gc_clock.pause_s,
+            gc_collections=tuple(gc_clock.collections),
         )
 
 

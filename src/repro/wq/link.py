@@ -67,6 +67,19 @@ ARRAY_FROM = 128
 LIST_BELOW = 64
 
 
+def _fire(transfer: "Transfer") -> None:
+    """Run ``transfer``'s completion callback, dropping it first.
+
+    A finished or cancelled transfer keeps no callback: the callback
+    usually closes over the run that lists the transfer, and holding it
+    would leave that pair a reference cycle only the collector frees.
+    """
+    callback = transfer.on_complete
+    if callback is not None:
+        transfer.on_complete = None
+        callback(transfer)
+
+
 def _without(items: list, done: List[int]) -> list:
     """``items`` less the ascending indices ``done``, in one copy pass."""
     kept: list = []
@@ -83,7 +96,8 @@ class Transfer:
 
     While the transfer is active, ``remaining_mb`` (as of the link's last
     settle) and ``rate_mbps`` are read from the link; once it finishes or
-    is cancelled they keep their last values.
+    is cancelled they keep their last values. ``on_complete`` is dropped
+    once it has fired or the transfer is cancelled (see :func:`_fire`).
     """
 
     __slots__ = (
@@ -229,7 +243,7 @@ class Link:
             t.finish_time = now
             self.transfers_completed += 1
             if on_complete is not None:
-                self.engine.call_soon(on_complete, t)
+                self.engine.call_soon(_fire, t)
             return t
         t._link = self
         transfers = self._transfers
@@ -268,6 +282,7 @@ class Link:
         if transfer.done or transfer.cancelled:
             return
         transfer.cancelled = True
+        transfer.on_complete = None
         if transfer._link is self and len(self._transfers) == 1:
             self._detach(transfer, 0, self._settle_lone())
             self._transfers.clear()
@@ -513,8 +528,7 @@ class Link:
             self._remaining.clear()
             self.transfers_completed += 1
             self.throughput.record(now, 0.0)
-            if t.on_complete is not None:
-                t.on_complete(t)
+            _fire(t)
             return
         self._settle()
         remaining = self._remaining
@@ -533,8 +547,7 @@ class Link:
             self._drop(done)
         self._replan()
         for t in finished:
-            if t.on_complete is not None:
-                t.on_complete(t)
+            _fire(t)
 
     # ---------------------------------------------------------------- reads
     @property

@@ -262,6 +262,11 @@ class WorkerPodRuntime:
             kubelet = self.kubelets.for_pod(pod)
             if kubelet is not None:
                 kubelet.stop_container(pod, succeeded=True)
+        if pod.phase.terminal or pod.deletion_requested:
+            # Nothing calls into the worker through its pod any more
+            # (a kill runs inside the deleted pod's on_stop, which
+            # marks the pod Failed next), so the pair is not a cycle.
+            pod.detach_workload()
 
     # ---------------------------------------------------------------- reads
     def worker_for(self, pod: Pod) -> Optional[Worker]:

@@ -278,7 +278,8 @@ class Worker:
         self.state = WorkerState.DRAINING
         if self.fleet is not None:
             self.fleet.worker_changed(self)
-        self.master.worker_status_changed(self)
+        if self._detached or self.runs:
+            self.master.worker_status_changed(self)
         if self._detached:
             # The master is unreachable (partition or crash): we cannot
             # unregister, and held results must not die with us. The
@@ -287,6 +288,8 @@ class Worker:
             return
         self.master.worker_draining(self)
         if not self.runs:
+            # An idle worker exits at once; unregistering refreshes the
+            # master's caches for it, so they are refreshed once.
             self._stop()
 
     def kill(self) -> None:

@@ -265,7 +265,14 @@ class TestOperator:
         estimate = op.estimator.estimate
 
         def spy(**kwargs):
-            inputs.append((kwargs["active_workers"], kwargs["idle_workers"]))
+            stats = master.stats()
+            inputs.append((
+                kwargs["active_workers"],
+                kwargs["idle_workers"],
+                len(kwargs["pending"]),
+                stats.waiting,
+                stats.running,
+            ))
             return estimate(**kwargs)
 
         op.estimator.estimate = spy
@@ -277,10 +284,16 @@ class TestOperator:
             e.attrs for e in tracer.select("hta", "decision")
             if e.attrs["mode"] == "normal"
         ]
-        assert [(a["live_workers"], a["idle_workers"]) for a in normal] == inputs
-        # The run drained workers, so a record read after the drains
-        # would have shown a smaller pool than the plan sized.
+        assert [
+            (a["live_workers"], a["idle_workers"], a["pending_pods"], a["waiting"],
+             a["running"])
+            for a in normal
+        ] == inputs
+        # The run drained workers and created pods, so a record read
+        # after _apply would have shown a smaller pool than the plan
+        # sized, or counted the pods it created as pending inputs.
         assert any(a["drained"] for a in normal)
+        assert any(a["created"] for a in normal)
 
     def test_multi_category_probes_run_concurrently(self, engine, stack):
         cluster, master, runtime, provisioner, tracker = stack

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
 
 from repro.makeflow.manager import WorkflowManager
-from repro.perf.bench import BenchConfig, BenchReport, run_bench, run_scenario
+from repro.perf.bench import BenchConfig, BenchReport, GcClock, run_bench, run_scenario
+from repro.perf.gate import check_regression, load_report
 from repro.perf.scenarios import PerfScenario
 
 #: Small enough to finish in a couple of wall seconds, big enough to
@@ -136,3 +138,35 @@ class TestFailedRung:
 
 def test_table_renders_without_runs():
     assert "scenario" in BenchReport(runs=[]).table()
+
+
+class TestGcClock:
+    def test_counts_collections_per_generation_and_their_pauses(self):
+        with GcClock() as clock:
+            gc.collect(1)
+            gc.collect(2)
+        assert clock.collections[1] >= 1 and clock.collections[2] >= 1
+        assert clock.pause_s > 0
+        assert clock._callback not in gc.callbacks
+        before = list(clock.collections)
+        gc.collect()
+        assert clock.collections == before  # not counting once exited
+
+    def test_run_reports_gc_in_its_row_and_table(self, tiny_run):
+        m = tiny_run
+        assert 0 <= m.gc_pause_s <= m.wall_s
+        assert len(m.gc_collections) == 3 and min(m.gc_collections) >= 0
+        row = m.row()
+        assert row["gc_pause_s"] == m.gc_pause_s
+        assert row["gc_collections"] == list(m.gc_collections)
+        assert json.loads(json.dumps(row)) == row
+        assert "gc_s" in BenchReport(runs=[m]).table()
+
+    def test_gate_reads_reports_without_gc_fields(self, tiny_run, tmp_path):
+        old = {k: v for k, v in tiny_run.row().items() if not k.startswith("gc_")}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"schema": 1, "runs": {"tiny-perf": old}}))
+        baseline = load_report(path)
+        result = check_regression({"tiny-perf": tiny_run.row()}, baseline)
+        assert result.ok and result.compared == ["tiny-perf"]
+        assert check_regression(baseline, {"tiny-perf": tiny_run.row()}).ok
