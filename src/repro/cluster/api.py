@@ -108,20 +108,27 @@ class ChangeFeed:
     The API server attaches an object on ``create`` and detaches it on
     ``delete`` (both note it); while attached the object notes itself
     when something a subscriber reads changes. For nodes (the cloud
-    controller's scale-down pass) that is a ``ready`` or ``deleted`` flip,
-    a dropped ``requested()`` fold (bind, unbind, a bound pod turning
-    terminal) and ``mark_modified``. For pods (the metrics server's
-    scrape) it is a phase change and a change of the CPU reading (see
-    :meth:`Pod.usage_changed`). Like the node tally it is fed on the
-    write path, so outages and watch-drop windows lose nothing. A
-    subscriber holds an insertion-ordered set of objects and empties it
-    when it has looked at them.
+    controller's scale-down pass) that is a ``ready``, ``deleted`` or
+    ``unschedulable`` flip, a dropped ``requested()`` fold (bind, unbind,
+    a bound pod turning terminal) and ``mark_modified``. For pods (the
+    metrics server's scrape) it is a phase change, a deletion request
+    and a change of the CPU reading (see :meth:`Pod.usage_changed`).
+    Like the node tally it is fed on the write path, so outages and
+    watch-drop windows lose nothing. A subscriber holds an
+    insertion-ordered set of objects and empties it when it has looked
+    at them.
+
+    ``version`` counts the notes. It moves on in-place changes that no
+    write announces, so a reader that memoizes on the kind's
+    resourceVersion also compares it (see
+    :meth:`KubeApiServer.state_version`).
     """
 
-    __slots__ = ("_subscribers",)
+    __slots__ = ("_subscribers", "version")
 
     def __init__(self) -> None:
         self._subscribers: List[Dict[KubeObject, None]] = []
+        self.version = 0
 
     def subscribe(self) -> Dict[KubeObject, None]:
         changed: Dict[KubeObject, None] = {}
@@ -140,6 +147,7 @@ class ChangeFeed:
         obj._feed = None  # type: ignore[attr-defined]
 
     def note(self, obj: KubeObject) -> None:
+        self.version += 1
         for changed in self._subscribers:
             changed[obj] = None
 
@@ -467,6 +475,19 @@ class KubeApiServer:
             return self._versions[kind]
         except KeyError:
             raise KeyError(f"unknown kind {kind!r}; known: {sorted(self._versions)}") from None
+
+    def state_version(self) -> Tuple[int, int, int, int]:
+        """Where every pod and node stands: the two kinds'
+        resourceVersions, which every write advances, and their change
+        feeds' versions, which also advance on in-place changes no write
+        announces (a phase, a deletion request, readiness, a cordon, a
+        node's requested fold). A control loop whose last pass over pods
+        and nodes changed nothing can skip the next while it is equal."""
+        versions = self._versions
+        return (
+            versions["Pod"], versions["Node"],
+            self.pod_feed.version, self.node_feed.version,
+        )
 
     def watcher_count(self, kind: str) -> int:
         """Registered watch handlers for ``kind`` (leak regression hook)."""

@@ -18,7 +18,11 @@ add/remove nodes accordingly". This loop:
 Both passes run every scan, so both touch only what changed: scale-up
 returns before listing pending pods when no pool has room, and packs
 only the nodes that could seat the smallest request; scale-down reads
-the API server's node change feed instead of every node.
+the API server's node change feed instead of every node. While nothing
+either pass reads has changed (a fleet waiting minutes for its machines),
+a scan costs O(1): both remember the API server's
+:meth:`~repro.cluster.api.KubeApiServer.state_version` of their last
+pending-pod scan.
 """
 
 from __future__ import annotations
@@ -158,6 +162,14 @@ class CloudController:
         #: Spot-pool fault accounting.
         self.preemptions = 0
         self.spot_stockouts = 0
+        #: The state version and reservations in flight that the last
+        #: scale-up pass left behind (unless it drew a stockout). A pass
+        #: reads nothing else, so at an equal key it would reserve nothing.
+        self._quiet_scale_up: Optional[tuple] = None
+        #: ``(state version, result)`` of the scale-down guard's last scan.
+        self._guard: tuple = (None, False)
+        #: Pending-pod scans answered from the two memos above.
+        self.scans_skipped = 0
         self._loop = PeriodicTask(engine, config.scan_period_s, self.sync, start_after=0.0)
         self._reclaim_loop: Optional[PeriodicTask] = None
         spot = config.preemptible
@@ -226,6 +238,26 @@ class CloudController:
         return pod.spec.node_selector.get(PREEMPTIBLE_LABEL) == "true"
 
     def _scale_up(self) -> None:
+        # Every input changes only through the key: the pending pods and
+        # their flags, the nodes' free capacity, readiness, cordons and
+        # deletions, the node tallies behind _room, and the reservations
+        # in flight.
+        key = (self.api.state_version(), self._inflight, self._inflight_spot)
+        if key == self._quiet_scale_up:
+            self.scans_skipped += 1
+            return
+        stockouts = self.spot_stockouts
+        self._scale_up_pass()
+        # Each pool reserved up to its need or its room, and a pass writes
+        # nothing, so a pass from the state it leaves would reserve
+        # nothing -- unless the provider stocked out, which the next scan
+        # must ask (and draw) again.
+        if self.spot_stockouts == stockouts:
+            self._quiet_scale_up = (
+                self.api.state_version(), self._inflight, self._inflight_spot
+            )
+
+    def _scale_up_pass(self) -> None:
         if self._room(preemptible=False) <= 0 and (
             self.config.preemptible is None or self._room(preemptible=True) <= 0
         ):
@@ -537,11 +569,19 @@ class CloudController:
     def _scale_down(self) -> None:
         # Never reclaim capacity while unschedulable pods wait: removing a
         # node the scheduler is about to use would thrash (the upstream
-        # cluster autoscaler applies the same guard).
-        if any(
-            p.failed_scheduling and not p.deletion_requested
-            for p in self.api.pending_pods()
-        ):
+        # cluster autoscaler applies the same guard). Its scan reads only
+        # pods, so it is memoized on the state version.
+        version = self.api.state_version()
+        seen, waiting = self._guard
+        if version == seen:
+            self.scans_skipped += 1
+        else:
+            waiting = any(
+                p.failed_scheduling and not p.deletion_requested
+                for p in self.api.pending_pods()
+            )
+            self._guard = (version, waiting)
+        if waiting:
             self._idle_since.clear()
             self._rescan = True
             return

@@ -147,4 +147,5 @@ class Cluster:
             "pending_pods": len(self.api.pending_pods()),
             "pods": len(self.api.pods()),
             "api_writes": self.api.writes,
+            "cloud_scans_skipped": self.cloud.scans_skipped,
         }

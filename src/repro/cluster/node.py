@@ -73,7 +73,7 @@ class Node(KubeObject):
     __slots__ = (
         "machine_type", "preemptible", "preemption_notice_at",
         "preemption_grace_s", "_ready", "ready_time", "pods",
-        "_requested_cache", "cached_images", "unschedulable", "_deleted",
+        "_requested_cache", "cached_images", "_unschedulable", "_deleted",
         "_capacity_index", "_counts", "_feed",
     )
 
@@ -110,8 +110,8 @@ class Node(KubeObject):
         #: told whenever ``ready`` or ``deleted`` flips.
         self._counts: Optional["NodeCounts"] = None
         #: The API server's node change feed while the node is stored
-        #: there; told whenever ``ready``, ``deleted`` or the
-        #: ``requested()`` fold changes.
+        #: there; told whenever ``ready``, ``deleted``,
+        #: ``unschedulable`` or the ``requested()`` fold changes.
         self._feed: Optional["ChangeFeed"] = None
         self._ready = False
         self.ready_time: Optional[float] = None
@@ -122,7 +122,7 @@ class Node(KubeObject):
         #: are bit-identical to an on-demand fold.
         self._requested_cache: Optional[ResourceVector] = None
         self.cached_images: Set[str] = set()
-        self.unschedulable = False  # cordoned during drain-for-removal
+        self._unschedulable = False  # cordoned during drain-for-removal
         self._deleted = False
         #: The API server's free-capacity index while the node is stored
         #: there; told whenever the requested() fold is dropped.
@@ -163,6 +163,17 @@ class Node(KubeObject):
         if self._feed is not None:
             self._feed.note(self)
 
+    @property
+    def unschedulable(self) -> bool:
+        """Cordoned: the scheduler binds nothing new here."""
+        return self._unschedulable
+
+    @unschedulable.setter
+    def unschedulable(self, value: bool) -> None:
+        self._unschedulable = value
+        if self._feed is not None:
+            self._feed.note(self)
+
     # ------------------------------------------------------------- capacity
     @property
     def capacity(self) -> ResourceVector:
@@ -196,9 +207,9 @@ class Node(KubeObject):
 
     def can_fit(self, request: ResourceVector) -> bool:
         return (
-            self.ready
-            and not self.unschedulable
-            and not self.deleted
+            self._ready
+            and not self._unschedulable
+            and not self._deleted
             and request.fits_in(self.allocatable - self.requested())
         )
 

@@ -100,7 +100,7 @@ class Pod(KubeObject):
 
     __slots__ = (
         "spec", "phase", "node", "events", "scheduled_time", "started_time",
-        "finished_time", "deletion_requested", "_usage_fn", "usage_fed",
+        "finished_time", "_deletion_requested", "_usage_fn", "usage_fed",
         "on_stop", "failed_scheduling", "_feed",
     )
 
@@ -118,7 +118,7 @@ class Pod(KubeObject):
         self.scheduled_time: Optional[float] = None
         self.started_time: Optional[float] = None
         self.finished_time: Optional[float] = None
-        self.deletion_requested = False
+        self._deletion_requested = False
         self._usage_fn: Optional[Callable[[], float]] = None
         #: True when the usage source announces its changes through
         #: :meth:`usage_changed` (see :meth:`feed_usage`).
@@ -127,6 +127,18 @@ class Pod(KubeObject):
         #: The API server's pod change feed while stored (see
         #: :class:`~repro.cluster.api.ChangeFeed`).
         self._feed: Optional["ChangeFeed"] = None
+
+    @property
+    def deletion_requested(self) -> bool:
+        """Set by the API server's delete; noted on the pod feed, which
+        the autoscaler's pending-pod memos read."""
+        return self._deletion_requested
+
+    @deletion_requested.setter
+    def deletion_requested(self, value: bool) -> None:
+        self._deletion_requested = value
+        if self._feed is not None:
+            self._feed.note(self)
 
     # --------------------------------------------------------------- usage
     @property

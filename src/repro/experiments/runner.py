@@ -966,7 +966,7 @@ def _build_hta(
         ),
         shortage_extra=operator.held_cores,
         gauges={
-            "hta_pending_pods": lambda: float(len(provisioner.pending_pods())),
+            "hta_pending_pods": lambda: float(provisioner.pending_count()),
         },
         start=operator.start,
         extras=hta_extras,

@@ -125,7 +125,7 @@ class PredictiveScaler:
     def pool_size(self) -> int:
         """Workers the pool will converge to with no further action:
         pending pods plus live, non-draining workers."""
-        pending = len(self.provisioner.pending_pods())
+        pending = self.provisioner.pending_count()
         return pending + len(self.provisioner.runtime.drain_index)
 
     # ------------------------------------------------------------- feedback

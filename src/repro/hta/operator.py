@@ -341,7 +341,7 @@ class HtaOperator:
             live,
             min(self.config.max_workers, max(self.config.min_workers, backlog)),
         )
-        pending = len(self.provisioner.pending_pods())
+        pending = self.provisioner.pending_count()
         delta = target - (live + pending)
         inputs = self._decision_inputs(fleet) if self.tracer.enabled else None
         created_pods = 0
@@ -498,7 +498,7 @@ class HtaOperator:
             held=self.held_count,
             live_workers=live,
             idle_workers=idle,
-            pending_pods=len(self.provisioner.pending_pods()),
+            pending_pods=self.provisioner.pending_count(),
             init_time_s=float(init_time),
             staleness=int(informer.staleness()) if informer is not None else 0,
         )

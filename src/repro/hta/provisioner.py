@@ -139,6 +139,8 @@ class WorkerProvisioner:
         self.spot_pods_created = 0
         self.pods_reaped = 0
         self.drains_requested = 0
+        #: ``(state version, len(pending_pods()))`` of the last count.
+        self._pending: tuple = (None, 0)
         # ----------------------------------------- defensive provisioning
         self.fault_config = fault_config
         #: "closed" (normal) / "open" (creations suppressed) /
@@ -339,6 +341,17 @@ class WorkerProvisioner:
             for p in self.api.list_pending({"app": self.app_label})
             if p.name.startswith(self.name_prefix)
         ]
+
+    def pending_count(self) -> int:
+        """``len(pending_pods())``, recounted only after the pods changed:
+        view membership moves with writes and the phase with the pod
+        feed, so an unchanged state version means an unchanged count."""
+        version = self.api.state_version()
+        seen, count = self._pending
+        if version != seen:
+            count = len(self.pending_pods())
+            self._pending = (version, count)
+        return count
 
     def running_pods(self) -> List[Pod]:
         return [p for p in self.my_pods() if p.phase is PodPhase.RUNNING]

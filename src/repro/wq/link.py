@@ -42,7 +42,7 @@ import math
 from functools import reduce
 from itertools import count, repeat
 from operator import add, attrgetter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -214,6 +214,8 @@ class Link:
         self.transfers_completed = 0
         #: Instantaneous aggregate throughput (MB/s) as a step function.
         self.throughput = StepSeries(f"{name}.throughput", 0.0)
+        #: ``sum(repeat(rate, n))`` per one-cap ``(rate, n)`` recorded.
+        self._throughput_of: Dict[Tuple[float, int], float] = {}
 
     # ---------------------------------------------------------------- start
     def start_transfer(
@@ -440,7 +442,12 @@ class Link:
             share = self.effective_capacity(n) / n
             rate = cap if cap is not None and cap < share else share
             self._rate, self._rates = rate, None
-            self.throughput.record(self.engine.now, sum(repeat(rate, n)))
+            # The recorded sum is a pure function of (rate, n), and one cap
+            # and n fix the rate, so each stream count is summed once.
+            total = self._throughput_of.get((rate, n))
+            if total is None:
+                total = self._throughput_of[rate, n] = sum(repeat(rate, n))
+            self.throughput.record(self.engine.now, total)
             remaining = self._remaining
             smallest = min(remaining) if self._buf is None else float(remaining.min())
             # Dividing by a positive constant is monotone, so this is the

@@ -64,6 +64,9 @@ class StubProvisioner:
     def pending_pods(self):
         return [object()] * self.pending
 
+    def pending_count(self):
+        return self.pending
+
     def create_workers(self, n):
         self.pending += n
         self.created += n

@@ -17,12 +17,16 @@ real objects and compares each with its verbatim predecessor in
   their deletion requested while pending, and wait with FailedScheduling
   events; nodes get preemption notices, are killed by chaos, cordoned
   and flipped not-ready; the API server's notification plane goes down.
-  Just before every scale-up and scale-down pass the literal pass runs
-  on the same state; both must reserve the same pools in the same
-  order, attempt the same removals in the same order with the same
-  results, and leave ``_idle_since`` equal on every node the literal
-  scan visits. After every step the pending views must equal the
-  literal filters.
+  The controller also syncs on demand, several times with no write in
+  between and inside outages (versions advance, notifications drop),
+  and its spot pool may stock out and its machines fail to boot, so the
+  scans it answers from its state-version memos meet every way their
+  inputs move. Just before every scale-up and scale-down pass the
+  literal pass runs on the same state; both must reserve the same pools
+  in the same order, attempt the same removals in the same order with
+  the same results, and leave ``_idle_since`` equal on every node the
+  literal scan visits. After every step the pending views and HTA's
+  pending count must equal the literal filters.
 * The queue histories push, remove, dispatch and clear tasks whose
   footprints mix int, 0.5, 0.9 and 1/3 cores, crossing between
   all-dyadic and not in both directions and emptying the queue;
@@ -105,7 +109,13 @@ cluster_op_st = st.one_of(
     st.tuples(st.just("kill"), pick),
     st.tuples(st.just("preempt"), pick),
     st.tuples(st.just("outage"), st.sampled_from([0.5, 4.0, 25.0])),
+    st.tuples(st.just("sync"), st.integers(1, 3)),
+    st.tuples(
+        st.just("outage_sync"), st.integers(0, len(REQUESTS) - 1), st.integers(1, 3)
+    ),
 )
+#: (spot stockout probability, boot failure probability).
+faults_st = st.sampled_from([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (0.5, 0.0), (0.0, 0.5)])
 gap_st = st.sampled_from([0.0, 0.0, 1.0, 5.0, 10.0, 30.0, 90.0])
 # Every history opens with a pod batch and a reservation burst, so most
 # examples scale up, idle and scale down around the churn that follows.
@@ -121,7 +131,8 @@ class AutoscalerWorld:
     """A control plane whose cloud controller checks every pass against
     the literal one run just before it on the same state."""
 
-    def __init__(self, max_concurrent) -> None:
+    def __init__(self, max_concurrent, faults) -> None:
+        stockout_prob, boot_failure_prob = faults
         self.engine = engine = Engine()
         rng = RngRegistry(5)
         self.api = api = KubeApiServer(engine)
@@ -143,7 +154,10 @@ class AutoscalerWorld:
                 reservation_floor_s=5.0,
                 idle_timeout_s=30.0,
                 max_concurrent_reservations=max_concurrent,
-                preemptible=PreemptiblePoolConfig(max_nodes=3, grace_period_s=25.0),
+                boot_failure_prob=boot_failure_prob,
+                preemptible=PreemptiblePoolConfig(
+                    max_nodes=3, grace_period_s=25.0, stockout_prob=stockout_prob
+                ),
             ),
         )
         self.chaos = ChaosInjector(engine, api, rng, cloud=cloud)
@@ -209,12 +223,30 @@ class AutoscalerWorld:
         got = self.provisioner.pending_pods()
         want = provisioner_pending_pods(self.provisioner)
         assert [p.name for p in got] == [p.name for p in want], step
+        assert self.provisioner.pending_count() == len(want), step
         for selector in VIEWS:
             got = self.api.list_pending(selector)
             want = pending_selected(self.api, selector)
             assert [p.name for p in got] == [p.name for p in want], (step, selector)
 
     # --------------------------------------------------------------- ops
+    def create_pods(self, req_i, sel_i, owner_i, count) -> None:
+        app, prefix = OWNERS[owner_i]
+        for _ in range(count):
+            self.seq += 1
+            self.api.create(
+                Pod(
+                    f"{prefix}-{self.seq}",
+                    PodSpec(
+                        IMAGE,
+                        REQUESTS[req_i],
+                        labels={"app": app},
+                        node_selector=dict(SELECTORS[sel_i]),
+                    ),
+                    creation_time=self.engine.now,
+                )
+            )
+
     def _pick(self, items, i):
         return items[i % len(items)] if items else None
 
@@ -224,21 +256,17 @@ class AutoscalerWorld:
         now = engine.now
         if kind == "pods":
             _, req_i, sel_i, owner_i, count = op
-            app, prefix = OWNERS[owner_i]
+            self.create_pods(req_i, sel_i, owner_i, count)
+        elif kind == "sync":
+            for _ in range(op[1]):
+                self.cloud.sync()
+        elif kind == "outage_sync":
+            _, req_i, count = op
+            api.begin_outage()
+            self.create_pods(req_i, 0, 0, 1)
             for _ in range(count):
-                self.seq += 1
-                api.create(
-                    Pod(
-                        f"{prefix}-{self.seq}",
-                        PodSpec(
-                            IMAGE,
-                            REQUESTS[req_i],
-                            labels={"app": app},
-                            node_selector=dict(SELECTORS[sel_i]),
-                        ),
-                        creation_time=now,
-                    )
-                )
+                self.cloud.sync()
+            engine.call_in(5.0, api.end_outage)
         elif kind == "burst":
             _, spot, count = op
             for _ in range(count):
@@ -283,6 +311,7 @@ class AutoscalerWorld:
 @settings(max_examples=80, deadline=None)
 @given(
     max_concurrent=st.sampled_from([None, None, 2]),
+    faults=faults_st,
     history=history_st,
 )
 # Both on-demand nodes full, a 4-core and a 1-core pod unschedulable, then
@@ -291,6 +320,7 @@ class AutoscalerWorld:
 # node that could not seat the larger request.
 @example(
     max_concurrent=None,
+    faults=(0.0, 0.0),
     history=[
         (0.0, ("pods", 2, 0, 0, 6)),
         (0.0, ("burst", True, 1)),
@@ -304,6 +334,7 @@ class AutoscalerWorld:
 # the notice's status write must take its timer away.
 @example(
     max_concurrent=None,
+    faults=(0.0, 0.0),
     history=[
         (0.0, ("pods", 2, 0, 0, 1)),
         (0.0, ("burst", True, 1)),
@@ -314,14 +345,77 @@ class AutoscalerWorld:
 # unchanged bootstrap nodes must get their timers back.
 @example(
     max_concurrent=None,
+    faults=(0.0, 0.0),
     history=[
         (0.0, ("pods", 6, 0, 0, 1)),
         (0.0, ("burst", True, 1)),
         (15.0, ("evict", 0)),
     ],
 )
-def test_change_fed_autoscaler_equals_literal_scans(max_concurrent, history):
-    world = AutoscalerWorld(max_concurrent)
+# Repeated syncs with no write between them: after the t=0 pass reserved
+# for the whole-node pods, every later scan of the wait is answered from
+# the memos until a machine lands.
+@example(
+    max_concurrent=None,
+    faults=(0.0, 0.0),
+    history=[
+        (0.0, ("pods", 4, 0, 0, 4)),
+        (0.0, ("burst", False, 1)),
+        (11.0, ("sync", 3)),
+        (0.0, ("sync", 2)),
+        (10.0, ("sync", 1)),
+    ],
+)
+# Syncs inside an API outage: the pods created in it advance the Pod
+# version though no watcher hears of them.
+@example(
+    max_concurrent=None,
+    faults=(0.0, 0.0),
+    history=[
+        (0.0, ("pods", 4, 0, 0, 3)),
+        (0.0, ("burst", False, 1)),
+        (12.0, ("outage_sync", 4, 3)),
+        (1.0, ("sync", 2)),
+        (2.0, ("outage_sync", 2, 1)),
+    ],
+)
+# A spot pool that always stocks out: every scan asks again and draws,
+# though nothing else changed.
+@example(
+    max_concurrent=None,
+    faults=(1.0, 0.0),
+    history=[
+        (0.0, ("pods", 4, 2, 0, 2)),
+        (0.0, ("burst", False, 1)),
+        (11.0, ("sync", 3)),
+    ],
+)
+# wide-cluster's shape: the pool one machine short of max_nodes, with the
+# pending pods needing no more than the reservations in flight. When the
+# machines fail to boot, only the in-flight count tells the next scan.
+@example(
+    max_concurrent=None,
+    faults=(0.0, 1.0),
+    history=[
+        (0.0, ("pods", 4, 0, 0, 2)),
+        (1.0, ("pods", 4, 0, 0, 2)),
+        (10.0, ("sync", 2)),
+    ],
+)
+# The pod holding the FailedScheduling guard has its deletion requested
+# without a write, and no machine lands after it: only the pod feed's
+# version tells the memoized guard.
+@example(
+    max_concurrent=None,
+    faults=(0.0, 0.0),
+    history=[
+        (0.0, ("pods", 6, 0, 0, 1)),
+        (0.0, ("pods", 0, 0, 0, 1)),
+        (10.0, ("request_deletion", 0)),
+    ],
+)
+def test_change_fed_autoscaler_equals_literal_scans(max_concurrent, faults, history):
+    world = AutoscalerWorld(max_concurrent, faults)
     engine = world.engine
     for step, (gap, op) in enumerate(history):
         engine.run(until=engine.now + gap)
