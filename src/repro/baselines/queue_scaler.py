@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from typing import Deque, Tuple
 
 import math
 
 from repro.cluster.replicaset import WorkerReplicaSet
 from repro.sim.engine import Engine, PeriodicTask
-from repro.sim.tracing import MetricRecorder
 from repro.wq.master import Master
 
 
@@ -66,13 +65,11 @@ class QueueLengthAutoscaler:
         master: Master,
         target: WorkerReplicaSet,
         config: QueueScalerConfig = QueueScalerConfig(),
-        recorder: Optional[MetricRecorder] = None,
     ) -> None:
         self.engine = engine
         self.master = master
         self.target = target
         self.config = config
-        self.recorder = recorder
         self.sync_count = 0
         self.scale_events = 0
         self._recommendations: Deque[Tuple[float, int]] = deque()
@@ -92,9 +89,6 @@ class QueueLengthAutoscaler:
         raw = math.ceil(backlog / self.config.tasks_per_replica)
         raw = max(self.config.min_replicas, min(self.config.max_replicas, raw))
         desired = self._cooled(raw)
-        if self.recorder is not None:
-            self.recorder.set("keda.backlog", backlog)
-            self.recorder.set("keda.desired", desired)
         current = self.target.current_count()
         if desired != current:
             self.scale_events += 1

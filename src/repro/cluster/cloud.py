@@ -28,12 +28,13 @@ pending-pod scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from itertools import groupby
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.api import KubeApiServer
 from repro.cluster.node import MachineType, N1_STANDARD_4, Node, PREEMPTIBLE_LABEL
 from repro.cluster.pod import Pod
-from repro.cluster.resources import ResourceVector
+from repro.cluster.resources import FIT_EPSILON, ResourceVector, first_fit_decreasing
 from repro.cluster.sched_index import list_key
 from repro.sim.engine import Engine, PeriodicTask
 from repro.sim.rng import RngRegistry
@@ -317,16 +318,13 @@ class CloudController:
         Each pool packs only into its own nodes.
         """
         # Hot at depth (tens of thousands of pending pods against a
-        # thousand-node fleet), so the two first-fit scans run over
-        # component floats instead of ResourceVectors, and consecutive
-        # identical requests resume where the previous one landed: the
-        # entries before a request's landing slot were left unchanged, so
-        # they would reject an identical request again. Both shortcuts
-        # reproduce the original packing (and therefore the returned node
-        # count) bit-for-bit.
+        # thousand-node fleet), so the free-capacity scan runs over
+        # component floats instead of ResourceVectors, once per stretch of
+        # identical requests: each resumes where the previous one landed,
+        # since the entries before that slot were left unchanged and would
+        # reject it again. Both shortcuts reproduce the per-request first
+        # fit (and therefore the returned node count) bit for bit.
         alloc = machine_type.allocatable
-        alloc_c, alloc_m, alloc_d = alloc.cores, alloc.memory_mb, alloc.disk_mb
-        eps = 1e-9  # fits_in's float-drift epsilon
         requests = sorted(
             (p.spec.request for p in pending),
             key=lambda r: r.cores,
@@ -354,63 +352,29 @@ class CloudController:
                 free_c.append(free.cores)
                 free_m.append(free.memory_mb)
                 free_d.append(free.disk_mb)
-        bins_c: List[float] = []
-        bins_m: List[float] = []
-        bins_d: List[float] = []
-        unpackable = 0
-        prev_req: Optional[ResourceVector] = None
-        free_start = 0      # resume index into the existing-free scan
-        free_exhausted = False  # previous identical request fit no node
-        bins_start = 0      # resume index into the new-bins scan
-        for req in requests:
-            if req != prev_req:
-                prev_req = req
-                free_start = 0
-                free_exhausted = False
-                bins_start = 0
-            if not (
-                req.cores <= alloc_c + eps
-                and req.memory_mb <= alloc_m + eps
-                and req.disk_mb <= alloc_d + eps
-            ):
-                unpackable += 1  # can never fit; don't provision for it
-                continue
+        # What the ready nodes cannot seat goes to new nodes, in order.
+        overflow: List[Tuple[ResourceVector, int]] = []
+        for req, stretch in groupby(requests):
+            if not req.fits_in(alloc):
+                continue  # can never fit; don't provision for it
+            count = sum(1 for _ in stretch)
             req_c, req_m, req_d = req.cores, req.memory_mb, req.disk_mb
-            placed = False
-            if not free_exhausted:
-                for i in range(free_start, len(free_c)):
-                    if (
-                        req_c <= free_c[i] + eps
-                        and req_m <= free_m[i] + eps
-                        and req_d <= free_d[i] + eps
-                    ):
-                        free_c[i] = max(free_c[i] - req_c, 0.0)
-                        free_m[i] = max(free_m[i] - req_m, 0.0)
-                        free_d[i] = max(free_d[i] - req_d, 0.0)
-                        free_start = i
-                        placed = True
-                        break
-                else:
-                    free_exhausted = True
-            if placed:
-                continue
-            for i in range(bins_start, len(bins_c)):
+            i = 0
+            while count and i < len(free_c):
                 if (
-                    req_c <= (alloc_c - bins_c[i]) + eps
-                    and req_m <= (alloc_m - bins_m[i]) + eps
-                    and req_d <= (alloc_d - bins_d[i]) + eps
+                    req_c <= free_c[i] + FIT_EPSILON
+                    and req_m <= free_m[i] + FIT_EPSILON
+                    and req_d <= free_d[i] + FIT_EPSILON
                 ):
-                    bins_c[i] = bins_c[i] + req_c
-                    bins_m[i] = bins_m[i] + req_m
-                    bins_d[i] = bins_d[i] + req_d
-                    bins_start = i
-                    break
-            else:
-                bins_c.append(req_c)
-                bins_m.append(req_m)
-                bins_d.append(req_d)
-                bins_start = len(bins_c) - 1
-        return len(bins_c)
+                    free_c[i] = max(free_c[i] - req_c, 0.0)
+                    free_m[i] = max(free_m[i] - req_m, 0.0)
+                    free_d[i] = max(free_d[i] - req_d, 0.0)
+                    count -= 1
+                else:
+                    i += 1
+            if count:
+                overflow.append((req, count))
+        return first_fit_decreasing(overflow, alloc)
 
     def _reserve_node(self, *, preemptible: bool = False) -> None:
         if preemptible:

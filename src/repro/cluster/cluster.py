@@ -27,7 +27,6 @@ from repro.cluster.pod import Pod
 from repro.cluster.scheduler import KubeScheduler
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import MetricRecorder
 from repro.telemetry.events import NULL_TRACER, Tracer
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -77,7 +76,6 @@ class Cluster:
         engine: Engine,
         rng: RngRegistry,
         config: ClusterConfig = ClusterConfig(),
-        recorder: Optional[MetricRecorder] = None,
         *,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -85,7 +83,6 @@ class Cluster:
         self.engine = engine
         self.rng = rng
         self.config = config
-        self.recorder = recorder if recorder is not None else MetricRecorder(engine)
         #: One tracer shared by every control loop in this cluster.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.api = KubeApiServer(engine, tracer=self.tracer, metrics=metrics)

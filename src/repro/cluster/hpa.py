@@ -32,7 +32,6 @@ import math
 from repro.cluster.metrics_server import MetricsServer
 from repro.cluster.replicaset import WorkerReplicaSet
 from repro.sim.engine import Engine, PeriodicTask
-from repro.sim.tracing import MetricRecorder
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,13 +65,11 @@ class HorizontalPodAutoscaler:
         metrics: MetricsServer,
         target: WorkerReplicaSet,
         config: HpaConfig = HpaConfig(),
-        recorder: Optional[MetricRecorder] = None,
     ) -> None:
         self.engine = engine
         self.metrics = metrics
         self.target = target
         self.config = config
-        self.recorder = recorder
         #: (time, recommendation) pairs within the stabilization window.
         self._recommendations: Deque[Tuple[float, int]] = deque()
         self.sync_count = 0
@@ -99,11 +96,6 @@ class HorizontalPodAutoscaler:
         desired = max(self.config.min_replicas, min(self.config.max_replicas, desired))
         desired = self._cap_scale_up(current, desired)
         self.last_desired = desired
-
-        if self.recorder is not None:
-            self.recorder.set("hpa.utilization", utilization if utilization is not None else 0.0)
-            self.recorder.set("hpa.desired", desired)
-            self.recorder.set("hpa.raw_desired", raw_desired)
 
         if desired != current:
             self.scale_events += 1

@@ -4,15 +4,21 @@ A :class:`ResourceVector` carries the three dimensions the paper's systems
 reason about — CPU cores, memory (MB), and disk (MB). Both the
 kube-scheduler ("does this pod fit on this node?") and the Work Queue
 master ("does this task fit in this worker's remaining capacity?") use the
-same component-wise *fits* partial order.
+same component-wise *fits* partial order, with one fit tolerance, and
+the autoscalers size new capacity with one first-fit-decreasing packer.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NoReturn
+from typing import Iterable, List, NoReturn, Optional, Tuple
 
 _new = tuple.__new__
+
+#: The fit tolerance: absorbs float drift from repeated add/subtract of
+#: allocations (e.g. 3 × 1/3-core tasks on a 1-core worker). Every fit
+#: test, vectorized or over component floats, adds this one constant.
+FIT_EPSILON = 1e-9
 
 
 def _unordered(self: "ResourceVector", other: object) -> NoReturn:
@@ -87,35 +93,36 @@ class ResourceVector(
         return _new(ResourceVector, (min(c, oc), min(m, om), min(d, od)))
 
     # ------------------------------------------------------------ predicates
-    def fits_in(self, capacity: "ResourceVector", epsilon: float = 1e-9) -> bool:
-        """True iff this request fits within ``capacity`` component-wise.
-
-        A small epsilon absorbs float drift from repeated add/subtract of
-        allocations (e.g. 3 × 1/3-core tasks on a 1-core worker).
-        """
+    def fits_in(self, capacity: "ResourceVector") -> bool:
+        """True iff this request fits within ``capacity`` component-wise,
+        up to :data:`FIT_EPSILON`."""
         return (
-            self.cores <= capacity.cores + epsilon
-            and self.memory_mb <= capacity.memory_mb + epsilon
-            and self.disk_mb <= capacity.disk_mb + epsilon
+            self.cores <= capacity.cores + FIT_EPSILON
+            and self.memory_mb <= capacity.memory_mb + FIT_EPSILON
+            and self.disk_mb <= capacity.disk_mb + FIT_EPSILON
         )
 
-    def is_zero(self, epsilon: float = 1e-9) -> bool:
+    def is_zero(self) -> bool:
         return (
-            abs(self.cores) <= epsilon
-            and abs(self.memory_mb) <= epsilon
-            and abs(self.disk_mb) <= epsilon
+            abs(self.cores) <= FIT_EPSILON
+            and abs(self.memory_mb) <= FIT_EPSILON
+            and abs(self.disk_mb) <= FIT_EPSILON
         )
 
-    def is_nonnegative(self, epsilon: float = 1e-9) -> bool:
+    def is_nonnegative(self) -> bool:
         return (
-            self.cores >= -epsilon
-            and self.memory_mb >= -epsilon
-            and self.disk_mb >= -epsilon
+            self.cores >= -FIT_EPSILON
+            and self.memory_mb >= -FIT_EPSILON
+            and self.disk_mb >= -FIT_EPSILON
         )
 
-    def any_positive(self, epsilon: float = 1e-9) -> bool:
+    def any_positive(self) -> bool:
         """True iff at least one component is strictly positive."""
-        return self.cores > epsilon or self.memory_mb > epsilon or self.disk_mb > epsilon
+        return (
+            self.cores > FIT_EPSILON
+            or self.memory_mb > FIT_EPSILON
+            or self.disk_mb > FIT_EPSILON
+        )
 
     # --------------------------------------------------------------- derived
     def dominant_fraction_of(self, capacity: "ResourceVector") -> float:
@@ -146,3 +153,59 @@ class ResourceVector(
 
     def __str__(self) -> str:
         return f"(cores={self.cores:g}, mem={self.memory_mb:g}MB, disk={self.disk_mb:g}MB)"
+
+
+def first_fit_decreasing(
+    runs: Iterable[Tuple[ResourceVector, int]], capacity: ResourceVector
+) -> int:
+    """How many bins of ``capacity`` first-fit-decreasing packing of
+    ``runs`` opens. Algorithm 1's WorkersRequired (paper §IV-B, line 25)
+    and the cluster autoscaler's new-node estimate both size by it.
+
+    ``runs`` are ``(request, count)`` pairs: ``count`` adjacent requests
+    of equal resources. They are sorted stably by cores, which orders
+    their requests exactly as a stable sort of the requests would. A
+    request larger than ``capacity`` takes a full bin of its own, which
+    only requests that fit in zero capacity share.
+
+    Bins are kept as component floats, and the scan start is carried
+    over between equal requests. Both preserve the packing bit for bit:
+    the comparisons and sums below are exactly the float operations
+    ``fits_in(capacity - used)`` and ``used + request`` perform, and once
+    a request lands in bin *i* the bins before *i* are unchanged, so they
+    would reject an equal next request again; its scan may resume at *i*.
+    """
+    cap_c, cap_m, cap_d = capacity.cores, capacity.memory_mb, capacity.disk_mb
+    bins_c: List[float] = []
+    bins_m: List[float] = []
+    bins_d: List[float] = []
+    prev: Optional[ResourceVector] = None
+    start = 0
+    for res, count in sorted(runs, key=lambda run: run[0].cores, reverse=True):
+        if res != prev:
+            prev = res
+            start = 0
+        if not res.fits_in(capacity):
+            bins_c.extend([cap_c] * count)
+            bins_m.extend([cap_m] * count)
+            bins_d.extend([cap_d] * count)
+            continue
+        res_c, res_m, res_d = res.cores, res.memory_mb, res.disk_mb
+        for _ in range(count):
+            for i in range(start, len(bins_c)):
+                if (
+                    res_c <= (cap_c - bins_c[i]) + FIT_EPSILON
+                    and res_m <= (cap_m - bins_m[i]) + FIT_EPSILON
+                    and res_d <= (cap_d - bins_d[i]) + FIT_EPSILON
+                ):
+                    bins_c[i] = bins_c[i] + res_c
+                    bins_m[i] = bins_m[i] + res_m
+                    bins_d[i] = bins_d[i] + res_d
+                    start = i
+                    break
+            else:
+                bins_c.append(res_c)
+                bins_m.append(res_m)
+                bins_d.append(res_d)
+                start = len(bins_c) - 1
+    return len(bins_c)

@@ -26,15 +26,11 @@ from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.cluster.pod import Pod, PodPhase, REASON_FAILED_SCHEDULING
-from repro.cluster.resources import ResourceVector
+from repro.cluster.resources import FIT_EPSILON, ResourceVector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.node import Node
     from repro.cluster.objects import KubeObject
-
-#: ``ResourceVector.fits_in``'s tolerance. The walks cut off with the same
-#: float test fits_in applies to the cores axis, so the cutoff is exact.
-FIT_EPSILON = 1e-9
 
 Signature = Tuple[ResourceVector, Optional[Tuple[Tuple[str, str], ...]]]
 
@@ -79,8 +75,8 @@ def _remove(pods: List[Pod], pod: Pod) -> None:
 class FreeCapacityIndex:
     """Nodes sorted by ``(free().cores, name)``, with lazily refreshed keys.
 
-    ``fits_in`` rejects a node when ``request.cores > avail + 1e-9``, where
-    ``avail`` is allocatable minus requested; the key is
+    ``fits_in`` rejects a node when ``request.cores > avail + FIT_EPSILON``,
+    where ``avail`` is allocatable minus requested; the key is
     ``max(avail, 0.0)``, never below ``avail``. So every node cut off by
     the same test on its key fails ``can_fit`` too. Readiness, cordons
     and deletion marks are not part of the key: ``can_fit`` re-checks

@@ -245,7 +245,6 @@ class _Stack:
             self.engine,
             self.rng,
             config.cluster,
-            self.recorder,
             tracer=self.tracer,
             metrics=self.metrics,
         )
@@ -401,7 +400,6 @@ class ExperimentResult:
     makespan_s: float
     accounting: AccountingSummary
     accountant: ResourceAccountant
-    recorder: MetricRecorder
     tasks_total: int
     tasks_completed: int
     tasks_requeued: int
@@ -591,7 +589,6 @@ def _collect(
         makespan_s=manager.makespan or 0.0,
         accounting=accountant.summarize(),
         accountant=accountant,
-        recorder=stack.recorder,
         tasks_total=len(graph),
         tasks_completed=len(stack.master.done),
         tasks_requeued=stack.master.tasks_requeued,
@@ -925,7 +922,6 @@ def _build_hta(
         provisioner,
         tracker,
         hta_config,
-        stack.recorder,
         tracer=stack.tracer,
         preemption=responder,
     )
@@ -1118,7 +1114,6 @@ def _build_predictive(
         provisioner,
         tracker,
         scaler_config,
-        stack.recorder,
         selector=selector,
     )
 
@@ -1179,7 +1174,7 @@ def _build_hpa(
             ),
         )
     hpa = HorizontalPodAutoscaler(
-        stack.engine, stack.cluster.metrics, replicaset, hpa_config, stack.recorder
+        stack.engine, stack.cluster.metrics, replicaset, hpa_config
     )
 
     def ideal_workers() -> float:
@@ -1231,7 +1226,7 @@ def _build_queue(
             ),
         )
     scaler = QueueLengthAutoscaler(
-        stack.engine, stack.master, replicaset, scaler_config, stack.recorder
+        stack.engine, stack.master, replicaset, scaler_config
     )
     return _PolicyHarness(
         name="KEDA-queue",

@@ -25,7 +25,6 @@ from repro.forecast.selector import OnlineModelSelector
 from repro.forecast.series import DemandSample, MasterDemandSampler
 from repro.hta.provisioner import WorkerProvisioner
 from repro.sim.engine import Engine, PeriodicTask
-from repro.sim.tracing import MetricRecorder
 from repro.wq.master import Master
 
 
@@ -88,7 +87,6 @@ class PredictiveScaler:
         provisioner: WorkerProvisioner,
         init_source: InitTimeSource,
         config: PredictiveScalerConfig = PredictiveScalerConfig(),
-        recorder: Optional[MetricRecorder] = None,
         selector: Optional[OnlineModelSelector] = None,
     ) -> None:
         self.engine = engine
@@ -96,7 +94,6 @@ class PredictiveScaler:
         self.provisioner = provisioner
         self.init_source = init_source
         self.config = config
-        self.recorder = recorder
         self.selector = selector if selector is not None else OnlineModelSelector()
         self.sampler = MasterDemandSampler(
             engine, master, interval_s=config.sample_interval_s
@@ -155,10 +152,6 @@ class PredictiveScaler:
         desired = self.desired_workers()
         self.last_desired = desired
         current = self.pool_size()
-        if self.recorder is not None:
-            self.recorder.set("forecast.demand_cores", self.last_forecast_cores)
-            self.recorder.set("forecast.desired", desired)
-            self.recorder.set("forecast.pool", current)
         if desired > current:
             self._below_streak = 0
             self.provisioner.create_workers(desired - current)

@@ -41,7 +41,7 @@ from math import ceil
 from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.cluster.resources import ResourceVector
+from repro.cluster.resources import ResourceVector, first_fit_decreasing
 
 _new = tuple.__new__
 
@@ -270,7 +270,7 @@ class ResourceEstimator:
             return ScalePlan(-idle_removable, next_action, waiting_after, ava.cores)
 
         # --- line 25: scale up by the workers the waiting tasks need
-        needed = self._workers_required(wait_queue)
+        needed = first_fit_decreasing(wait_queue, self.worker_capacity)
         if max_workers is not None:
             in_flight = len(pending)
             headroom = max(0, max_workers - active_workers - in_flight)
@@ -317,59 +317,6 @@ class ResourceEstimator:
         instantly; it stops accepting work and exits later)."""
         by_capacity = self.worker_capacity.copies_fitting_in(ava)
         return min(by_capacity, idle_workers)
-
-    def _workers_required(self, runs: Sequence[Run]) -> int:
-        """First-fit-decreasing packing of the waiting runs into workers.
-
-        Runs are sorted stably by cores, which orders their tasks exactly
-        as a stable sort of the tasks would. Bins are kept as component
-        floats, and the scan start is carried over between tasks with
-        identical resources. Both preserve the packing bit-for-bit: the
-        comparisons and accumulations below perform exactly the float
-        operations ``fits_in(capacity - used)`` / ``used + res`` did, and
-        after a task lands in bin *i*, bins before *i* are unchanged, so
-        they would reject an identical next task again — the first-fit
-        scan for it may legally resume at *i*.
-        """
-        cap = self.worker_capacity
-        cap_c, cap_m, cap_d = cap.cores, cap.memory_mb, cap.disk_mb
-        eps = 1e-9  # fits_in's float-drift epsilon
-        bins_c: List[float] = []
-        bins_m: List[float] = []
-        bins_d: List[float] = []
-        prev_res: Optional[ResourceVector] = None
-        start = 0
-        for res, count in sorted(runs, key=lambda run: run[0].cores, reverse=True):
-            if res != prev_res:
-                prev_res = res
-                start = 0
-            if not res.fits_in(cap):
-                # Will never fit a worker; clamp to one dedicated worker each.
-                bins_c.extend([cap_c] * count)
-                bins_m.extend([cap_m] * count)
-                bins_d.extend([cap_d] * count)
-                continue
-            res_c, res_m, res_d = res.cores, res.memory_mb, res.disk_mb
-            for _ in range(count):
-                for i in range(start, len(bins_c)):
-                    if (
-                        res_c <= (cap_c - bins_c[i]) + eps
-                        and res_m <= (cap_m - bins_m[i]) + eps
-                        and res_d <= (cap_d - bins_d[i]) + eps
-                    ):
-                        bins_c[i] = bins_c[i] + res_c
-                        bins_m[i] = bins_m[i] + res_m
-                        bins_d[i] = bins_d[i] + res_d
-                        start = i
-                        break
-                else:
-                    bins_c.append(res_c)
-                    bins_m.append(res_m)
-                    bins_d.append(res_d)
-                    start = len(bins_c) - 1
-                # ``start`` is where this task landed; an identical next
-                # task cannot land earlier, so its scan resumes there.
-        return len(bins_c)
 
 
 def _push_run(runs: List[Run], resources: ResourceVector, count: int) -> None:

@@ -42,7 +42,6 @@ from repro.hta.preemption import PreemptionResponder
 from repro.hta.provisioner import WorkerProvisioner
 from repro.sim.engine import Engine, PeriodicTask
 from repro.sim.process import Signal
-from repro.sim.tracing import MetricRecorder
 from repro.telemetry.events import NULL_TRACER, Tracer
 from repro.wq.master import Master
 from repro.wq.task import Task, TaskResult, TaskState
@@ -103,7 +102,6 @@ class HtaOperator:
         provisioner: WorkerProvisioner,
         init_tracker: InitTimeTracker,
         config: HtaConfig = HtaConfig(),
-        recorder: Optional[MetricRecorder] = None,
         *,
         tracer: Optional[Tracer] = None,
         preemption: Optional[PreemptionResponder] = None,
@@ -113,7 +111,6 @@ class HtaOperator:
         self.provisioner = provisioner
         self.init_tracker = init_tracker
         self.config = config
-        self.recorder = recorder
         #: Set when the stack runs a spot pool with a responder: the
         #: resize cycle then discounts spot workers by the observed
         #: survival rate (Algorithm 1's supply term, preemption-aware).
@@ -294,10 +291,6 @@ class HtaOperator:
         plan = self.plan_once()
         self.plans.append(plan)
         created, cancelled, drained = self._apply(plan)
-        if self.recorder is not None:
-            self.recorder.set("hta.plan.delta", plan.delta)
-            self.recorder.set("hta.plan.waiting_after", plan.waiting_after)
-            self.recorder.set("hta.init_time", self.init_tracker.current())
         if self.tracer.enabled:
             self._emit_decision(
                 "normal",
@@ -350,8 +343,6 @@ class HtaOperator:
         elif delta < 0:
             # Would shrink the pool — frozen until the signal recovers.
             self.scale_downs_frozen += 1
-        if self.recorder is not None:
-            self.recorder.set("hta.degraded", 1.0)
         if self.tracer.enabled:
             api = getattr(self.provisioner, "api", None)
             informer = getattr(self.init_tracker, "informer", None)

@@ -17,7 +17,7 @@ never export anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -71,14 +71,13 @@ class Counter(_Instrument):
 
 
 class Gauge(_Instrument):
-    """A value that can go up and down; settable or callback-backed."""
+    """A value that can go up and down."""
 
     kind = "gauge"
 
     def __init__(self, name: str, help: str = "") -> None:
         super().__init__(name, help)
         self._values: Dict[LabelKey, float] = {}
-        self._functions: Dict[LabelKey, Callable[[], float]] = {}
 
     def set(self, value: float, **labels: str) -> None:
         self._values[_label_key(labels)] = float(value)
@@ -90,22 +89,11 @@ class Gauge(_Instrument):
     def dec(self, amount: float = 1.0, **labels: str) -> None:
         self.inc(-amount, **labels)
 
-    def set_function(self, fn: Callable[[], float], **labels: str) -> None:
-        """Read the gauge from ``fn`` at sample time (live values like
-        queue depth are cheaper to poll than to event out)."""
-        self._functions[_label_key(labels)] = fn
-
     def value(self, **labels: str) -> float:
-        key = _label_key(labels)
-        if key in self._functions:
-            return float(self._functions[key]())
-        return self._values.get(key, 0.0)
+        return self._values.get(_label_key(labels), 0.0)
 
     def samples(self) -> List[Tuple[LabelKey, float]]:
-        out = dict(self._values)
-        for key, fn in self._functions.items():
-            out[key] = float(fn())
-        return sorted(out.items())
+        return sorted(self._values.items())
 
 
 @dataclass(frozen=True, slots=True)

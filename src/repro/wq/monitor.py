@@ -28,7 +28,6 @@ class CategoryStats:
     max_execute_s: float = 0.0
     min_execute_s: float = float("inf")
     max_resources: ResourceVector = field(default_factory=ResourceVector.zero)
-    total_cores: float = 0.0
     #: Allocation floor raised by resource-exhaustion kills (Work Queue's
     #: max-allocation escalation); served through ``resource_estimate`` so
     #: both the dispatcher and HTA's planner see post-escalation sizes.
@@ -41,7 +40,6 @@ class CategoryStats:
         self.max_execute_s = max(self.max_execute_s, execute_s)
         self.min_execute_s = min(self.min_execute_s, execute_s)
         self.max_resources = self.max_resources.max_with(resources)
-        self.total_cores += resources.cores
 
     def observe_exhaustion(self, required: ResourceVector) -> None:
         """A task of this category was killed for exceeding its
@@ -52,10 +50,6 @@ class CategoryStats:
     @property
     def mean_execute_s(self) -> float:
         return self.total_execute_s / self.count if self.count else 0.0
-
-    @property
-    def mean_cores(self) -> float:
-        return self.total_cores / self.count if self.count else 0.0
 
     def resource_estimate(self, safety_margin: float = 0.0) -> Optional[ResourceVector]:
         """Allocation recommendation: observed max, padded by the margin.

@@ -20,11 +20,9 @@ import enum
 import itertools
 from typing import NamedTuple, Optional, Tuple
 
-from repro.cluster.resources import ResourceVector
+from repro.cluster.resources import FIT_EPSILON, ResourceVector
 
 _task_ids = itertools.count(1)
-#: ResourceVector's float-drift epsilon.
-_EPS = 1e-9
 
 
 class _FileSpecFields(NamedTuple):
@@ -122,14 +120,15 @@ class Task:
         # ResourceVector's is_nonnegative, is_zero and fits_in, unrolled;
         # past the first test no component is below -eps, so is_zero's
         # abs(x) <= eps is x <= eps.
+        eps = FIT_EPSILON
         fc, fm, fd = footprint
-        if not (fc >= -_EPS and fm >= -_EPS and fd >= -_EPS) or (
-            fc <= _EPS and fm <= _EPS and fd <= _EPS
+        if not (fc >= -eps and fm >= -eps and fd >= -eps) or (
+            fc <= eps and fm <= eps and fd <= eps
         ):
             raise ValueError(f"footprint must be positive, got {footprint}")
         if declared is not None:
             dc, dm, dd = declared
-            if not (fc <= dc + _EPS and fm <= dm + _EPS and fd <= dd + _EPS):
+            if not (fc <= dc + eps and fm <= dm + eps and fd <= dd + eps):
                 raise ValueError(
                     f"footprint {footprint} exceeds declared {declared}; "
                     "declare at least what the task uses"

@@ -68,10 +68,3 @@ class TestFacade:
         # stopped; but the metrics server must not scrape.
         engine.run(until=100.0)
         assert cluster.metrics.scrapes <= 1
-
-    def test_shared_recorder_injected(self, engine):
-        from repro.sim.tracing import MetricRecorder
-
-        rec = MetricRecorder(engine)
-        cluster = Cluster(engine, RngRegistry(1), ClusterConfig(min_nodes=1, max_nodes=2), rec)
-        assert cluster.recorder is rec

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import collections
 import gc
-import itertools
 from contextlib import contextmanager
 
 import pytest
 
 import repro.soak.harness as soak_harness
-import repro.wq.task as task_module
 from repro.cluster.cluster import ClusterConfig
 from repro.experiments.runner import (
     ExperimentSpec,
@@ -37,22 +35,7 @@ from repro.telemetry.session import TelemetryConfig
 from repro.workloads.synthetic import uniform_bag
 
 
-@pytest.fixture(autouse=True)
-def own_task_ids():
-    """Number this module's tasks from a counter of their own, and give
-    the global task-id counter back where it stood, so the tests after
-    this module see the ids they would without it. (The sharded plane
-    maps a task to its shard by id, so the 4-shard soak golden in
-    ``tests/perf`` depends on how many tasks the process created before
-    it.) The counter is read with ``next`` and rebuilt rather than
-    copied: copying an ``itertools.count`` is deprecated from Python
-    3.12."""
-    start = next(task_module._task_ids)
-    task_module._task_ids = itertools.count(start)
-    try:
-        yield
-    finally:
-        task_module._task_ids = itertools.count(start)
+pytestmark = pytest.mark.usefixtures("own_task_ids")
 
 
 @contextmanager

@@ -402,6 +402,12 @@ class AutoscalerWorld:
         (10.0, ("sync", 2)),
     ],
 )
+# The only pending pod fits no machine: no node is provisioned for it.
+@example(
+    max_concurrent=None,
+    faults=(0.0, 0.0),
+    history=[(0.0, ("pods", 6, 0, 0, 1))],
+)
 # The pod holding the FailedScheduling guard has its deletion requested
 # without a write, and no machine lands after it: only the pod feed's
 # version tells the memoized guard.

@@ -153,6 +153,14 @@ def _arrivals(arrivals, waiting):
     pending_spec=[], arrival_spec=[], active=0, idle_pick=0, spot_pick=0,
     spot_survival=1.0, max_workers=None, min_workers=0,
 )
+# A request too large for any worker takes a whole worker of its own, and
+# a zero request rides in it: the plan is one worker, not two.
+@example(
+    worker=WORKERS[0], init_time=1.0, step_s=1.0, scale_down=True,
+    queue=[(7, 1, True), (8, 1, True)], running_spec=[], pending_spec=[],
+    arrival_spec=[], active=0, idle_pick=0, spot_pick=0, spot_survival=1.0,
+    max_workers=None, min_workers=0,
+)
 def test_run_length_estimator_matches_the_literal_one(
     worker, init_time, step_s, scale_down, queue, running_spec, pending_spec,
     arrival_spec, active, idle_pick, spot_pick, spot_survival, max_workers,

@@ -82,13 +82,9 @@ def test_vector_operations_match_literal_bit_for_bit(a, b, x):
         "max_with": lambda u, v: u.max_with(v),
         "min_with": lambda u, v: u.min_with(v),
         "fits_in": lambda u, v: u.fits_in(v),
-        "fits_in(x)": lambda u, v: u.fits_in(v, x),
         "is_zero": lambda u, v: u.is_zero(),
-        "is_zero(x)": lambda u, v: u.is_zero(x),
         "is_nonnegative": lambda u, v: u.is_nonnegative(),
-        "is_nonnegative(x)": lambda u, v: u.is_nonnegative(x),
         "any_positive": lambda u, v: u.any_positive(),
-        "any_positive(x)": lambda u, v: u.any_positive(x),
         "dominant_fraction_of": lambda u, v: u.dominant_fraction_of(v),
         "copies_fitting_in": lambda u, v: u.copies_fitting_in(v),
     }
