@@ -61,7 +61,6 @@ __all__ = [
     "FailoverConfig",
     "FailoverCoordinator",
     "Foreman",
-    "TaskPartitioner",
     # -- telemetry
     "MetricsRegistry",
     "TelemetryConfig",
@@ -88,7 +87,6 @@ _WQ_EXPORTS = {
     "FailoverConfig",
     "FailoverCoordinator",
     "Foreman",
-    "TaskPartitioner",
 }
 
 _TELEMETRY_EXPORTS = {

@@ -27,7 +27,7 @@ pending-pod scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 

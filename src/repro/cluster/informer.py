@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional
 from repro.cluster.api import KubeApiServer, WatchEvent, WatchEventType
 from repro.cluster.objects import KubeObject
 from repro.sim.engine import PeriodicTask
-from repro.telemetry.events import NULL_TRACER, Tracer
+from repro.telemetry.events import Tracer
 
 AddHandler = Callable[[KubeObject], None]
 UpdateHandler = Callable[[KubeObject], None]

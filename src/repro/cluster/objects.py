@@ -1,7 +1,7 @@
 """Base Kubernetes-style API objects.
 
 Every object stored in the API server derives from :class:`KubeObject`:
-it has an :class:`ObjectMeta` (name, uid, labels, creation time) and a
+it has an :class:`ObjectMeta` (name, labels, creation time) and a
 ``kind``. The paper uses three object kinds beyond Pod and Node —
 StatefulSet (wrapping the Work Queue master for sticky identity +
 persistent volume), and Services (master access from inside/outside the
@@ -11,30 +11,21 @@ stages manipulate the same objects the real middleware would.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Optional
-
-_uid_counter = itertools.count(1)
-
-
-def _next_uid(kind: str) -> str:
-    return f"{kind.lower()}-{next(_uid_counter):06d}"
 
 
 class ObjectMeta:
-    """Name, uid, labels and creation timestamp of an API object."""
+    """Name, labels and creation timestamp of an API object."""
 
-    __slots__ = ("name", "uid", "labels", "creation_time", "resource_version")
+    __slots__ = ("name", "labels", "creation_time", "resource_version")
 
     def __init__(
         self,
         name: str,
-        kind: str,
         labels: Optional[Dict[str, str]] = None,
         creation_time: float = 0.0,
     ) -> None:
         self.name = name
-        self.uid = _next_uid(kind)
         self.labels: Dict[str, str] = dict(labels or {})
         self.creation_time = creation_time
         #: Monotone per-kind write counter stamped by the API server on
@@ -47,7 +38,7 @@ class ObjectMeta:
         return all(self.labels.get(k) == v for k, v in selector.items())
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<ObjectMeta {self.name!r} uid={self.uid}>"
+        return f"<ObjectMeta {self.name!r}>"
 
 
 class KubeObject:
@@ -65,15 +56,11 @@ class KubeObject:
         labels: Optional[Dict[str, str]] = None,
         creation_time: float = 0.0,
     ) -> None:
-        self.meta = ObjectMeta(name, self.kind, labels, creation_time)
+        self.meta = ObjectMeta(name, labels, creation_time)
 
     @property
     def name(self) -> str:
         return self.meta.name
-
-    @property
-    def uid(self) -> str:
-        return self.meta.uid
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{self.kind} {self.name!r}>"

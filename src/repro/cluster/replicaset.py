@@ -12,7 +12,7 @@ creates and drains pods directly.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.cluster.api import KubeApiServer, WatchEvent, WatchEventType
 from repro.cluster.pod import Pod, PodPhase, PodSpec

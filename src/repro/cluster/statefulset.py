@@ -16,9 +16,9 @@ restarts, exactly as a volume-backed Work Queue master does.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
-from repro.cluster.api import KubeApiServer, NotFoundError, WatchEvent, WatchEventType
+from repro.cluster.api import KubeApiServer, WatchEvent, WatchEventType
 from repro.cluster.objects import StatefulSet
 from repro.cluster.pod import Pod, PodSpec
 from repro.sim.engine import Engine

@@ -53,7 +53,7 @@ from repro.experiments.shards import HtaFidelity, dispatch_plane, lognormal_bag
 from repro.perf.scenarios import PerfScenario
 from repro.sim.rng import RngRegistry
 from repro.soak.invariants import check_failover_protocol, check_journal_replay
-from repro.wq.sharding import FailoverConfig, TaskPartitioner
+from repro.wq.sharding import FailoverConfig
 from repro.wq.task import Task
 
 #: Repository root (src/repro/experiments/failover.py -> three parents up).
@@ -135,7 +135,8 @@ def run_shard_loss(
     dead shard's work; without it the run shows what permanent loss
     costs a plane that only has the PR 3 restart-and-replay story."""
     foreman, coordinator = dispatch_plane(
-        TaskPartitioner(N_SHARDS, seed=seed),
+        N_SHARDS,
+        seed=seed,
         n_workers=n_workers,
         cores_per_worker=CORES_PER_WORKER,
         failover=FailoverConfig(grace_s=GRACE_S) if failover else None,

@@ -17,7 +17,6 @@ jobs are known in advance"), so HPA has 60 pod slots over 15 nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.cluster.cluster import ClusterConfig

@@ -91,12 +91,7 @@ from repro.wq.master import Master
 from repro.wq.migration import MigrationConfig, MigrationCoordinator
 from repro.wq.monitor import ResourceMonitor
 from repro.wq.runtime import WorkerPodRuntime
-from repro.wq.sharding import (
-    FailoverConfig,
-    FailoverCoordinator,
-    Foreman,
-    TaskPartitioner,
-)
+from repro.wq.sharding import FailoverConfig, FailoverCoordinator, Foreman
 from repro.wq.task import Task
 from repro.workloads.arrivals import WorkflowArrival
 
@@ -1020,11 +1015,7 @@ def _build_sharded(
             metrics=metrics,
         )
         shards.append(shard)
-    foreman = Foreman(
-        stack.engine,
-        shards,
-        partitioner=TaskPartitioner(n_shards, seed=cfg.seed),
-    )
+    foreman = Foreman(stack.engine, shards, seed=cfg.seed)
     # A faults.max_retries override landed on shard 0 post-construction;
     # replicate it everywhere through the foreman's broadcast setter.
     foreman.max_retries = shards[0].max_retries

@@ -60,12 +60,7 @@ from repro.wq.dispatch import DispatchConfig
 from repro.wq.estimator import DeclaredResourceEstimator
 from repro.wq.link import Link
 from repro.wq.master import Master
-from repro.wq.sharding import (
-    FailoverConfig,
-    FailoverCoordinator,
-    Foreman,
-    TaskPartitioner,
-)
+from repro.wq.sharding import FailoverConfig, FailoverCoordinator, Foreman
 from repro.wq.task import Task
 from repro.wq.worker import Worker
 
@@ -152,17 +147,18 @@ def lognormal_bag(
 
 
 def dispatch_plane(
-    partitioner: TaskPartitioner,
+    n_shards: int,
     *,
+    seed: int = 0,
     n_workers: int,
     cores_per_worker: int,
     failover: Optional[FailoverConfig] = None,
 ) -> Tuple[Foreman, Optional[FailoverCoordinator]]:
-    """A bare dispatch plane, no cluster: ``partitioner.n_shards``
-    masters behind a foreman on one shared link, a failover coordinator
-    when ``failover`` is set, then ``n_workers`` directly connected
-    workers of ``cores_per_worker`` cores, attached round-robin. The
-    foreman's ``engine`` drives it."""
+    """A bare dispatch plane, no cluster: ``n_shards`` masters behind a
+    foreman seeded with ``seed``, on one shared link, a failover
+    coordinator when ``failover`` is set, then ``n_workers`` directly
+    connected workers of ``cores_per_worker`` cores, attached
+    round-robin. The foreman's ``engine`` drives it."""
     engine = Engine()
     link = Link(engine, 10_000.0)
     config = DispatchConfig()
@@ -174,9 +170,9 @@ def dispatch_plane(
             estimator=DeclaredResourceEstimator(),
             name=f"shard-{i}",
         )
-        for i in range(partitioner.n_shards)
+        for i in range(n_shards)
     ]
-    foreman = Foreman(engine, shards, partitioner=partitioner)
+    foreman = Foreman(engine, shards, seed=seed)
     coordinator = (
         None if failover is None else FailoverCoordinator(engine, foreman, failover)
     )
@@ -225,7 +221,8 @@ def run_dispatch_plane(
     would otherwise mask the per-completion pass cost), then drives a
     wall-boxed window and reports the dispatch-record delta."""
     foreman, _ = dispatch_plane(
-        TaskPartitioner(n_shards, seed=seed),
+        n_shards,
+        seed=seed,
         n_workers=n_workers,
         cores_per_worker=CORES_PER_WORKER,
     )

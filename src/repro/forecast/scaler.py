@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Protocol
+from typing import Optional, Protocol
 
 from repro.forecast.selector import OnlineModelSelector
 from repro.forecast.series import DemandSample, MasterDemandSampler

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.runner import ExperimentResult

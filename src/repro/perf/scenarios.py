@@ -15,7 +15,7 @@ benchmarkable by name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cluster.cluster import ClusterConfig
 from repro.experiments.runner import ExperimentSpec, FaultProfile, StackConfig

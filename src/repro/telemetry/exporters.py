@@ -17,7 +17,7 @@ Three interchange formats, all dependency-free:
 from __future__ import annotations
 
 import json
-from typing import IO, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import IO, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.telemetry.events import TraceEvent, layers
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry

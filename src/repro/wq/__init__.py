@@ -17,9 +17,10 @@ exercises:
   whole-worker), completion callbacks, live queue statistics for HTA;
 * :mod:`~repro.wq.master` — the session/connection shell over the core:
   worker registration, partition liveness, outages, crash recovery;
-* :mod:`~repro.wq.sharding` — the sharded data plane: a seeded
-  :class:`TaskPartitioner` splitting a workflow across N masters and
-  the :class:`Foreman` tier aggregating them into one logical view;
+* :mod:`~repro.wq.sharding` — the sharded data plane: the
+  :class:`Foreman` tier splitting a workflow across N masters by a
+  seeded hash of its submit order and aggregating them into one
+  logical view;
 * :mod:`~repro.wq.monitor` — the resource monitor recording per-category
   runtime/consumption of completed tasks (paper ref. [25]);
 * :mod:`~repro.wq.runtime` — glue binding workers to Kubernetes pods;
@@ -48,7 +49,6 @@ from repro.wq.sharding import (
     FailoverConfig,
     FailoverCoordinator,
     Foreman,
-    TaskPartitioner,
     merge_journals,
 )
 from repro.wq.runtime import WorkerPodRuntime
@@ -82,7 +82,6 @@ __all__ = [
     "FailoverConfig",
     "FailoverCoordinator",
     "Foreman",
-    "TaskPartitioner",
     "merge_journals",
     "WorkerPodRuntime",
     "FactoryConfig",

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List
 
 from repro.cluster.resources import ResourceVector
 from repro.sim.engine import Engine, PeriodicTask

@@ -41,7 +41,7 @@ runs stay bit-identical to builds that predate it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.cluster.resources import ResourceVector

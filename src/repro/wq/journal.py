@@ -238,9 +238,10 @@ class TransactionJournal:
         result field, and escalation floor matches bit-for-bit — the
         fixed-seed fidelity oracle that proves an optimization preserved
         the master's entire observable transition history. Task ids are
-        renumbered by first appearance so the digest is invariant to the
-        process-global id counter (two same-seed runs in one process
-        digest equal).
+        renumbered by first appearance, and that renumbering is the
+        canonical form: ids are unique but not run-local (they come
+        from a process-wide counter), so two same-seed runs in one
+        process digest equal.
         """
         h = hashlib.sha256()
         canon: Dict[int, int] = {}

@@ -49,7 +49,6 @@ import numpy as np
 from repro.sim.engine import Engine, ScheduledEvent
 from repro.sim.tracing import StepSeries
 
-_transfer_ids = count(1)
 _transfer_id = attrgetter("id")
 
 TransferCallback = Callable[["Transfer"], None]
@@ -94,10 +93,12 @@ def _without(items: list, done: List[int]) -> list:
 class Transfer:
     """An in-flight data movement over a :class:`Link`.
 
-    While the transfer is active, ``remaining_mb`` (as of the link's last
-    settle) and ``rate_mbps`` are read from the link; once it finishes or
-    is cancelled they keep their last values. ``on_complete`` is dropped
-    once it has fired or the transfer is cancelled (see :func:`_fire`).
+    ``id`` numbers the transfer among its link's transfers in start
+    order. While the transfer is active, ``remaining_mb`` (as of the
+    link's last settle) and ``rate_mbps`` are read from the link; once
+    it finishes or is cancelled they keep their last values.
+    ``on_complete`` is dropped once it has fired or the transfer is
+    cancelled (see :func:`_fire`).
     """
 
     __slots__ = (
@@ -116,13 +117,14 @@ class Transfer:
 
     def __init__(
         self,
+        id: int,
         label: str,
         size_mb: float,
         rate_cap_mbps: Optional[float],
         on_complete: Optional[TransferCallback],
         start_time: float,
     ) -> None:
-        self.id = next(_transfer_ids)
+        self.id = id
         self.label = label
         self.size_mb = size_mb
         self.rate_cap_mbps = rate_cap_mbps
@@ -194,6 +196,8 @@ class Link:
         self.capacity_mbps = capacity_mbps
         self.per_stream_overhead = per_stream_overhead
         self.name = name
+        #: Numbers this link's transfers in start order.
+        self._transfer_ids = count(1)
         #: Active transfers in start order, which is ascending ``id``.
         self._transfers: List[Transfer] = []
         #: MB left per active transfer as of the last settle (parallel): a
@@ -240,7 +244,9 @@ class Link:
         if rate_cap_mbps is not None and not (0 < rate_cap_mbps < math.inf):
             raise ValueError(f"rate cap must be positive and finite, got {rate_cap_mbps}")
         now = self.engine.now
-        t = Transfer(label, size_mb, rate_cap_mbps, on_complete, now)
+        t = Transfer(
+            next(self._transfer_ids), label, size_mb, rate_cap_mbps, on_complete, now
+        )
         if size_mb == 0:
             t.finish_time = now
             self.transfers_completed += 1

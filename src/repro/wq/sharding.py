@@ -8,9 +8,9 @@ availability: if it dies, so does the whole data plane. This module
 splits the data plane the way glide-in / pool-of-pools systems do, so
 one shard's loss is survivable (:class:`FailoverCoordinator`):
 
-* :class:`TaskPartitioner` — a seeded hash (or range) function mapping
-  every task id to one of N shards, so a workflow fans out across N
-  independent masters, each owning a disjoint slice of the queue;
+* :func:`shard_of` — a seeded hash of a run's submit sequence number
+  onto one of N shards, so a workflow fans out across N independent
+  masters, each owning a disjoint slice of the queue;
 * :class:`Foreman` — the master-of-masters. Workers and tasks talk to
   their own shard; the foreman aggregates per-shard queue status
   (``cores_waiting``, category stats via the shared monitor, counters,
@@ -57,33 +57,23 @@ from repro.wq.master import Master
 from repro.wq.task import Task
 from repro.wq.worker import Worker, WorkerState
 
-#: Knuth's multiplicative constant — spreads sequential task ids
+#: Knuth's multiplicative constant — spreads sequential submit numbers
 #: uniformly across shards without the process-salted ``hash()``.
 _KNUTH = 2654435761
 
 
-@dataclass(frozen=True, slots=True)
-class TaskPartitioner:
-    """Deterministic task-id → shard mapping.
+def shard_of(n: int, n_shards: int, seed: int = 0) -> int:
+    """The shard that a run's ``n``-th submit lands on.
 
-    A seeded multiplicative hash scatters sequential ids uniformly, so
-    no shard gets a run of one category when category mix correlates
-    with submit order. It is a pure function of ``(task_id, n_shards,
-    seed)``: two runs at the same seed partition identically, which the
-    fidelity harness depends on.
+    A seeded multiplicative hash scatters sequential submits uniformly,
+    so no shard gets a run of one category when category mix correlates
+    with submit order. It is a pure function of ``(n, n_shards, seed)``:
+    two runs at the same seed partition identically, whatever the
+    process built before them, which the fidelity harness depends on.
     """
-
-    n_shards: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_shards < 1:
-            raise ValueError("n_shards must be at least 1")
-
-    def shard_for(self, task_id: int) -> int:
-        if self.n_shards == 1:
-            return 0
-        return ((task_id * _KNUTH) ^ self.seed) % self.n_shards
+    if n_shards == 1:
+        return 0
+    return ((n * _KNUTH) ^ seed) % n_shards
 
 
 def merge_journals(
@@ -114,7 +104,7 @@ class Foreman:
     The foreman implements the read side of the master surface (stats,
     counters, accounting gauges, task/worker listings) by aggregation,
     and the write side (submit, callbacks, pause/resume, evacuation) by
-    routing — submits through the partitioner, worker-scoped operations
+    routing — submits by the run's submit order, worker-scoped operations
     to the shard that owns the worker. Workers themselves never see the
     foreman: each is constructed against its shard master and speaks
     the ordinary worker↔master protocol.
@@ -130,22 +120,17 @@ class Foreman:
         self,
         engine: Engine,
         shards: Sequence[Master],
-        partitioner: Optional[TaskPartitioner] = None,
+        *,
+        seed: int = 0,
     ) -> None:
         if not shards:
             raise ValueError("Foreman needs at least one shard")
         self.engine = engine
         self.shards: List[Master] = list(shards)
-        self.partitioner = (
-            partitioner
-            if partitioner is not None
-            else TaskPartitioner(len(self.shards))
-        )
-        if self.partitioner.n_shards != len(self.shards):
-            raise ValueError(
-                f"partitioner fans out to {self.partitioner.n_shards} shards "
-                f"but {len(self.shards)} were supplied"
-            )
+        #: Salts the submit hash (:func:`shard_of`).
+        self.seed = seed
+        #: Tasks submitted so far; the next submit is number ``+ 1``.
+        self._submits = 0
         self.name = "wq-foreman"
         #: All shards run under one DispatchConfig; shard 0 is the
         #: reference copy for config-derived reads (verify, health, …).
@@ -173,23 +158,20 @@ class Foreman:
         self._shard_recover_listeners: Tuple[Callable[[int], None], ...] = ()
 
     # ------------------------------------------------------------- routing
-    def shard_index_for(self, task: Task) -> int:
-        """The partition assignment, with failover redirects applied: a
+    def submit(self, task: Task) -> None:
+        """Route the run's next submit to the shard its sequence number
+        hashes to (:func:`shard_of`), with failover redirects applied: a
         submit routed to a retired shard lands on the survivor that
         adopted its work instead (chains resolve — a survivor that later
-        retired forwards again)."""
-        idx = self.partitioner.shard_for(task.id)
+        retired forwards again). Each task is submitted once; transfers
+        and failover move it between shards explicitly."""
+        self._submits += 1
+        idx = shard_of(self._submits, len(self.shards), self.seed)
         seen: Set[int] = set()
         while idx in self._redirects and idx not in seen:
             seen.add(idx)
             idx = self._redirects[idx]
-        return idx
-
-    def shard_for(self, task: Task) -> Master:
-        return self.shards[self.shard_index_for(task)]
-
-    def submit(self, task: Task) -> None:
-        self.shard_for(task).submit(task)
+        self.shards[idx].submit(task)
 
     def submit_many(self, tasks: List[Task]) -> None:
         for task in tasks:

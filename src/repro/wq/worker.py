@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Set
 from repro.cluster.resources import ResourceVector
 from repro.sim.engine import Engine, ScheduledEvent
 from repro.wq.cache import WorkerCache
-from repro.wq.link import Link, Transfer
+from repro.wq.link import Transfer
 from repro.wq.task import Task, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.images import ContainerImage, ImageRegistry
-from repro.cluster.objects import KubeObject, ObjectMeta, Service, StatefulSet
+from repro.cluster.objects import ObjectMeta, Service, StatefulSet
 from repro.sim.rng import RngRegistry
 
 
@@ -52,13 +52,8 @@ class TestImageRegistry:
 
 
 class TestObjectMeta:
-    def test_uids_unique(self):
-        a = KubeObject("a")
-        b = KubeObject("a")
-        assert a.uid != b.uid
-
     def test_label_selector_matching(self):
-        meta = ObjectMeta("x", "Pod", labels={"app": "wq", "tier": "worker"})
+        meta = ObjectMeta("x", labels={"app": "wq", "tier": "worker"})
         assert meta.matches({"app": "wq"})
         assert meta.matches({"app": "wq", "tier": "worker"})
         assert not meta.matches({"app": "other"})

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.images import ContainerImage
 from repro.cluster.node import N1_STANDARD_4
 from repro.cluster.resources import ResourceVector
+from repro.experiments import runner
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.wq.link import Link
@@ -45,6 +48,34 @@ def small_cluster(engine, rng) -> Cluster:
             registry_jitter_cv=0.0,
         ),
     )
+
+
+@pytest.fixture
+def run_observed(monkeypatch):
+    """``run_observed(spec)`` runs ``spec`` through ``run_experiment`` and
+    returns ``(result, journal digest, event count at the workflow's done
+    signal)``."""
+
+    def run(spec):
+        seen = {}
+        assembled = runner._assembled
+
+        @contextmanager
+        def observed(spec, telemetry):
+            with assembled(spec, telemetry) as parts:
+                stack, _graph, _harness, manager, _accountant = parts
+                manager.done_signal.add_waiter(
+                    lambda _m: seen.setdefault("events", stack.engine.events_fired)
+                )
+                yield parts
+                seen["digest"] = stack.master.journal.digest()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "_assembled", observed)
+            result = runner.run_experiment(spec)
+        return result, seen["digest"], seen["events"]
+
+    return run
 
 
 @pytest.fixture

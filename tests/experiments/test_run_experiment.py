@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import pytest
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
-from repro.experiments import runner
 from repro.experiments.runner import (
     POLICIES,
     ExperimentSpec,
@@ -152,32 +149,14 @@ class TestRunExperiment:
 class TestSingleShardEquivalence:
     """A 1-shard Foreman is the bare master behind an aggregating view."""
 
-    @staticmethod
-    def journal_and_events(monkeypatch, spec):
-        """Run ``spec``; return the master's journal digest and the event
-        count at the workflow's done signal."""
-        seen = {}
-        assembled = runner._assembled
-
-        @contextmanager
-        def traced_assembled(spec, telemetry):
-            with assembled(spec, telemetry) as parts:
-                stack, _graph, _harness, manager, _accountant = parts
-                manager.done_signal.add_waiter(
-                    lambda _m: seen.setdefault("events", stack.engine.events_fired)
-                )
-                yield parts
-                seen["digest"] = stack.master.journal.digest()
-
-        with monkeypatch.context() as patch:
-            patch.setattr(runner, "_assembled", traced_assembled)
-            result = run_experiment(spec)
-        return seen["digest"], seen["events"], result.makespan_s
-
     @pytest.mark.parametrize("seed", [1, 7])
-    def test_one_shard_foreman_matches_the_bare_master(self, monkeypatch, seed):
+    def test_one_shard_foreman_matches_the_bare_master(self, run_observed, seed):
         def bag():
             return uniform_bag(60, execute_s=90.0, declared=True)
+
+        def journal_and_events(spec):
+            result, digest, events = run_observed(spec)
+            return digest, events, result.makespan_s
 
         stack = small_stack(
             cluster=ClusterConfig(
@@ -189,11 +168,10 @@ class TestSingleShardEquivalence:
             ),
             seed=seed,
         )
-        bare = self.journal_and_events(
-            monkeypatch, ExperimentSpec(bag(), policy="hta", stack=stack)
+        bare = journal_and_events(
+            ExperimentSpec(bag(), policy="hta", stack=stack)
         )
-        sharded = self.journal_and_events(
-            monkeypatch,
+        sharded = journal_and_events(
             ExperimentSpec(
                 bag(), policy="sharded", stack=stack, options={"shards": 1}
             ),

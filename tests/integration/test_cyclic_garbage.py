@@ -35,9 +35,6 @@ from repro.telemetry.session import TelemetryConfig
 from repro.workloads.synthetic import uniform_bag
 
 
-pytestmark = pytest.mark.usefixtures("own_task_ids")
-
-
 @contextmanager
 def collector_off():
     """Disable the collector and keep what it finds; yields a check that

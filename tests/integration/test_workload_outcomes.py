@@ -8,10 +8,6 @@ by ``repr``, so a change in the last bit fails. A change that means to
 keep behaviour (a refactor, a faster path) must leave every value here
 as it is; one that means to change behaviour regenerates the table and
 says why.
-
-``deep-queue-sharded4`` is left out: the 4-shard plane maps a task to
-its shard by id, and ids come from a process-global counter, so its
-outcome depends on how many tasks the process made before it.
 """
 
 from __future__ import annotations
@@ -20,8 +16,6 @@ import pytest
 
 from htcbench.drive import drive, prepare
 from htcbench.workloads import WORKLOADS
-
-pytestmark = pytest.mark.usefixtures("own_task_ids")
 
 #: (workload, seed) -> (journal digest, events at done, makespan s,
 #: waste core-s, shortage core-s, tasks done).
@@ -49,6 +43,14 @@ OUTCOMES = {
     ("multistage-churn", 13): (
         "b4d579006315b821f5562aa1472f2d4bec289dac7226b79061cd10b70c3c4b18",
         29161, 3026.661489505778, 593274.8446851734, 1844515.0, 3240,
+    ),
+    ("deep-queue-sharded4", 1): (
+        "1e2167ef9b8d46e715b78d7396a5dcd1048eb0f9bf3cc75054ec22af00caf62d",
+        19284, 1551.3706671109885, 146408.7066711099, 2360250.0, 3200,
+    ),
+    ("deep-queue-sharded4", 13): (
+        "22787083f636f373e1dc0c09df0a86894cc1d56ce78741782678f01b584f5d4a",
+        19328, 1582.6697968740214, 149479.36776561424, 2369725.0, 3200,
     ),
 }
 

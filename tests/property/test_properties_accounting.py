@@ -42,7 +42,7 @@ from repro.wq.health import HealthConfig
 from repro.wq.link import Link
 from repro.wq.master import Master
 from repro.wq.migration import CheckpointSpec
-from repro.wq.sharding import Foreman, TaskPartitioner
+from repro.wq.sharding import Foreman
 from repro.wq.task import FileSpec, Task, TaskState
 from repro.wq.worker import Worker, WorkerState
 from tests.reference.accounting_literal import mismatches
@@ -99,7 +99,7 @@ class WqHistory:
             for i in range(shards)
         ]
         self.master = (
-            Foreman(self.engine, self.shards, partitioner=TaskPartitioner(shards, seed=3))
+            Foreman(self.engine, self.shards, seed=3)
             if shards > 1
             else self.shards[0]
         )

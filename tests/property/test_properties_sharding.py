@@ -1,7 +1,7 @@
 """Property: merged shard journals agree with the foreman's aggregates.
 
 Satellite invariant of the sharded data plane: for any shard count,
-partitioner seed, and workload, replaying the *merged* per-shard
+shard seed, and workload, replaying the *merged* per-shard
 journals reconstructs the same task-conservation totals the foreman
 reports live — every submitted task is exactly one of
 completed / ready / in-flight, at the end and at any mid-run cut.
@@ -17,7 +17,7 @@ from repro.sim.engine import Engine
 from repro.wq.estimator import DeclaredResourceEstimator
 from repro.wq.link import Link
 from repro.wq.master import Master
-from repro.wq.sharding import Foreman, TaskPartitioner, merge_journals
+from repro.wq.sharding import Foreman, merge_journals
 from repro.wq.task import Task
 from repro.wq.worker import Worker
 
@@ -32,11 +32,7 @@ def build_plane(n_shards: int, seed: int):
         Master(engine, link, estimator=DeclaredResourceEstimator(), name=f"m{i}")
         for i in range(n_shards)
     ]
-    foreman = Foreman(
-        engine,
-        shards,
-        partitioner=TaskPartitioner(n_shards, seed=seed),
-    )
+    foreman = Foreman(engine, shards, seed=seed)
     for shard in shards:
         Worker(engine, shard, f"w-{shard.name}", CAP, connect_latency=1.0)
     return engine, foreman, shards

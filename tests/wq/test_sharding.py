@@ -1,8 +1,9 @@
 """The sharded data plane: partitioner, foreman aggregation, transfers.
 
-DESIGN.md §15: a :class:`TaskPartitioner` splits a workflow across N
-:class:`Master` shards deterministically; a :class:`Foreman` aggregates
-the shards into the one logical view the autoscaler consumes. These
+DESIGN.md §15: a :class:`Foreman` splits a workflow across N
+:class:`Master` shards by a seeded hash of its submit order
+(:func:`shard_of`) and aggregates the shards into the one logical view
+the autoscaler consumes. These
 tests pin the shard-boundary protocols — deterministic routing, the
 cross-shard checkpoint transfer resuming exactly once, degraded-mode
 aggregation with a crashed shard — and the merged-journal semantics.
@@ -25,8 +26,8 @@ from repro.wq.sharding import (
     FailoverConfig,
     FailoverCoordinator,
     Foreman,
-    TaskPartitioner,
     merge_journals,
+    shard_of,
 )
 from repro.wq.task import Task, TaskState
 from repro.wq.worker import Worker
@@ -57,54 +58,48 @@ def make_foreman(engine, n=2, seed=1):
         )
         for i in range(n)
     ]
-    foreman = Foreman(
-        engine, shards, partitioner=TaskPartitioner(n, seed=seed)
-    )
+    foreman = Foreman(engine, shards, seed=seed)
     return foreman, shards
 
 
 class TestTaskPartitioner:
+    """:func:`shard_of`: the ``n``-th submit of a run -> its shard."""
+
     def test_hash_routing_is_deterministic(self):
-        p = TaskPartitioner(4, seed=7)
-        q = TaskPartitioner(4, seed=7)
-        assert [p.shard_for(i) for i in range(100)] == [
-            q.shard_for(i) for i in range(100)
+        assert [shard_of(n, 4, 7) for n in range(100)] == [
+            shard_of(n, 4, 7) for n in range(100)
         ]
 
     def test_seed_reshuffles_the_assignment(self):
-        a = TaskPartitioner(4, seed=1)
-        b = TaskPartitioner(4, seed=2)
-        assert [a.shard_for(i) for i in range(100)] != [
-            b.shard_for(i) for i in range(100)
+        assert [shard_of(n, 4, 1) for n in range(100)] != [
+            shard_of(n, 4, 2) for n in range(100)
         ]
 
     def test_hash_mode_balances(self):
-        p = TaskPartitioner(4, seed=0)
         counts = [0, 0, 0, 0]
-        for task_id in range(10_000):
-            counts[p.shard_for(task_id)] += 1
+        for n in range(10_000):
+            counts[shard_of(n, 4)] += 1
         for count in counts:
             assert 0.15 * 10_000 <= count <= 0.35 * 10_000
 
     def test_single_shard_takes_everything(self):
-        p = TaskPartitioner(1, seed=99)
-        assert {p.shard_for(i) for i in range(50)} == {0}
+        assert {shard_of(n, 1, 99) for n in range(50)} == {0}
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TaskPartitioner(0)
+    def test_foreman_routes_by_the_runs_own_submit_order(self, engine):
+        # Tasks made before the run shift every task id but no submit
+        # number, so they cannot move a task to another shard.
+        [make_task() for _ in range(3)]
+        foreman, shards = make_foreman(engine, 4, seed=3)
+        tasks = [make_task() for _ in range(40)]
+        foreman.submit_many(tasks)
+        for n, task in enumerate(tasks, start=1):
+            assert shards[shard_of(n, 4, 3)].queue.has_id(task.id)
 
 
 class TestForemanConstruction:
     def test_rejects_empty_shard_list(self, engine):
         with pytest.raises(ValueError):
             Foreman(engine, [])
-
-    def test_rejects_partitioner_shard_count_mismatch(self, engine):
-        link = Link(engine, 100.0)
-        shards = [Master(engine, link, name=f"m{i}") for i in range(2)]
-        with pytest.raises(ValueError):
-            Foreman(engine, shards, partitioner=TaskPartitioner(3))
 
 
 class TestAggregation:
@@ -147,7 +142,7 @@ class TestAggregation:
             )
             for i in range(3)
         ]
-        foreman = Foreman(engine, shards, partitioner=TaskPartitioner(3, seed=1))
+        foreman = Foreman(engine, shards, seed=1)
         workers = [
             Worker(engine, s, f"w-{s.name}", CAP, connect_latency=1.0)
             for s in shards
