@@ -16,10 +16,6 @@ from __future__ import annotations
 
 from benchmarks.conftest import run_once
 
-from dataclasses import replace
-
-import pytest
-
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.hpa import HpaConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED

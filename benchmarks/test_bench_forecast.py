@@ -22,7 +22,6 @@ from __future__ import annotations
 from benchmarks.conftest import run_once
 
 from repro.experiments import forecast_cmp
-from repro.metrics.summary import format_summary_table
 
 
 def _fingerprint(results):

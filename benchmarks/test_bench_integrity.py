@@ -57,15 +57,15 @@ def test_integrity_full(benchmark):
 
 
 def test_soak_with_integrity_full(benchmark):
-    """A full-size soak with value faults holds every invariant."""
-    config = SoakConfig(integrity=True)
-    report = run_once(benchmark, run_soak, 1, config)
+    """A full-size soak with value faults holds every invariant (seed 10:
+    base seed 1, integrity armed)."""
+    report = run_once(benchmark, run_soak, 10, SoakConfig())
     assert report.quiesced, report.describe()
     assert report.ok, report.describe()
     assert (
         report.stats["tasks_done"] + report.stats["tasks_abandoned"] == 120
     )
-    # The seed-1 schedule draws at least one value fault, and whatever
+    # The seed-10 schedule draws at least one value fault, and whatever
     # corruption landed never reached COMPLETE (verification is armed).
     assert (
         report.stats["corruptions_injected"] + report.stats["black_holes_injected"]

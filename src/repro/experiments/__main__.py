@@ -172,35 +172,10 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="soak only: run N consecutive seeds starting at --seed",
-    )
-    parser.add_argument(
-        "--migrate",
-        action="store_true",
         help=(
-            "soak only: enable checkpoint/restore migration (the "
-            "'migrate' chaos primitive joins the schedule pool and "
-            "preemption drains migrate instead of requeueing)"
-        ),
-    )
-    parser.add_argument(
-        "--integrity",
-        action="store_true",
-        help=(
-            "soak only: enable value faults (the 'corrupt' and "
-            "'black_hole' chaos primitives join the schedule pool, "
-            "seeded result/checkpoint corruption arms, and the health "
-            "ledger polices the workers)"
-        ),
-    )
-    parser.add_argument(
-        "--shard-crash",
-        action="store_true",
-        help=(
-            "soak only: run the dispatch plane as 4 shards behind a "
-            "foreman with a failover coordinator, and let the "
-            "'shard_crash' chaos primitive (transient or permanent "
-            "loss of one shard) join the schedule pool"
+            "soak only: run N consecutive seeds starting at --seed "
+            "(seed %% 8 picks what each run arms: bit 0 migration, "
+            "bit 1 integrity faults, bit 2 a sharded plane)"
         ),
     )
     parser.add_argument(
@@ -283,12 +258,6 @@ def main(argv: list[str] | None = None) -> int:
             kwargs["smoke"] = True
         if name == "soak" and args.runs != 1:
             kwargs["runs"] = args.runs
-        if name == "soak" and args.migrate:
-            kwargs["migrate"] = True
-        if name == "soak" and args.integrity:
-            kwargs["integrity"] = True
-        if name == "soak" and args.shard_crash:
-            kwargs["shard_crash"] = True
         if name == "recovery":
             kwargs.update(
                 crash_at_s=args.crash_at,

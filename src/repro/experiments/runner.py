@@ -833,9 +833,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
 
 # --------------------------------------------------------------------- HTA
-def _hta_tracker(stack: _Stack, cfg: StackConfig, fixed_init_time_s, *, resync: bool):
+def _hta_tracker(stack: _Stack, cfg: StackConfig, fixed_init_time_s):
     """The init-time source HTA-style policies plan with: under faults,
-    the median of the last 5 cold starts, else the latest one."""
+    the median of the last 5 cold starts with a periodic informer
+    resync, else the latest one."""
     if fixed_init_time_s is not None:
         return FixedInitTime(fixed_init_time_s)
     faulty = cfg.faults is not None
@@ -844,7 +845,7 @@ def _hta_tracker(stack: _Stack, cfg: StackConfig, fixed_init_time_s, *, resync: 
         prior_s=160.0,
         selector_label="wq-worker",
         robust=faulty,
-        resync_period_s=_RESYNC_PERIOD_S if resync and faulty else None,
+        resync_period_s=_RESYNC_PERIOD_S if faulty else None,
     )
 
 
@@ -910,7 +911,7 @@ def _build_hta(
             tracer=stack.tracer,
             migration=migration,
         )
-    tracker = _hta_tracker(stack, cfg, fixed_init_time_s, resync=True)
+    tracker = _hta_tracker(stack, cfg, fixed_init_time_s)
     operator = HtaOperator(
         stack.engine,
         stack.master,
@@ -1096,9 +1097,7 @@ def _build_predictive(
         name_prefix="pred-worker",
         fault_config=_provisioner_faults(cfg),
     )
-    # Note: no informer resync here — the predictive scaler predates the
-    # resync plumbing and its runs are calibrated without it.
-    tracker = _hta_tracker(stack, cfg, fixed_init_time_s, resync=False)
+    tracker = _hta_tracker(stack, cfg, fixed_init_time_s)
     scaler = PredictiveScaler(
         stack.engine,
         stack.master,

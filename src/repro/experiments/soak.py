@@ -8,24 +8,28 @@ the :mod:`repro.soak.invariants` checkers: task conservation, no worker
 leaks, monotonic API resource versions, metrics/trace consistency, and
 the quiescence itself.
 
+The seed also chooses what is armed: bit 0 of ``seed % 8`` arms
+checkpoint/restore migration (the ``migrate`` primitive joins the pool
+and preemption drains migrate), bit 1 arms value faults (the
+``corrupt`` and ``black_hole`` primitives join the pool, seeded
+result/checkpoint corruption arms, verification polices deliveries and
+the health ledger quarantines sick workers), and bit 2 runs the
+dispatch plane as four masters behind a foreman with a failover
+coordinator (the ``shard_crash`` primitive, a transient *or permanent*
+loss of one shard, joins the pool and the failover-protocol invariant
+audits the merged journal). Every random stream draws from the base
+seed ``seed // 8``, so seeds ``8*b .. 8*b+7`` soak one base schedule
+under all eight arm codes.
+
 A clean run prints one ``OK`` line per seed. A violation prints the
 failing seed, which is a complete reproduction recipe::
 
     python -m repro.experiments soak --seed 41 --smoke
 
 ``--runs N`` sweeps seeds ``seed .. seed+N-1``; the process exits
-nonzero on the first violating seed (CI runs ``soak --smoke --runs 3``
-with and without ``--migrate``). ``--migrate`` opts the schedule into
-the checkpoint/restore ``migrate`` primitive and arms the migration
-machinery on every other strike (preemptions drain via checkpoint).
-``--integrity`` opts into value faults: the ``corrupt`` and
-``black_hole`` primitives join the pool, seeded result/checkpoint
-corruption arms, verification polices deliveries, and the health
-ledger quarantines sick workers. ``--shard-crash`` runs the dispatch
-plane as four masters behind a foreman with a failover coordinator,
-and the ``shard_crash`` primitive (transient *or permanent* loss of
-one shard) joins the pool — the failover-protocol invariant then
-audits the merged journal for double-resumed or stranded work.
+nonzero on the first violating seed (CI runs
+``soak --smoke --seed 8 --runs 32``: base seeds 1-4 under every arm
+code).
 """
 
 from __future__ import annotations
@@ -33,25 +37,10 @@ from __future__ import annotations
 from repro.soak.harness import SoakConfig, first_violation, run_soak_batch
 
 
-def main(
-    seed: int = 0,
-    *,
-    smoke: bool = False,
-    runs: int = 1,
-    migrate: bool = False,
-    integrity: bool = False,
-    shard_crash: bool = False,
-) -> str:
+def main(seed: int = 0, *, smoke: bool = False, runs: int = 1) -> str:
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    config = SoakConfig(
-        migrate=migrate,
-        integrity=integrity,
-        shards=4 if shard_crash else 1,
-        shard_crash=shard_crash,
-    )
-    if smoke:
-        config = config.smoke()
+    config = SoakConfig().smoke() if smoke else SoakConfig()
     seeds = list(range(seed, seed + runs))
     reports = run_soak_batch(seeds, config)
     out = "\n".join(report.describe() for report in reports)
@@ -62,8 +51,7 @@ def main(
             f"soak failed: seed {failing.seed} violated "
             f"{len(failing.violations)} invariant(s); reproduce with "
             f"`python -m repro.experiments soak --seed {failing.seed}"
-            f"{' --smoke' if smoke else ''}"
-            f"{' --shard-crash' if shard_crash else ''}`"
+            f"{' --smoke' if smoke else ''}`"
         )
     return out
 

@@ -9,8 +9,13 @@ abandon/escalate with full timestamps and result fields — hashed by
 :meth:`repro.wq.journal.TransactionJournal.digest` and compared against
 digests captured *before* any optimization landed
 (``tests/perf/data/fidelity_golden.json``). The runs are full
-chaos-enabled soaks (preemption waves, API outages, pull stalls, ...),
-so the comparison covers the hostile paths, not just the happy one.
+chaos-enabled smoke soaks (preemption waves, API outages, pull stalls,
+...), so the comparison covers the hostile paths, not just the happy
+one. A soak seed also picks what is armed (bit ``i`` of ``seed % 8``
+arms ``("migrate", "integrity", "sharded")[i]``, see
+:func:`repro.soak.schedule.armed`), so the golden's seeds pin the
+migration coordinator, value faults with the health ledger and the
+sharded plane with failover as well as the default stack.
 """
 
 from __future__ import annotations
@@ -33,12 +38,10 @@ def load_golden(path: Path = GOLDEN_PATH) -> Dict[str, Dict]:
         return json.load(f)
 
 
-def check_fidelity(
-    golden: Dict[str, Dict], *, config: SoakConfig = None
-) -> List[str]:
-    """Re-run every golden seed; return mismatch descriptions (empty =
-    bit-fidelity holds)."""
-    cfg = config if config is not None else SoakConfig().smoke()
+def check_fidelity(golden: Dict[str, Dict]) -> List[str]:
+    """Re-run every golden seed as a smoke soak; return mismatch
+    descriptions (empty = bit-fidelity holds)."""
+    cfg = SoakConfig().smoke()
     problems: List[str] = []
     for seed_str, expected in sorted(golden.items()):
         report = run_soak(int(seed_str), cfg)

@@ -2,11 +2,17 @@
 
 ``run_soak(seed)`` assembles the full stack through the runner, as
 every experiment does: an :class:`~repro.experiments.runner.ExperimentSpec`
-for spot-aware ``hta`` (or ``sharded`` with failover on, for a
-multi-shard plane) on a cluster with a preemptible pool. It throws the
-seed's generated fault schedule at the stack — node kills, evictions,
-preemption waves, partitions, master crashes, API outages, boot
-failures, pull stalls — advances it with the runner's
+for spot-aware ``hta`` on a cluster with a preemptible pool. The seed
+chooses what else is armed (:func:`~repro.soak.schedule.armed`): bit 0
+of ``seed % 8`` gives tasks checkpoints and the stack a migration
+coordinator, bit 1 arms seeded result/checkpoint corruption,
+verification and the health ledger, and bit 2 runs the dispatch plane
+as :data:`SHARDS` shards behind a foreman with failover on (policy
+``sharded``). Every random stream — schedule, stack, task bag — draws
+from the base seed ``seed // 8``. It throws the seed's generated fault
+schedule at the stack — node kills, evictions, preemption waves,
+partitions, master crashes, API outages, boot failures, pull stalls,
+and the armed features' own primitives — advances it with the runner's
 :func:`~repro.experiments.runner.drive` to quiescence, and then runs
 every invariant checker. The report carries the violations (if any) and
 the seed *is* the reproduction recipe: ``run_soak(seed)`` again replays
@@ -22,7 +28,7 @@ happens.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.cluster.cloud import PreemptiblePoolConfig
 from repro.cluster.cluster import ClusterConfig
@@ -51,13 +57,22 @@ from repro.soak.invariants import (
     check_trace_consistency,
     check_version_monotonic,
 )
-from repro.soak.schedule import FaultEvent, SoakScheduleConfig, generate_schedule
+from repro.soak.schedule import (
+    FaultEvent,
+    SoakScheduleConfig,
+    armed,
+    generate_schedule,
+)
 from repro.telemetry.session import TelemetryConfig
 from repro.workloads.synthetic import uniform_bag
 from repro.wq.faults import BLACK_HOLE_MODES, BlackHoleProfile
 from repro.wq.health import HealthConfig
 from repro.wq.migration import CheckpointSpec, MigrationConfig, MigrationCoordinator
 from repro.wq.sharding import Foreman
+
+
+#: Dispatch shards of a seed that arms ``sharded``.
+SHARDS = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,41 +94,10 @@ class SoakConfig:
     #: Extra simulated time after quiescence for drains/reaping to land.
     drain_grace_s: float = 1200.0
     schedule: SoakScheduleConfig = field(default_factory=SoakScheduleConfig)
-    #: Opt-in checkpoint/restore migration: tasks get a checkpoint spec,
-    #: a MigrationCoordinator joins the stack (so preemption drains
-    #: migrate instead of requeueing), and the ``migrate`` chaos
-    #: primitive enters the schedule's sampling pool. Off by default so
-    #: existing seeds replay bit-identically.
-    migrate: bool = False
-    #: Opt-in integrity faults: attempts corrupt with a small seeded
-    #: probability, content-digest verification and the health ledger
-    #: arm, and the ``corrupt``/``black_hole`` chaos primitives enter
-    #: the sampling pool. Off by default for the same bit-identity
-    #: reason.
-    integrity: bool = False
+    #: Per-attempt corruption probabilities of a seed that arms
+    #: ``integrity``.
     result_corruption_prob: float = 0.02
     checkpoint_corruption_prob: float = 0.05
-    #: Run the dispatch plane as this many shards behind a Foreman
-    #: (1 = the classic single master). HTA consumes the foreman's
-    #: aggregate view, so the autoscaling loop is unchanged.
-    shards: int = 1
-    #: Opt-in shard chaos: the ``shard_crash`` primitive (transient or
-    #: permanent loss of one shard) enters the schedule's sampling pool;
-    #: every sharded soak runs a FailoverCoordinator. Requires
-    #: ``shards >= 2``. Off by default for the bit-identity reason.
-    shard_crash: bool = False
-
-    def opt_in_kinds(self) -> Tuple[str, ...]:
-        """The opt-in chaos primitives these flags add to the schedule's
-        sampling pool, in pool order."""
-        kinds: List[str] = []
-        if self.migrate:
-            kinds.append("migrate")
-        if self.integrity:
-            kinds += ["corrupt", "black_hole"]
-        if self.shard_crash:
-            kinds.append("shard_crash")
-        return tuple(kinds)
 
     def smoke(self) -> "SoakConfig":
         """A shrunk copy for CI: fewer tasks, fewer strikes."""
@@ -149,8 +133,9 @@ class SoakReport:
         return not self.violations
 
     def describe(self) -> str:
+        arms = ", ".join(armed(self.seed))
         lines = [
-            f"soak seed={self.seed}: "
+            f"soak seed={self.seed}{f' [{arms}]' if arms else ''}: "
             f"{'OK' if self.ok else f'{len(self.violations)} VIOLATION(S)'} "
             f"({len(self.events)} strikes, "
             f"quiesced={'yes' if self.quiesced else 'NO'})"
@@ -204,7 +189,7 @@ def _apply_event(
             stack.master, restart_delay_s=event.param("restart_delay_s", 60.0)
         )
     elif event.kind == "shard_crash":
-        assert isinstance(stack.master, Foreman), "shard_crash needs shards >= 2"
+        assert isinstance(stack.master, Foreman), "shard_crash needs a sharded plane"
         chaos.crash_random_shard(
             stack.master,
             restart_delay_s=(
@@ -229,11 +214,10 @@ def _apply_event(
 
 def run_soak(seed: int, config: SoakConfig = SoakConfig()) -> SoakReport:
     """One seeded soak run; see the module docstring."""
-    if config.shard_crash and config.shards < 2:
-        raise ValueError("shard_crash needs a sharded plane (shards >= 2)")
-    events = generate_schedule(seed, config.schedule, config.opt_in_kinds())
+    base, arms = seed // 8, armed(seed)
+    events = generate_schedule(seed, config.schedule)
     fault_profile = FaultProfile(max_retries=config.max_retries)
-    if config.integrity:
+    if "integrity" in arms:
         fault_profile = replace(
             fault_profile,
             result_corruption_prob=config.result_corruption_prob,
@@ -248,31 +232,31 @@ def run_soak(seed: int, config: SoakConfig = SoakConfig()) -> SoakReport:
                 grace_period_s=config.preemption_grace_s,
             ),
         ),
-        seed=seed,
+        seed=base,
         faults=fault_profile,
     )
     tasks = uniform_bag(
         config.n_tasks,
         execute_s=config.execute_s,
         category="soak",
-        rng=RngRegistry(seed + 4099),
+        rng=RngRegistry(base + 4099),
         runtime_cv=config.runtime_cv,
     )
-    if config.migrate:
+    if "migrate" in arms:
         for task in tasks:
             task.checkpoint = CheckpointSpec()
     options: Dict[str, object] = {
         "spot_policy": SpotPolicy(config.spot_fraction),
         "spot_aware": True,
-        "migration": MigrationConfig() if config.migrate else None,
+        "migration": MigrationConfig() if "migrate" in arms else None,
     }
     policy = "hta"
-    if config.shards > 1:
+    if "sharded" in arms:
         # HTA over the runner's sharded plane; a FailoverCoordinator
         # rides along so shard_crash strikes (permanent ones included)
         # are survivable.
         policy = "sharded"
-        options.update(shards=config.shards, failover=True)
+        options.update(shards=SHARDS, failover=True)
     spec = ExperimentSpec(tasks, policy, stack=stack_cfg, options=options)
     with _assembled(spec, TelemetryConfig(enabled=True)) as assembled:
         # The accountant stays unstarted: no check reads its series, and
@@ -344,7 +328,7 @@ def run_soak(seed: int, config: SoakConfig = SoakConfig()) -> SoakReport:
             violations.extend(check_journal_replay(master))
         violations.extend(check_migration_protocol(master))
         violations.extend(check_integrity_protocol(master))
-        if config.shards > 1:
+        if failover is not None:
             violations.extend(check_failover_protocol(master))
         violations.extend(check_version_monotonic(probe))
         violations.extend(check_trace_consistency(master, stack.chaos, stack.tracer))
@@ -386,7 +370,7 @@ def run_soak(seed: int, config: SoakConfig = SoakConfig()) -> SoakReport:
             stats["tasks_rehomed"] = float(failover.tasks_rehomed)
             stats["tasks_rebalanced"] = float(failover.tasks_rebalanced)
             stats["workers_reattached"] = float(failover.workers_reattached)
-        if config.integrity:
+        if "integrity" in arms:
             stats["verify_fails"] = float(master.verify_fails)
             stats["checkpoint_verify_fails"] = float(
                 master.checkpoint_verify_fails

@@ -7,47 +7,58 @@ reproduction recipe. The generator samples every chaos primitive the
 simulator knows — node kills, pod evictions, spot preemption waves,
 worker⇄master network partitions, master crashes, API-server outages,
 node boot-failure windows, and image-pull stalls — with per-kind weights
-and parameter ranges tuned so a default schedule is hostile but
-survivable.
+and parameter ranges tuned so a schedule is hostile but survivable.
+
+The seed also chooses what is armed: bit ``i`` of ``seed % 8`` arms
+``("migrate", "integrity", "sharded")[i]``, and each armed feature adds
+its own primitives (``migrate``; ``corrupt`` and ``black_hole``;
+``shard_crash``) to the pool. Every stream draws from the base seed
+``seed // 8``, so seeds ``8*b .. 8*b+7`` run one base schedule stream
+under all eight arm codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.rng import RngRegistry
 
+#: The features a soak seed can arm: bit ``i`` of ``seed % 8`` arms
+#: ``ARMS[i]``, and ``seed // 8`` is the base seed every random stream
+#: of the run draws from (see :func:`armed`).
+ARMS: Tuple[str, ...] = ("migrate", "integrity", "sharded")
+
 #: Every chaos primitive the generator can emit, with its sampling weight
-#: (kills and evictions are routine; control-plane faults are rarer, as
-#: each one stalls progress for its whole window).
-FAULT_KIND_WEIGHTS: Dict[str, float] = {
-    "node_kill": 2.0,
-    "pod_eviction": 2.0,
-    "preemption_wave": 2.0,
-    "partition": 2.0,
-    "master_crash": 0.75,
-    "api_outage": 0.75,
-    "boot_failures": 1.0,
-    "pull_stall": 1.0,
-}
-
-FAULT_KINDS: Tuple[str, ...] = tuple(FAULT_KIND_WEIGHTS)
-
-#: Sampling weights of the opt-in primitives a schedule's caller may add
-#: to the pool (see :func:`generate_schedule`): ``migrate``
+#: and the arm it needs (``None``: always in the pool). Kills and
+#: evictions are routine; control-plane faults are rarer, as each one
+#: stalls progress for its whole window. The armed kinds are ``migrate``
 #: (checkpoint/restore drain of a random busy worker), ``corrupt``
 #: (silently damage one running attempt's result), ``black_hole`` (turn
 #: one worker into a fast-fail/fast-fake sink) and ``shard_crash`` (kill
 #: one random dispatch shard; roughly half the strikes are permanent, so
-#: the failover path is exercised). Kept out of
-#: :data:`FAULT_KIND_WEIGHTS` so default schedules stay bit-identical.
-OPT_IN_WEIGHTS: Dict[str, float] = {
-    "migrate": 1.5,
-    "corrupt": 1.5,
-    "black_hole": 0.75,
-    "shard_crash": 1.0,
+#: the failover path is exercised).
+FAULT_KIND_WEIGHTS: Dict[str, Tuple[float, Optional[str]]] = {
+    "node_kill": (2.0, None),
+    "pod_eviction": (2.0, None),
+    "preemption_wave": (2.0, None),
+    "partition": (2.0, None),
+    "master_crash": (0.75, None),
+    "api_outage": (0.75, None),
+    "boot_failures": (1.0, None),
+    "pull_stall": (1.0, None),
+    "migrate": (1.5, "migrate"),
+    "corrupt": (1.5, "integrity"),
+    "black_hole": (0.75, "integrity"),
+    "shard_crash": (1.0, "sharded"),
 }
+
+FAULT_KINDS: Tuple[str, ...] = tuple(FAULT_KIND_WEIGHTS)
+
+
+def armed(seed: int) -> Tuple[str, ...]:
+    """The :data:`ARMS` soak seed ``seed`` arms, in :data:`ARMS` order."""
+    return tuple(arm for i, arm in enumerate(ARMS) if seed % 8 >> i & 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,26 +148,28 @@ def _sample_params(
 
 
 def generate_schedule(
-    seed: int,
-    config: SoakScheduleConfig = SoakScheduleConfig(),
-    opt_in: Sequence[str] = (),
+    seed: int, config: SoakScheduleConfig = SoakScheduleConfig()
 ) -> List[FaultEvent]:
-    """The seed's fault schedule, sorted by strike time.
+    """Soak seed ``seed``'s fault schedule, sorted by strike time.
 
-    ``opt_in`` names primitives of :data:`OPT_IN_WEIGHTS` appended to
-    the sampling pool, in the given order (the soak harness passes
-    ``migrate``, ``corrupt``, ``black_hole``, ``shard_crash``, as its
-    flags select them). Deterministic: the generator draws only from
-    named streams of an :class:`RngRegistry` keyed by ``seed``, so
-    regenerating with the same arguments is bit-identical.
+    The pool is every :data:`FAULT_KIND_WEIGHTS` kind the seed arms
+    (see :func:`armed`). Deterministic: the generator draws only from
+    named streams of an :class:`RngRegistry` keyed by the base seed
+    ``seed // 8``, so regenerating with the same arguments is
+    bit-identical.
     """
-    rng = RngRegistry(seed)
+    rng = RngRegistry(seed // 8)
     s = rng.stream("soak.schedule")
     n = int(s.integers(config.min_events, config.max_events + 1))
-    kinds = list(FAULT_KIND_WEIGHTS) + list(opt_in)
-    weights = [*FAULT_KIND_WEIGHTS.values(), *(OPT_IN_WEIGHTS[k] for k in opt_in)]
-    total = sum(weights)
-    probs = [w / total for w in weights]
+    arms = armed(seed)
+    pool = {
+        kind: weight
+        for kind, (weight, arm) in FAULT_KIND_WEIGHTS.items()
+        if arm is None or arm in arms
+    }
+    kinds = list(pool)
+    total = sum(pool.values())
+    probs = [w / total for w in pool.values()]
     events: List[FaultEvent] = []
     crashes = outages = shard_crashes = 0
     for _ in range(n):

@@ -191,7 +191,7 @@ class TaskQueue:
 
     __slots__ = (
         "_front", "_back", "_buckets", "_next_back", "_next_front", "rev",
-        "cores", "n_float", "n_odd",
+        "cores",
     )
 
     def __init__(self) -> None:
@@ -205,12 +205,8 @@ class TaskQueue:
         #: Bumped on every mutation; lets O(queue) folds such as
         #: :meth:`DispatchCore.cores_waiting` memoize between mutations.
         self.rev = 0
-        #: Running total of the queued dyadic footprint cores (see
-        #: :func:`dyadic_cores`), the float-typed ones among them, and
-        #: the count of queued footprints that are not dyadic.
-        self.cores = 0.0
-        self.n_float = 0
-        self.n_odd = 0
+        #: Running total of the queued footprint cores.
+        self.cores = DyadicTotal()
 
     # ----------------------------------------------------------- reading
     def __len__(self) -> int:
@@ -245,13 +241,7 @@ class TaskQueue:
     def _count(self, task: Task, sign: int) -> None:
         """Enter (+1) or leave (-1) ``task``'s footprint in the totals;
         every mutation but :meth:`clear` passes here and bumps ``rev``."""
-        cores = task.footprint.cores
-        if dyadic_cores(cores):
-            self.cores += sign * cores
-            if type(cores) is float:
-                self.n_float += sign
-        else:
-            self.n_odd += sign
+        self.cores.add(task.footprint.cores, sign)
         self.rev += 1
 
     def remove(self, task: Task) -> None:
@@ -276,9 +266,7 @@ class TaskQueue:
         self._front.clear()
         self._back.clear()
         self._buckets.clear()
-        self.cores = 0.0
-        self.n_float = 0
-        self.n_odd = 0
+        self.cores.clear()
         self.rev += 1
 
     def _bucket(self, task: Task) -> Deque[_Entry]:
@@ -1900,12 +1888,13 @@ class DispatchCore:
         poll this between queue mutations, and the fold is O(queue).
         """
         queue = self.queue
-        if not queue.n_odd:
-            return queue.cores if queue.n_float else int(queue.cores)
+        total = queue.cores
+        if not total.n_odd:
+            return total.value()
         rev, value = self._cores_waiting_cache
-        if rev != self.queue.rev:
-            value = sum(t.footprint.cores for t in self.queue)
-            self._cores_waiting_cache = (self.queue.rev, value)
+        if rev != queue.rev:
+            value = sum(t.footprint.cores for t in queue)
+            self._cores_waiting_cache = (queue.rev, value)
         return value
 
     def clean_goodput_core_s(self) -> float:

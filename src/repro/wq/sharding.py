@@ -743,21 +743,28 @@ class FailoverCoordinator:
 
     def _rebalance(self) -> None:
         """Starvation repair: a live shard with queued work but no
-        workers at all can never dispatch (supply is shard-local), so
-        its queue moves — through the journaled transfer path — to the
-        live shards that do hold idle workers, round-robin. Deliberately
-        narrow: shards with *any* worker are left alone, so ordinary
-        skew keeps draining locally and fidelity is untouched."""
+        unquarantined worker can never dispatch (supply is shard-local,
+        and a quarantined worker takes nothing), so its queue moves —
+        through the journaled transfer path — to the live shards that
+        hold an idle unquarantined worker, round-robin. The two sets
+        are disjoint, so no shard passes a task in and out at once.
+        Deliberately narrow: shards with *any* trusted worker are left
+        alone, so ordinary skew keeps draining locally and fidelity is
+        untouched."""
         shards = self.foreman.shards
         starved = [
             s
             for s in shards
-            if s.available and s.queue and not s.connected_workers()
+            if s.available
+            and s.queue
+            and all(w.quarantined for w in s.connected_workers())
         ]
         if not starved:
             return
         targets = [
-            s for s in shards if s.available and s.idle_workers()
+            s
+            for s in shards
+            if s.available and any(not w.quarantined for w in s.idle_workers())
         ]
         if not targets:
             return

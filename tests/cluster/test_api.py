@@ -8,7 +8,6 @@ from repro.cluster.api import (
     ConflictError,
     KubeApiServer,
     NotFoundError,
-    WatchEvent,
     WatchEventType,
 )
 from repro.cluster.images import ContainerImage

@@ -12,7 +12,6 @@ from typing import Optional
 import pytest
 
 from repro.cluster.hpa import HorizontalPodAutoscaler, HpaConfig
-from repro.sim.engine import Engine
 
 
 class StubMetrics:

@@ -12,7 +12,7 @@ from repro.cluster.node import (
     N1_STANDARD_4_RESERVED,
     Node,
 )
-from repro.cluster.pod import Pod, PodPhase, PodSpec
+from repro.cluster.pod import Pod, PodSpec
 from repro.cluster.resources import ResourceVector
 
 

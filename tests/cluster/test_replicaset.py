@@ -7,7 +7,7 @@ import pytest
 from repro.cluster.api import KubeApiServer
 from repro.cluster.images import ContainerImage
 from repro.cluster.node import Node
-from repro.cluster.pod import PodPhase, PodSpec
+from repro.cluster.pod import PodSpec
 from repro.cluster.replicaset import WorkerReplicaSet
 from repro.cluster.resources import ResourceVector
 

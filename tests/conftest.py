@@ -15,7 +15,6 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.wq.link import Link
 from repro.wq.master import Master
-from repro.wq.monitor import ResourceMonitor
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import fig2, fig4, fig5, fig6, fig10, fig11
+from repro.experiments import fig2, fig4, fig5, fig6
 from repro.experiments.report import ascii_chart, kv_table, paper_vs_measured
 from repro.sim.tracing import StepSeries
 

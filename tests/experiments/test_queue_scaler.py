@@ -8,7 +8,6 @@ from repro.baselines.queue_scaler import QueueLengthAutoscaler, QueueScalerConfi
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
 from repro.experiments.runner import ExperimentSpec, StackConfig, run_experiment
-from repro.sim.engine import Engine
 from repro.workloads.iobound import iobound_parallel
 from repro.workloads.synthetic import uniform_bag
 

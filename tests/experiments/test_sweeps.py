@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.cluster import ClusterConfig
-from repro.cluster.node import GKE_SMALL_3CPU, N1_STANDARD_4_RESERVED, MachineType
-from repro.cluster.resources import ResourceVector
+from repro.cluster.node import GKE_SMALL_3CPU, N1_STANDARD_4_RESERVED
 from repro.experiments.runner import StackConfig
 from repro.experiments.sweeps import (
     sweep_fixed_init_time,

@@ -10,7 +10,6 @@ from repro.cluster.api import KubeApiServer
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.images import ContainerImage
 from repro.cluster.node import N1_STANDARD_4_RESERVED
-from repro.cluster.pod import PodPhase
 from repro.cluster.resources import ResourceVector
 from repro.hta.estimator import EstimatorConfig
 from repro.hta.inittime import InitTimeTracker

@@ -9,7 +9,6 @@ from repro.cluster.images import ContainerImage
 from repro.cluster.node import N1_STANDARD_4_RESERVED
 from repro.cluster.pod import PodPhase
 from repro.cluster.resources import ResourceVector
-from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.wq.estimator import DeclaredResourceEstimator
 from repro.wq.link import Link

@@ -3,8 +3,6 @@ round-trip; these cover the textual surface)."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.makeflow.parser import parse_makeflow
 from repro.makeflow.render import render_makeflow, write_makeflow_file
 from repro.workloads.blast import blast_multistage

@@ -51,7 +51,7 @@ from repro.cluster.cloud import (
 from repro.cluster.images import ContainerImage, ImageRegistry
 from repro.cluster.kubelet import KubeletManager
 from repro.cluster.node import N1_STANDARD_4, PREEMPTIBLE_LABEL
-from repro.cluster.pod import Pod, PodPhase, PodSpec
+from repro.cluster.pod import Pod, PodSpec
 from repro.cluster.resources import ResourceVector
 from repro.cluster.scheduler import KubeScheduler
 from repro.hta.provisioner import WorkerProvisioner
@@ -458,7 +458,7 @@ def test_cores_waiting_equals_literal_fold(ops):
     def check(step) -> None:
         got, want = core.cores_waiting(), cores_waiting(core)
         assert repr(got) == repr(want), (step, got, want)
-        assert (queue.n_float, queue.n_odd) == queue_counts(queue), step
+        assert (queue.cores.n_float, queue.cores.n_odd) == queue_counts(queue), step
 
     check("empty")
     for step, op in enumerate(ops):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.sim.engine import Engine
 from repro.sim.tracing import StepSeries

@@ -264,7 +264,7 @@ def cores_waiting(core) -> float:
 
 
 def queue_counts(queue) -> Tuple[int, int]:
-    """``(n_float, n_odd)`` of a ``TaskQueue``, recounted."""
+    """``(n_float, n_odd)`` of a ``TaskQueue``'s core total, recounted."""
     cores = [t.footprint.cores for t in queue]
     dyadic = [c for c in cores if dyadic_cores(c)]
     return (

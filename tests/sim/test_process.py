@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import SimulationError
 from repro.sim.process import AllOf, AnyOf, ProcessFailed, Signal, Timeout, Wait, spawn
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import Engine
 from repro.sim.tracing import MetricRecorder, Sampler, StepSeries
 
 

@@ -25,14 +25,14 @@ class TestSmokeConfig:
 class TestRunSoak:
     @pytest.fixture(scope="class")
     def report(self):
-        return run_soak(2, SMOKE)
+        return run_soak(16, SMOKE)
 
     def test_run_quiesces_clean(self, report):
         assert report.quiesced
         assert report.ok, [str(v) for v in report.violations]
 
     def test_schedule_recorded(self, report):
-        assert report.seed == 2
+        assert report.seed == 16
         assert len(report.events) >= SMOKE.schedule.min_events
 
     def test_stats_populated(self, report):
@@ -42,32 +42,41 @@ class TestRunSoak:
 
     def test_describe_names_the_seed(self, report):
         text = report.describe()
-        assert "soak seed=2: OK" in text
+        assert "soak seed=16: OK" in text
         assert "strike" in text
 
     def test_rerun_is_deterministic(self, report):
-        again = run_soak(2, SMOKE)
+        again = run_soak(16, SMOKE)
         assert again.events == report.events
         assert again.stats == report.stats
         assert again.ok == report.ok
 
 
+class TestArmedRun:
+    def test_describe_names_the_armed_features(self):
+        report = run_soak(8 * 2 + 6, SMOKE)  # base seed 2, integrity + sharded
+        assert report.describe().startswith("soak seed=22 [integrity, sharded]: OK")
+        assert "shard_failovers" in report.stats
+        assert "quarantines" in report.stats
+        assert "migrations_started" not in report.stats
+
+
 class TestBatch:
     def test_batch_runs_every_seed(self):
-        reports = run_soak_batch([1, 2], SMOKE)
-        assert [r.seed for r in reports] == [1, 2]
+        reports = run_soak_batch([8, 16], SMOKE)
+        assert [r.seed for r in reports] == [8, 16]
         assert first_violation(reports) is None
 
     def test_first_violation_picks_the_failure(self):
-        reports = run_soak_batch([1], SMOKE)
+        reports = run_soak_batch([8], SMOKE)
         reports[0].violations.append("boom")
         assert first_violation(reports) is reports[0]
 
 
 class TestFailureReporting:
     def test_failing_report_carries_reproduction_recipe(self):
-        report = run_soak(3, SMOKE)
+        report = run_soak(24, SMOKE)
         report.violations.append("synthetic")
         text = report.describe()
         assert "VIOLATION" in text
-        assert "python -m repro.experiments soak --seed 3" in text
+        assert "python -m repro.experiments soak --seed 24" in text

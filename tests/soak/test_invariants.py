@@ -323,6 +323,6 @@ class TestAccountingAggregates:
     def test_queue_edit_behind_its_totals_flagged(self, stack):
         queue = stack.master.queue
         assert not queue and check_accounting_aggregates(stack) == []
-        queue.cores += 1.0  # a push that skipped the running total
+        queue.cores.total += 1.0  # a push that skipped the running total
         (violation,) = check_accounting_aggregates(stack)
         assert "cores_waiting = '1', rescan = '0'" in violation.detail

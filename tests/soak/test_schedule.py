@@ -9,6 +9,7 @@ from repro.soak.schedule import (
     FAULT_KINDS,
     FaultEvent,
     SoakScheduleConfig,
+    armed,
     generate_schedule,
 )
 
@@ -58,6 +59,24 @@ class TestShape:
         for seed in range(200):
             seen.update(e.kind for e in generate_schedule(seed))
         assert seen == set(FAULT_KIND_WEIGHTS)
+
+
+class TestArms:
+    def test_low_three_bits_arm_migrate_integrity_sharded(self):
+        assert armed(0) == ()
+        assert armed(1) == ("migrate",)
+        assert armed(2) == ("integrity",)
+        assert armed(4) == ("sharded",)
+        assert armed(7) == ("migrate", "integrity", "sharded")
+        assert armed(8 * 1234 + 6) == ("integrity", "sharded")
+
+    def test_arms_share_the_base_seeds_strike_count(self):
+        """The base seed ``seed // 8`` draws the strike count before the
+        pool matters, so one base seed strikes equally often under
+        every arm code."""
+        for base in range(20):
+            counts = {len(generate_schedule(8 * base + code)) for code in range(8)}
+            assert len(counts) == 1, base
 
 
 class TestBudgets:

@@ -1,4 +1,5 @@
-"""Every module-level import under ``src/repro`` is used.
+"""Every module-level import under ``src/repro``, ``tests`` and
+``benchmarks`` is used.
 
 A stdlib-``ast`` check, since no linter ships with the test
 dependencies. A name counts as used when the module reads it, names it
@@ -12,7 +13,10 @@ import ast
 from pathlib import Path
 from typing import Iterator, List, Set, Tuple
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 
 def _module_imports(body: List[ast.stmt]) -> Iterator[Tuple[str, int]]:
@@ -73,6 +77,13 @@ def unused_imports(root: Path) -> List[str]:
 def test_src_has_no_unused_module_imports():
     assert SRC.is_dir()
     assert unused_imports(SRC) == []
+
+
+@pytest.mark.parametrize("tree", ["tests", "benchmarks"])
+def test_test_trees_have_no_unused_module_imports(tree):
+    root = ROOT / tree
+    assert root.is_dir()
+    assert unused_imports(root) == []
 
 
 def test_the_check_sees_an_unused_import(tmp_path):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cluster.resources import ResourceVector
 from repro.wq.dispatch import DispatchConfig
 from repro.wq.estimator import DeclaredResourceEstimator

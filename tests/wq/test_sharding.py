@@ -493,3 +493,52 @@ class TestFailoverEdges:
         foreman.submit(task)
         engine.run(until=60.0)
         assert task.state is TaskState.DONE
+
+
+class TestRebalance:
+    """The starvation-repair sweep: a shard that cannot dispatch hands
+    its queue to shards that can."""
+
+    @staticmethod
+    def coordinator(engine, foreman):
+        return FailoverCoordinator(
+            engine, foreman, FailoverConfig(grace_s=10.0, rebalance_interval_s=5.0)
+        )
+
+    def test_queue_behind_a_quarantined_only_worker_moves(self, engine):
+        """A quarantined worker takes no work, so a shard whose only
+        worker is quarantined is as starved as one with none: its queue
+        moves to the shard with an idle healthy worker and completes."""
+        foreman, (a, b) = make_foreman(engine, 2)
+        coordinator = self.coordinator(engine, foreman)
+        Worker(engine, a, "wa", CAP, connect_latency=1.0)
+        wb = Worker(engine, b, "wb", CAP, connect_latency=1.0)
+        engine.run(until=2.0)
+        b._quarantine_worker(wb)  # no health ledger: no probation
+        tasks = [make_task(execute_s=2.0) for _ in range(3)]
+        for task in tasks:
+            b.submit(task)
+        engine.run(until=4.0)
+        assert len(b.queue) == 3  # wb takes nothing
+        engine.run(until=60.0)
+        assert coordinator.tasks_rebalanced == 3
+        assert all(t.state is TaskState.DONE for t in tasks)
+        assert check_failover_protocol(foreman) == []
+
+    def test_a_quarantined_idle_worker_makes_no_target(self, engine):
+        """A shard whose only idle worker is quarantined could run none
+        of the moved work: every task goes to the healthy shard."""
+        foreman, (a, b, c) = make_foreman(engine, 3)
+        coordinator = self.coordinator(engine, foreman)
+        wa = Worker(engine, a, "wa", CAP, connect_latency=1.0)
+        Worker(engine, c, "wc", CAP, connect_latency=1.0)
+        engine.run(until=2.0)
+        a._quarantine_worker(wa)
+        tasks = [make_task(execute_s=2.0) for _ in range(4)]
+        for task in tasks:
+            b.submit(task)  # b has no workers at all
+        engine.run(until=60.0)
+        assert coordinator.tasks_rebalanced == 4
+        assert not a.queue and not a.done
+        assert all(t.state is TaskState.DONE for t in tasks)
+        assert check_failover_protocol(foreman) == []
